@@ -162,9 +162,9 @@ def check_09_series_residual_order() -> AcceptanceResult:
     ])
 
 
-def check_10_stokes_table(map_fn=map) -> AcceptanceResult:
+def check_10_stokes_table() -> AcceptanceResult:
     t0 = time.perf_counter()
-    records = inner.theta_table(sorted(_REF_THETA_TABLE), map_fn=map_fn)
+    records = inner.theta_table(sorted(_REF_THETA_TABLE))
     elapsed = time.perf_counter() - t0
     lines = []
     ok = elapsed < 300.0
@@ -202,9 +202,9 @@ def check_12_inner_limit() -> AcceptanceResult:
     return AcceptanceResult(12, "inner-limit residual order", ok, lines)
 
 
-def check_13_splitting_cross_validation(map_fn=map) -> AcceptanceResult:
+def check_13_splitting_cross_validation() -> AcceptanceResult:
     A = separatrix.compute_A()
-    fit = splitting.fit_splitting_exponent(map_fn=map_fn)
+    fit = splitting.fit_splitting_exponent()
     rel = abs(fit.slope + A) / A
     positive = all(s.dist_measured > 0.0 for s in fit.samples)
     ok = rel <= 0.10 and positive
@@ -233,12 +233,6 @@ CHECKS = (
 )
 
 
-def run_all(map_fn=map):
-    """Run every check; grid-based ones may fan out via ``map_fn``."""
-    results = []
-    for fn in CHECKS:
-        if fn in (check_10_stokes_table, check_13_splitting_cross_validation):
-            results.append(fn(map_fn=map_fn))
-        else:
-            results.append(fn())
-    return results
+def run_all() -> list[AcceptanceResult]:
+    """Run every check in order."""
+    return [fn() for fn in CHECKS]

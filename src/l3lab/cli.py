@@ -3,7 +3,10 @@
 Numeric payloads go to stdout (or ``--out`` files) with 17 significant
 digits so that identical runs are byte-identical; wall-clock timings and
 other run metadata go to stderr or into the ``meta`` block of JSON records.
-Exit codes: 0 ok, 1 numerical failure, 2 argument error.
+
+Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
+failure, reported as ``error: <message>`` on stderr); 2 a bad argument, a
+bad or unreadable ``--config`` file, or a :class:`ValueError`.
 """
 from __future__ import annotations
 
@@ -11,14 +14,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, acceptance, inner, rpc3bp, separatrix, splitting
+from .numerics import L3labError
 
 __all__ = ["main", "ResultRecord"]
 
@@ -50,14 +52,6 @@ def _record(command, inputs, outputs, diagnostics, t0) -> ResultRecord:
         meta={"wall_time_s": time.perf_counter() - t0,
               "library_version": __version__},
     )
-
-
-def _map_fn():
-    threads = int(os.environ.get("L3LAB_THREADS", "1"))
-    if threads <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map
 
 
 def _write(text: str, out: str | None):
@@ -219,7 +213,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = acceptance.run_all(map_fn=_map_fn())
+    results = acceptance.run_all()
     all_ok = True
     out = []
     for res in results:
@@ -318,28 +312,30 @@ def _load_config(path: str) -> dict:
     return out
 
 
+def _apply_config(parser: argparse.ArgumentParser, path: str):
+    """Make the file's values the defaults of every subcommand that has them.
+
+    The values stay strings: argparse converts a string default through the
+    option's ``type`` and exits 2 on a bad value, so explicit flags still win.
+    """
+    try:
+        cfg = _load_config(path)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --config {path}: {exc}")
+    for action in parser._subparsers._group_actions:
+        for sp in action.choices.values():
+            dests = {a.dest for a in sp._actions}
+            sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    # apply config-file defaults before parsing so explicit flags win
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        raw = _load_config(cfg_path)
-        typed = {}
-        for key, value in raw.items():
-            try:
-                typed[key] = float(value)
-            except ValueError:
-                typed[key] = value
-        parser.set_defaults(**typed)
-        for action in parser._subparsers._group_actions:
-            for sp in action.choices.values():
-                sp.set_defaults(**{
-                    k: v for k, v in typed.items()
-                    if any(a.dest == k for a in sp._actions)
-                })
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
@@ -348,8 +344,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (inner.PrecisionLoss, separatrix.FitRejected,
-            splitting.NoCrossing) as exc:
+    except L3labError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"[{args.command}] wall time {time.perf_counter() - t0:.2f} s",

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rpc3bp, separatrix
-from .numerics import ComplexPath, integrate_ode
+from .numerics import ComplexPath, L3labError, integrate_ode
 
 __all__ = [
-    "INNER_BRANCH",
-    "InnerBranch",
     "InnerState",
     "StokesRecord",
     "cbrt_inner",
@@ -61,35 +59,24 @@ _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-class NearBranchCut(Exception):
+class NearBranchCut(L3labError):
     """Argument within 1e-6 of the cut on the positive imaginary axis."""
 
 
-class SqrtDomain(Exception):
+class SqrtDomain(L3labError):
     """|1 + J| fell at or below 0.1; the square root is out of its domain."""
 
 
-class TimeReparamSingular(Exception):
+class TimeReparamSingular(L3labError):
     """|1 + g| < 0.5; the graph-form time reparametrization degenerates."""
 
 
-class TooClose(Exception):
+class TooClose(L3labError):
     """Asymptotic series requested at |U| < 30."""
 
 
-class PrecisionLoss(Exception):
+class PrecisionLoss(L3labError):
     """Fewer than 3 significant digits survive the Delta Y cancellation."""
-
-
-@dataclass(frozen=True)
-class InnerBranch:
-    cut_direction: complex
-    arg_min: float
-    arg_max: float
-
-
-INNER_BRANCH = InnerBranch(cut_direction=1j, arg_min=-1.5 * math.pi,
-                           arg_max=_HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -258,8 +245,8 @@ _BRANCHES = ("unstable", "stable")
 
 def shoot(branch: str, rho: float, re_start: float = 1000.0,
           rtol: float = 1e-12, atol: float = 1e-14,
-          max_step: float = math.inf, stop_re: float = 0.0) -> InnerState:
-    """March one decaying solution along Im U = -rho to U = stop_re - i rho."""
+          max_step: float = math.inf) -> InnerState:
+    """March one decaying solution along Im U = -rho to U = -i rho."""
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 8.0 <= rho <= 30.0:
@@ -267,7 +254,7 @@ def shoot(branch: str, rho: float, re_start: float = 1000.0,
     x0 = -re_start if branch == "unstable" else re_start
     U0 = complex(x0, -rho)
     z0 = series_Z(U0).as_tuple()
-    path = ComplexPath.line(U0, complex(stop_re, -rho))
+    path = ComplexPath.line(U0, complex(0.0, -rho))
     res = integrate_ode(lambda u, y: graph_rhs(u, tuple(y)), path, z0,
                         rtol=rtol, atol=atol, max_step=max_step)
     return InnerState(*map(complex, res.y_end))
@@ -328,12 +315,10 @@ def theta(rho: float, re_start: float = 1000.0, rtol: float = 1e-12,
                         y_unstable=zu.Y, y_stable=zs.Y)
 
 
-def theta_table(rho_list, re_start: float = 1000.0, rtol: float = 1e-12,
-                map_fn=map) -> list[StokesRecord]:
+def theta_table(rho_list, re_start: float = 1000.0,
+                rtol: float = 1e-12) -> list[StokesRecord]:
     """Stokes records for a grid of rho values (grid points independent)."""
-    return list(map_fn(
-        lambda r: theta(r, re_start=re_start, rtol=rtol), list(rho_list)
-    ))
+    return [theta(r, re_start=re_start, rtol=rtol) for r in rho_list]
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import find_root
+from .numerics import L3labError, find_root
 
 __all__ = [
     "CartesianState",
@@ -56,15 +56,15 @@ __all__ = [
 _COLLISION_EPS = 1e-12
 
 
-class Collision(Exception):
+class Collision(L3labError):
     """Evaluation too close to one of the primaries."""
 
 
-class OriginSingular(Exception):
+class OriginSingular(L3labError):
     """Polar chart breaks down at r ~ 0."""
 
 
-class HyperbolicInput(Exception):
+class HyperbolicInput(L3labError):
     """Osculating eccentricity >= 1; elliptic formulas do not apply."""
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (Arc, ComplexPath, Line, QuadResult, integrate_ode,
-                       quad_path)
+from .numerics import (Arc, ComplexPath, L3labError, Line, QuadResult,
+                       integrate_ode, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -64,11 +64,11 @@ A_MINUS = (-1.0 - SQRT2) / 2.0
 ALPHA_PLUS = 2.0 ** (-1.0 / 3.0) * cmath.exp(-2j * math.pi / 3.0)
 
 
-class CollisionSingularity(Exception):
+class CollisionSingularity(L3labError):
     """Evaluation at the collision lambda = pi (cos(lambda/2) = 0)."""
 
 
-class FitRejected(Exception):
+class FitRejected(L3labError):
     """Singularity-structure regression residual exceeded its gate."""
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .numerics import L3labError
 from .rpc3bp import (CartesianState, cart_jacobian, cart_vector_field,
                      locate_L3, polar_from_cart, poincare_from_polar)
 
@@ -35,11 +36,11 @@ __all__ = [
 ]
 
 
-class NoCrossing(Exception):
+class NoCrossing(L3labError):
     """No section crossing found within the time budget."""
 
 
-class EventDegenerate(Exception):
+class EventDegenerate(L3labError):
     """theta' vanished at the located crossing; the section is tangent."""
 
 
@@ -207,8 +208,8 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
 
 
 def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,
-                           t_max: float = 500.0, rtol: float = 1e-12,
-                           map_fn=map) -> SplittingFit:
+                           t_max: float = 500.0,
+                           rtol: float = 1e-12) -> SplittingFit:
     """Linear fit of log(dist * mu^(-1/3)) against 1/sqrt(mu).
 
     The slope estimates -A.  The default grid stays below mu ~ 2e-3: beyond
@@ -225,11 +226,8 @@ def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,
         raise ValueError("grid must lie inside [1e-3, 1e-2]")
     from .separatrix import compute_A
     A = compute_A()
-    samples = list(map_fn(
-        lambda m: section_gap(m, seed_eps=seed_eps, t_max=t_max, rtol=rtol,
-                              A=A),
-        list(mu_grid),
-    ))
+    samples = [section_gap(m, seed_eps=seed_eps, t_max=t_max, rtol=rtol, A=A)
+               for m in mu_grid]
     x = 1.0 / np.sqrt(mu_grid)
     y = np.log([s.dist_measured * m ** (-1.0 / 3.0)
                 for s, m in zip(samples, mu_grid)])

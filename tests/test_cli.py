@@ -2,8 +2,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
-from l3lab import cli
+import pytest
+
+import l3lab
+from l3lab import cli, inner, numerics, rpc3bp, separatrix, splitting
 
 
 def run_cli(argv):
@@ -154,9 +161,66 @@ def test_out_of_range_tolerance_exits_2():
     assert code == 2
 
 
-def test_thread_fanout_preserves_output(monkeypatch):
-    argv = ["stokes", "--rho-min", "13", "--rho-max", "14", "--rho-step", "1"]
-    _, serial, _ = run_cli(argv)
-    monkeypatch.setenv("L3LAB_THREADS", "2")
-    _, threaded, _ = run_cli(argv)
-    assert serial == threaded
+def run_cli_process(argv):
+    """Run ``l3lab`` in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "l3lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_numerical_failure_exits_1_with_message():
+    code, _, err = run_cli_process(["stokes", "--rho-min", "13",
+                                    "--rho-max", "13", "--re-start", "10"])
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_config_values_typed_by_option(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 21\n")
+    code, out, err = run_cli_process(["--config", str(cfg), "separatrix"])
+    assert code == 0
+    assert "Traceback" not in err
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,lambda,Lambda,q"
+    assert len(lines) == 1 + 21
+
+
+@pytest.mark.parametrize("case", ["bad_value", "no_path_after_command",
+                                  "no_path", "missing_file"])
+def test_bad_config_exits_2(tmp_path, case):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = abc\n")
+    argv = {
+        "bad_value": ["--config", str(cfg), "separatrix"],
+        "no_path_after_command": ["separatrix", "--config"],
+        "no_path": ["--config"],
+        "missing_file": ["--config", str(tmp_path / "absent.cfg"),
+                         "separatrix"],
+    }[case]
+    code, _, err = run_cli_process(argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_every_package_exception_is_an_l3lab_error():
+    found = set()
+    for mod in (numerics, rpc3bp, separatrix, inner, splitting):
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == mod.__name__):
+                assert issubclass(obj, numerics.L3labError), name
+                found.add(name)
+    assert found >= {
+        "StepUnderflow", "NonFinite", "NoConvergence", "NoBracket",
+        "NearBranchCut", "SqrtDomain", "TimeReparamSingular", "TooClose",
+        "PrecisionLoss", "Collision", "OriginSingular", "HyperbolicInput",
+        "CollisionSingularity", "FitRejected", "NoCrossing",
+        "EventDegenerate",
+    }
