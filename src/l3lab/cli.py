@@ -6,7 +6,8 @@ other run metadata go to stderr or into the ``meta`` block of JSON records.
 
 Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
 failure, reported as ``error: <message>`` on stderr); 2 a bad argument, a
-bad or unreadable ``--config`` file, or a :class:`ValueError`.
+bad or unreadable ``--config`` file, an unwritable ``--out`` path, or a
+:class:`ValueError`.
 """
 from __future__ import annotations
 
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plot-ready manifold trajectories to the section "
                             "(CSV columns: branch, t, q1, q2, r, theta)")
     q.add_argument("--mu", type=float, default=0.003)
-    q.add_argument("--t-max", type=float, default=500.0)
+    q.add_argument("--t-max", type=float, default=1000.0)
     q.add_argument("--n", type=int, default=2000)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_manifolds)
@@ -287,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("distance",
                        help="asymptotic vs measured splitting at one mu")
     q.add_argument("--mu", type=float, default=1e-3)
-    q.add_argument("--t-max", type=float, default=500.0)
+    q.add_argument("--t-max", type=float, default=1000.0)
     q.add_argument("--theta-abs", type=float, default=None,
                    help="prefactor modulus; computed at rho = 15 if omitted")
     q.add_argument("--format", choices=["text", "json"], default="text")
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except L3labError as exc:

@@ -23,8 +23,8 @@ than running scipy's DOP853 segment by segment.  A prototype of that swap
 moved theta_rho by at most 1.2e-7 (rho = 13..20), but it had to derive
 rejected steps from ``nfev``, reach into scipy internals for the error
 estimate, lost the compensated sum, and was slower on the many short legs
-of the separatrix continuation.  scipy's DOP853 stays for real-time
-trajectory tracing in :mod:`l3lab.splitting`.
+of the separatrix continuation.  :mod:`l3lab.splitting` steps scipy's
+DOP853 solver directly for real-time trajectory tracing.
 """
 from __future__ import annotations
 

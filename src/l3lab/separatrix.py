@@ -261,13 +261,13 @@ def _a_quad(tol: float) -> QuadResult:
 
 def compute_A(tol: float = 1e-12) -> float:
     """Half-width of the separatrix analyticity strip, A ~ 0.177744."""
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise ValueError("tol must be >= 1e-13")
     return _a_quad(tol).value.real
 
 
 def compute_A_quad(tol: float = 1e-12) -> QuadResult:
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise ValueError("tol must be >= 1e-13")
     res = _a_quad(tol)
     return QuadResult(value=res.value.real, err=res.err, evals=res.evals)
@@ -279,7 +279,7 @@ def compute_A_rescaled(tol: float = 1e-12) -> float:
     Shifting x = a+ - xi turns the polynomial 1 - 4x - 4x^2 into
     4 xi (sqrt(2) - xi) exactly, which is how it is evaluated here.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise ValueError("tol must be >= 1e-13")
 
     def g(xi):

@@ -7,8 +7,9 @@ ratios the gap between the two intersection points shrinks like
 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) |Theta|, which cross-validates the
 analyticity constant A obtained from the separatrix integrals.
 
-Trajectories are integrated with scipy's DOP853 (rtol 1e-12) with the section
-crossing located by root refinement on the dense output.
+Trajectories are integrated by stepping scipy's DOP853 solver (rtol 1e-12);
+each sign change of theta - section is refined by a root search on the
+step's dense output, and integration stops at the first crossing with r > 1.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .numerics import L3labError
 from .rpc3bp import (CartesianState, cart_jacobian, cart_vector_field,
@@ -92,6 +94,7 @@ def asymptotic_distance(mu: float, A: float, theta_abs: float) -> float:
 
 
 _BRANCHES = ("unstable_plus", "stable_plus", "unstable_minus", "stable_minus")
+_EPS = np.finfo(float).eps
 
 
 def _seed(mu, branch, seed_eps):
@@ -114,7 +117,7 @@ def _seed(mu, branch, seed_eps):
 
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
-                           seed_eps: float = 1e-7, t_max: float = 500.0,
+                           seed_eps: float = 1e-7, t_max: float = 1000.0,
                            rtol: float = 1e-12, section: float = math.pi / 2,
                            skip_time: float = 0.0) -> SectionPoint:
     """First crossing of the section theta = ``section`` with r > 1.
@@ -122,7 +125,9 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
     The seed sits at ``seed_eps`` along the hyperbolic eigenvector of the
     equilibrium; unstable branches integrate forward, stable ones backward.
     Crossings with r <= 1 (the inner leg of the loop) are not on the section
-    and are skipped, as are crossings before ``skip_time``.
+    and are skipped, as are crossings before ``skip_time``.  Integration
+    stops at the first crossing that is kept, so ``t_max`` is only a time
+    budget: :class:`NoCrossing` is raised if it runs out first.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -130,19 +135,27 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
         raise ValueError("manifold tracing expects mu in [3e-4, 1e-2]")
     z0, tdir = _seed(mu, branch, seed_eps)
 
-    def event(t, y, _mu):
+    def event(y):
         return math.atan2(y[1], y[0]) - section
 
-    event.terminal = False
-
-    sol = solve_ivp(lambda t, y, m: cart_vector_field(y, m),
-                    (0.0, tdir * t_max), z0, args=(mu,), method="DOP853",
-                    rtol=rtol, atol=rtol, events=event, dense_output=False)
-    if not sol.success:
-        raise NoCrossing(f"integration failed: {sol.message}")
-    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
+    # the steps and the root refinement are those of solve_ivp with an event
+    # function, so a hit does not depend on how far past it t_max reaches
+    solver = DOP853(lambda t, y: cart_vector_field(y, mu), 0.0, z0,
+                    tdir * t_max, rtol=rtol, atol=rtol)
+    g_new = event(z0)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise NoCrossing(f"integration failed: {message}")
+        g, g_new = g_new, event(solver.y)
+        if not ((g <= 0 <= g_new) or (g >= 0 >= g_new)):
+            continue
+        sol = solver.dense_output()
+        t_ev = brentq(lambda t: event(sol(t)), solver.t_old, solver.t,
+                      xtol=4 * _EPS, rtol=4 * _EPS)
         if abs(t_ev) <= skip_time:
             continue
+        y_ev = sol(t_ev)
         pol = polar_from_cart(CartesianState.from_array(y_ev))
         if abs(pol.theta - section) > 1e-6:
             continue  # atan2 branch jump flagged as a sign change, not a hit
@@ -170,7 +183,7 @@ def _theta_dot(y):
     return (q1 * (p2 - q1) - q2 * (p1 + q2)) / r2
 
 
-def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 500.0,
+def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 1000.0,
                 rtol: float = 1e-12, A: float | None = None,
                 theta_abs: float = 1.63) -> SplittingSample:
     """Gap between the first section hits of the two plus branches."""
@@ -189,7 +202,7 @@ def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 500.0,
 
 
 def manifold_trajectory(mu: float, branch: str = "unstable_plus",
-                        seed_eps: float = 1e-7, t_max: float = 500.0,
+                        seed_eps: float = 1e-7, t_max: float = 1000.0,
                         rtol: float = 1e-12, n_points: int = 2000):
     """Sampled manifold trajectory up to its section hit, for plotting.
 
@@ -208,7 +221,7 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
 
 
 def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,
-                           t_max: float = 500.0,
+                           t_max: float = 1000.0,
                            rtol: float = 1e-12) -> SplittingFit:
     """Linear fit of log(dist * mu^(-1/3)) against 1/sqrt(mu).
 

@@ -209,6 +209,27 @@ def test_bad_config_exits_2(tmp_path, case):
     assert "Traceback" not in err
 
 
+def test_nan_tolerance_exits_2():
+    code, out, err = run_cli_process(["a", "--tol", "nan"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_path_exits_2(tmp_path):
+    target = tmp_path / "absent" / "x"
+    code, _, err = run_cli_process(["a", "--out", str(target)])
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    code, _, err = run_cli_process(["a", "--format", "json",
+                                    "--out", str(target)])
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_every_package_exception_is_an_l3lab_error():
     found = set()
     for mod in (numerics, rpc3bp, separatrix, inner, splitting):

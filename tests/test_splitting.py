@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from l3lab import rpc3bp, separatrix, splitting
 
@@ -57,6 +58,46 @@ def test_reversibility_through_symmetric_section():
     assert abs(pu.r - ps.r) <= 1e-8
     assert abs(abs(pu.R) - abs(ps.R)) <= 1e-8
     assert abs(pu.G - ps.G) <= 1e-8
+
+
+def _full_horizon_section_point(mu, branch, t_max=1000.0):
+    """The first r > 1 hit, from a solve_ivp event run over all of t_max."""
+    z0, tdir = splitting._seed(mu, branch, 1e-7)
+
+    def event(t, y):
+        return math.atan2(y[1], y[0]) - math.pi / 2
+
+    sol = solve_ivp(lambda t, y: rpc3bp.cart_vector_field(y, mu),
+                    (0.0, tdir * t_max), z0, method="DOP853", rtol=1e-12,
+                    atol=1e-12, events=event)
+    assert sol.success
+    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
+        pol = rpc3bp.polar_from_cart(rpc3bp.CartesianState.from_array(y_ev))
+        if abs(pol.theta - math.pi / 2) <= 1e-6 and pol.r > 1.0:
+            return float(t_ev), y_ev
+    raise AssertionError("no reference crossing")
+
+
+@pytest.mark.parametrize("branch", ["unstable_plus", "stable_plus"])
+def test_early_stop_matches_full_horizon_events(branch):
+    mu = 1.5e-3
+    t_ref, y_ref = _full_horizon_section_point(mu, branch)
+    p = splitting.manifold_section_point(mu, branch)
+    assert p.t_hit == t_ref
+    assert np.array_equal(p.state, y_ref)
+
+
+def test_hit_independent_of_time_budget():
+    mu = 1.5e-3
+    a = splitting.manifold_section_point(mu, "unstable_plus", t_max=1000.0)
+    b = splitting.manifold_section_point(mu, "unstable_plus", t_max=1e6)
+    assert a.t_hit == b.t_hit
+    assert np.array_equal(a.state, b.state)
+
+
+def test_default_budget_covers_lowest_mu():
+    s = splitting.section_gap(3e-4)
+    assert s.dist_measured > 0.0
 
 
 def test_no_crossing_reported():
