@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rpc3bp, separatrix
-from .numerics import ComplexPath, L3labError, integrate_ode
+from .numerics import ComplexPath, L3labError, integrate_chain
 
 __all__ = [
     "InnerState",
@@ -247,35 +247,24 @@ def shoot(branch: str, rho: float, re_start: float = 1000.0,
           rtol: float = 1e-12, atol: float = 1e-14,
           max_step: float = math.inf) -> InnerState:
     """March one decaying solution along Im U = -rho to U = -i rho."""
+    return _shoot_record(branch, rho, [0.0], re_start=re_start, rtol=rtol,
+                         atol=atol, max_step=max_step)[0.0]
+
+
+def _shoot_record(branch, rho, xs, re_start=1000.0, rtol=1e-12, atol=1e-14,
+                  max_step=math.inf):
+    """Shoot once, recording the state at each requested Re U checkpoint."""
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 8.0 <= rho <= 30.0:
         raise ValueError("rho must lie in [8, 30]")
-    x0 = -re_start if branch == "unstable" else re_start
-    U0 = complex(x0, -rho)
-    z0 = series_Z(U0).as_tuple()
-    path = ComplexPath.line(U0, complex(0.0, -rho))
-    res = integrate_ode(lambda u, y: graph_rhs(u, tuple(y)), path, z0,
-                        rtol=rtol, atol=atol, max_step=max_step)
-    return InnerState(*map(complex, res.y_end))
-
-
-def _shoot_record(branch, rho, xs, re_start=1000.0, rtol=1e-12, atol=1e-14):
-    """Shoot once, recording the state at each requested Re U checkpoint."""
-    x0 = -re_start if branch == "unstable" else re_start
-    order = sorted(xs) if branch == "unstable" else sorted(xs, reverse=True)
-    out = {}
-    y = series_Z(complex(x0, -rho)).as_tuple()
-    prev = x0
-    for x in order:
-        if x != prev:
-            path = ComplexPath.line(complex(prev, -rho), complex(x, -rho))
-            y = tuple(map(complex, integrate_ode(
-                lambda u, yy: graph_rhs(u, tuple(yy)), path, y,
-                rtol=rtol, atol=atol).y_end))
-        out[x] = InnerState(*y)
-        prev = x
-    return out
+    U0 = complex(-re_start if branch == "unstable" else re_start, -rho)
+    order = sorted(xs, reverse=branch == "stable")
+    ys = integrate_chain(lambda u, y: graph_rhs(u, tuple(y)), U0,
+                         [complex(x, -rho) for x in order],
+                         series_Z(U0).as_tuple(), rtol=rtol, atol=atol,
+                         max_step=max_step)
+    return {x: InnerState(*map(complex, y)) for x, y in zip(order, ys)}
 
 
 @dataclass

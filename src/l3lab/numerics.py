@@ -1,11 +1,14 @@
 """Shared high-accuracy primitives.
 
-Three tools used everywhere else in the package:
+Four tools used everywhere else in the package:
 
 * :func:`integrate_ode` -- adaptive integration of a complex ODE along a
   piecewise path in the complex plane of the independent variable, built on
   an embedded Dormand--Prince 8(5,3) pair with compensated (Kahan)
   accumulation of the solution.
+* :func:`integrate_chain` -- the states of such an ODE at a chain of
+  checkpoints, one straight-line :func:`integrate_ode` leg per step of the
+  chain (separatrix sweeps, inner shooting and the zero scan).
 * :func:`quad_path` -- contour quadrature over the same path objects using
   per-segment tanh-sinh (double exponential) rules, so integrable endpoint
   singularities |x|^alpha with alpha > -1 need no special casing.
@@ -43,6 +46,7 @@ __all__ = [
     "OdeResult",
     "QuadResult",
     "integrate_ode",
+    "integrate_chain",
     "quad_path",
     "find_root",
     "L3labError",
@@ -332,6 +336,28 @@ def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
         y = _integrate_segment(field, seg, y, rtol, atol, max_step, stats)
     return OdeResult(y_end=y, steps=stats["steps"], rejected=stats["rejected"],
                      max_err_est=stats["max_err_est"])
+
+
+def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
+                    atol: float = 1e-12,
+                    max_step: float = math.inf) -> list[np.ndarray]:
+    """States of y' = field(t, y) at a chain of checkpoints, one leg at a time.
+
+    Starting from ``y0`` at ``start``, each leg to the next distinct point is
+    one straight-line :func:`integrate_ode` call; a point equal to its
+    predecessor reuses that state.  Returns one state per point.
+    """
+    out = []
+    y = np.asarray(y0, dtype=complex)
+    prev = complex(start)
+    for t in points:
+        t = complex(t)
+        if t != prev:
+            y = integrate_ode(field, ComplexPath.line(prev, t), y, rtol=rtol,
+                              atol=atol, max_step=max_step).y_end
+        out.append(y)
+        prev = t
+    return out
 
 
 # ---------------------------------------------------------------------------

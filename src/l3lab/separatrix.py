@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (Arc, ComplexPath, L3labError, Line, QuadResult,
-                       integrate_ode, quad_path)
+                       integrate_chain, integrate_ode, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -261,9 +261,7 @@ def _a_quad(tol: float) -> QuadResult:
 
 def compute_A(tol: float = 1e-12) -> float:
     """Half-width of the separatrix analyticity strip, A ~ 0.177744."""
-    if not tol >= 1e-13:
-        raise ValueError("tol must be >= 1e-13")
-    return _a_quad(tol).value.real
+    return compute_A_quad(tol).value
 
 
 def compute_A_quad(tol: float = 1e-12) -> QuadResult:
@@ -372,39 +370,27 @@ def _pend_field(t, y):
     return (dl, dL)
 
 
-def sigma(t_path, rtol: float = 1e-12, atol: float = 1e-14,
-          y_start=None) -> PendulumState:
+def _state(y) -> PendulumState:
+    return PendulumState(lam=complex(y[0]), Lam=complex(y[1]))
+
+
+def sigma(t_path, rtol: float = 1e-12, atol: float = 1e-14) -> PendulumState:
     """Continue the separatrix from sigma(0) = (lambda0, 0) along a time path.
 
     ``t_path`` is a :class:`ComplexPath` starting at 0, or a single complex
-    endpoint (integrated along the straight segment from 0).  ``y_start``
-    allows chaining from an already-computed state at the path start.
+    endpoint (integrated along the straight segment from 0).
     """
-    if not isinstance(t_path, ComplexPath):
-        t = complex(t_path)
-        if t == 0.0 and y_start is None:
-            return PendulumState(lam=lambda0(), Lam=0.0)
-        t_path = ComplexPath.line(0.0, t)
-    if y_start is None:
-        y0 = (lambda0(), 0.0)
-    else:
-        y0 = (y_start.lam, y_start.Lam)
-    res = integrate_ode(_pend_field, t_path, y0, rtol=rtol, atol=atol)
-    return PendulumState(lam=complex(res.y_end[0]), Lam=complex(res.y_end[1]))
+    if isinstance(t_path, ComplexPath):
+        return _state(integrate_ode(_pend_field, t_path, (lambda0(), 0.0),
+                                    rtol=rtol, atol=atol).y_end)
+    return _sigma_sweep([t_path], rtol=rtol, atol=atol)[0]
 
 
-def _sigma_sweep(points, rtol=1e-12):
-    """States at a chain of time points, integrating each leg once."""
-    out = []
-    state = PendulumState(lambda0(), 0.0)
-    prev = 0.0 + 0.0j
-    for t in points:
-        t = complex(t)
-        if t != prev:
-            state = sigma(ComplexPath.line(prev, t), rtol=rtol, y_start=state)
-        out.append(state)
-        prev = t
-    return out
+def _sigma_sweep(points, rtol=1e-12, atol=1e-14):
+    """States at a chain of time points from t = 0, integrating each leg once."""
+    ys = integrate_chain(_pend_field, 0.0, points, (lambda0(), 0.0),
+                         rtol=rtol, atol=atol)
+    return [_state(y) for y in ys]
 
 
 @dataclass
@@ -461,31 +447,29 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02,
     """min |Lambda| on a strip grid with disks around 0 and +-iA removed.
 
     Supports the statement that t = 0 is the only zero of Lambda in the
-    closed strip: the returned minimum stays well away from zero.
+    closed strip: the returned minimum stays well away from zero.  Each grid
+    column integrates 0 -> x once and continues up and down from that state.
     """
-    if spacing > 0.02 + 1e-12:
-        raise ValueError("grid spacing must be <= 0.02")
+    if not (math.isfinite(spacing) and 0.0 < spacing <= 0.02 + 1e-12):
+        raise ValueError("grid spacing must lie in (0, 0.02]")
+    lo, hi = re_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("re_range must be a finite increasing pair")
     A = compute_A()
-    res = np.arange(re_range[0], re_range[1] + spacing / 2, spacing)
     ims = np.arange(spacing, A - 5e-3, spacing)
     best = math.inf
-    for x in res:
-        for sign in (0.0, 1.0, -1.0):
-            if sign == 0.0:
-                pts = [complex(x, 0.0)]
-            else:
-                pts = [complex(x, sign * v) for v in ims]
-            if sign == 0.0:
-                chain = pts
-            else:
-                chain = [complex(x, 0.0)] + pts
-            states = _sigma_sweep(chain, rtol=rtol)
-            if sign != 0.0:
-                states = states[1:]
-            for t, st in zip(chain if sign == 0.0 else pts, states):
-                if abs(t) < puncture:
-                    continue
-                if abs(t - 1j * A) < puncture or abs(t + 1j * A) < puncture:
-                    continue
-                best = min(best, abs(st.Lam))
+    for x in np.arange(lo, hi + spacing / 2, spacing):
+        base = complex(x, 0.0)
+        (y_base,) = integrate_chain(_pend_field, 0.0, [base],
+                                    (lambda0(), 0.0), rtol=rtol, atol=1e-14)
+        points, ys = [base], [y_base]
+        for sign in (1.0, -1.0):
+            column = [complex(x, sign * v) for v in ims]
+            points += column
+            ys += integrate_chain(_pend_field, base, column, y_base,
+                                  rtol=rtol, atol=1e-14)
+        for t, y in zip(points, ys):
+            if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < puncture:
+                continue
+            best = min(best, abs(complex(y[1])))
     return best

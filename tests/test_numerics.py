@@ -1,11 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from l3lab import numerics, separatrix
 from l3lab.numerics import (Arc, ComplexPath, Line, NoBracket, NoConvergence,
                             NonFinite, StepUnderflow, find_root,
-                            integrate_ode, quad_path)
+                            integrate_chain, integrate_ode, quad_path)
 
 
 def test_path_validation():
@@ -131,3 +135,93 @@ def test_kahan_accumulation_long_path():
                         ComplexPath.line(0.0, 200.0), (1.0,),
                         rtol=1e-12, atol=1e-14)
     assert abs(abs(res.y_end[0]) - 1.0) < 5e-10
+
+
+def _per_leg(field, start, points, y0, **tols):
+    """Reference for integrate_chain: one integrate_ode call per new point."""
+    states = []
+    y = np.asarray(y0, dtype=complex)
+    for prev, t in zip([start] + list(points), points):
+        if complex(t) != complex(prev):
+            y = integrate_ode(field, ComplexPath.line(prev, t), y,
+                              **tols).y_end
+        states.append(y)
+    return states
+
+
+def _same_states(a, b):
+    return len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def test_integrate_chain_matches_per_leg_loop():
+    field = lambda t, y: (y[1], -cmath.sin(y[0]) + 0.1 * t)
+    points = [0.4, 0.4 + 0.3j, -0.2 + 0.1j, 1.0]
+    chain = integrate_chain(field, 0.1, points, (0.5, 0.2j), rtol=1e-11,
+                            atol=1e-13)
+    loop = _per_leg(field, 0.1, points, (0.5, 0.2j), rtol=1e-11, atol=1e-13)
+    assert _same_states(chain, loop)
+
+
+def test_integrate_chain_reuses_repeated_points(monkeypatch):
+    # every leg goes through the module-level integrate_ode, so a wrapper
+    # installed there sees each leg and only those
+    legs = []
+    plain = numerics.integrate_ode
+
+    def counting(field, path, y0, **tols):
+        legs.append((path.start, path.end))
+        return plain(field, path, y0, **tols)
+
+    monkeypatch.setattr(numerics, "integrate_ode", counting)
+    field = lambda t, y: (1j * y[0],)
+    states = integrate_chain(field, 0.0, [0.5, 0.5, 0.5j, 0.5j, 0.5j],
+                             (1.0,))
+    assert legs == [(0.0, 0.5), (0.5, 0.5j)]
+    assert states[1] is states[0]
+    assert states[3] is states[2] and states[4] is states[2]
+    assert abs(states[-1][0] - cmath.exp(1j * 0.5j)) < 1e-9
+
+
+def test_integrate_chain_without_legs_returns_y0():
+    states = integrate_chain(lambda t, y: (y[0], y[1]), 0.3 + 0.1j,
+                             [0.3 + 0.1j] * 3, (2.0, -1.0j))
+    assert len(states) == 3
+    for y in states:
+        assert np.array_equal(y, np.array([2.0, -1.0j]))
+
+
+# points of the zero-scan strip |Im t| <= 0.15 < A, where the pendulum field
+# of the separatrix has no singularity; None repeats the previous point
+_STRIP_POINT = st.builds(complex, st.floats(-1.99, 1.99),
+                         st.floats(-0.15, 0.15))
+
+
+def _repeat_gaps(raw):
+    points, prev = [], 0j
+    for p in raw:
+        prev = prev if p is None else p
+        points.append(prev)
+    return points
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.none(), _STRIP_POINT), min_size=1, max_size=6)
+       .map(_repeat_gaps))
+def test_integrate_chain_property_on_separatrix_strip(points):
+    field = separatrix._pend_field
+    y0 = (separatrix.lambda0(), 0.0)
+    tols = {"rtol": 1e-10, "atol": 1e-14}
+    chain = integrate_chain(field, 0.0, points, y0, **tols)
+    assert _same_states(chain, _per_leg(field, 0.0, points, y0, **tols))
+    # the last state is the continuation along the polyline of the
+    # distinct points: each polyline segment is integrated as one leg
+    distinct = [0j]
+    for p in points:
+        if p != distinct[-1]:
+            distinct.append(p)
+    if len(distinct) == 1:
+        end = np.asarray(y0, dtype=complex)
+    else:
+        end = integrate_ode(field, ComplexPath.polyline(distinct), y0,
+                            **tols).y_end
+    assert np.array_equal(chain[-1], end)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from l3lab import separatrix as sep
@@ -150,6 +151,40 @@ def test_zero_scan_of_momentum():
     assert min_abs > 0.05
     st = sep.sigma(0.0 + 0.0j)
     assert abs(st.Lam) < 1e-10
+
+
+def test_zero_scan_matches_sweeps_from_origin():
+    # the former scan: per column, one sweep from t = 0 to the real point and
+    # one from t = 0 through x up each half column; (-0.3, 0.3) covers the
+    # punctures at 0 and +-iA
+    re_range, spacing, puncture, rtol = (-0.3, 0.3), 0.02, 0.05, 1e-10
+    A = sep.compute_A()
+    ims = np.arange(spacing, A - 5e-3, spacing)
+    best = math.inf
+    for x in np.arange(re_range[0], re_range[1] + spacing / 2, spacing):
+        base = complex(x, 0.0)
+        for sign in (0.0, 1.0, -1.0):
+            chain = [base] + [complex(x, sign * v) for v in ims if sign]
+            for t, st in zip(chain, sep._sigma_sweep(chain, rtol=rtol)):
+                if (abs(t) < puncture or abs(t - 1j * A) < puncture
+                        or abs(t + 1j * A) < puncture):
+                    continue
+                best = min(best, abs(st.Lam))
+    assert sep.check_zero_of_Lambda(re_range=re_range) == best
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"spacing": -0.01},
+    {"spacing": 0.0},
+    {"spacing": math.nan},
+    {"re_range": (1.5, -1.5)},
+    {"re_range": (0.2, 0.2)},
+    {"re_range": (-1.5, math.inf)},
+], ids=["negative_spacing", "zero_spacing", "nan_spacing", "reversed_range",
+        "empty_range", "infinite_range"])
+def test_zero_scan_rejects_empty_grid(kwargs):
+    with pytest.raises(ValueError):
+        sep.check_zero_of_Lambda(**kwargs)
 
 
 def test_alpha_plus_matches_continuation():
