@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rho-max", type=float, default=20.0)
     q.add_argument("--rho-step", type=float, default=1.0)
     q.add_argument("--tol", type=float, default=1e-12)
-    q.add_argument("--re-start", type=float, default=1000.0)
+    q.add_argument("--re-start", type=float, default=inner.RE_START)
     q.add_argument("--out", default=None,
                    help="CSV output path (default stdout)")
     q.set_defaults(fn=_cmd_stokes)

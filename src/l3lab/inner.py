@@ -8,10 +8,11 @@ leading Hamiltonian becomes the parameter-free
 with K built from U^(2/3) and an algebraic function J quadratic in
 Z = (W, X, Y).  Two distinguished solutions of the associated graph-form
 equation dZ/dU = A Z + R[Z] decay as Re U -> -infinity (unstable-like) and
-Re U -> +infinity (stable-like).  Seeding both from the asymptotic series at
-Re U = +-1000 and shooting along the horizontal line Im U = -rho to the
-imaginary axis, the difference Delta Y(-i rho) determines the Stokes constant
-estimate theta_rho = |Delta Y| e^rho, which plateaus near 1.63.
+Re U -> +infinity (stable-like).  Seeding both from their asymptotic series
+(kept through U^(-40/3)) at Re U = -+RE_START = -+100 and shooting along the
+horizontal line Im U = -rho to the imaginary axis, the difference
+Delta Y(-i rho) determines the Stokes constant estimate
+theta_rho = |Delta Y| e^rho, which plateaus near 1.63.
 
 All fractional powers of U live on the branch cut along the positive
 imaginary axis, arg U in [-3pi/2, pi/2), so both shooting lines and the
@@ -41,6 +42,7 @@ __all__ = [
     "series_Z",
     "series_Z_derivative",
     "series_residual",
+    "RE_START",
     "shoot",
     "theta",
     "theta_table",
@@ -196,11 +198,42 @@ def graph_rhs(U, Z):
     return tuple(az[k] + (f[k] - g * az[k]) / den for k in range(3))
 
 
-# decaying-solution asymptotics: power of U^{-1/3} -> coefficient; the
-# coefficients follow recursively from the invariance equation
-_W_SERIES = {8: 4.0 / 243.0, 14: -172.0 / 2187.0}
-_X_SERIES = {4: -2j / 9.0, 7: 28.0 / 81.0, 10: 20j / 27.0, 13: -16424.0 / 6561.0}
-_Y_SERIES = {4: 2j / 9.0, 7: 28.0 / 81.0, 10: -20j / 27.0, 13: -16424.0 / 6561.0}
+# Decaying-solution asymptotics: power of v = U^(-1/3) -> coefficient.  They
+# are the truncated power-series fixed point, in v, of the graph-form equation
+# (1 + K_W) W' = -K_U, (1 + K_W) X' = i (X + K_Y), (1 + K_W) Y' = -i (Y + K_X)
+# with d/dU = -(v^4/3) d/dv, iterated in exact Gaussian-rational arithmetic
+# (sympy's QQ_I) until no coefficient changed; truncating the iteration at
+# v^44 or at v^52 gives the same table, and tests/test_inner.py re-derives it
+# in floating point.  X and Y carry the powers 4 + 3k, Y
+# mirrors X (same real, negated imaginary parts), and W carries 8 + 6k.  The
+# series diverges, but at |U| = 100 its terms still shrink by a factor of
+# about 8 per power of U where it is cut.
+_W_SERIES = {
+    8: 4 / 243,
+    14: -172 / 2187,
+    20: 1333976 / 1594323,
+    26: -970248164 / 43046721,
+    32: 3973610086792 / 3486784401,
+    38: -79202986668276536 / 847288609443,
+}
+_X_SERIES = {
+    4: -2 / 9 * 1j,
+    7: 28 / 81,
+    10: 20 / 27 * 1j,
+    13: -16424 / 6561,
+    16: -69392 / 6561 * 1j,
+    19: 10061752 / 177147,
+    22: 1700387296 / 4782969 * 1j,
+    25: -37549850000 / 14348907,
+    28: -2796825005824 / 129140163 * 1j,
+    31: 706432764111208 / 3486784401,
+    34: 7266824339775232 / 3486784401 * 1j,
+    37: -2227114191216813776 / 94143178827,
+    40: -739272671402772352000 / 2541865828329 * 1j,
+}
+_Y_SERIES = {m: c.conjugate() for m, c in _X_SERIES.items()}
+# |Re U| at which both shooting lines are seeded from the series
+RE_START = 100.0
 
 
 def series_Z(U) -> InnerState:
@@ -231,8 +264,8 @@ def series_Z_derivative(U) -> InnerState:
 def series_residual(U) -> float:
     """Sup-norm defect of the truncated series in the graph-form equation.
 
-    Decays like |U|^(-16/3); the coefficient is set by the first dropped
-    series term.
+    Decays like |U|^(-43/3); the coefficient is set by the first dropped
+    series term, X and Y at v^43.
     """
     z = series_Z(U).as_tuple()
     dz = series_Z_derivative(U).as_tuple()
@@ -243,7 +276,7 @@ def series_residual(U) -> float:
 _BRANCHES = ("unstable", "stable")
 
 
-def shoot(branch: str, rho: float, re_start: float = 1000.0,
+def shoot(branch: str, rho: float, re_start: float = RE_START,
           rtol: float = 1e-12, atol: float = 1e-14,
           max_step: float = math.inf) -> InnerState:
     """March one decaying solution along Im U = -rho to U = -i rho."""
@@ -251,7 +284,7 @@ def shoot(branch: str, rho: float, re_start: float = 1000.0,
                          atol=atol, max_step=max_step)[0.0]
 
 
-def _shoot_record(branch, rho, xs, re_start=1000.0, rtol=1e-12, atol=1e-14,
+def _shoot_record(branch, rho, xs, re_start=RE_START, rtol=1e-12, atol=1e-14,
                   max_step=math.inf):
     """Shoot once, recording the state at each requested Re U checkpoint."""
     if branch not in _BRANCHES:
@@ -277,7 +310,7 @@ class StokesRecord:
     y_stable: complex
 
 
-def theta(rho: float, re_start: float = 1000.0, rtol: float = 1e-12,
+def theta(rho: float, re_start: float = RE_START, rtol: float = 1e-12,
           max_step: float = math.inf) -> StokesRecord:
     """Stokes-constant estimate theta_rho = |Y^u - Y^s|(-i rho) * e^rho.
 
@@ -304,7 +337,7 @@ def theta(rho: float, re_start: float = 1000.0, rtol: float = 1e-12,
                         y_unstable=zu.Y, y_stable=zs.Y)
 
 
-def theta_table(rho_list, re_start: float = 1000.0,
+def theta_table(rho_list, re_start: float = RE_START,
                 rtol: float = 1e-12) -> list[StokesRecord]:
     """Stokes records for a grid of rho values (grid points independent)."""
     return [theta(r, re_start=re_start, rtol=rtol) for r in rho_list]

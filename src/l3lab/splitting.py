@@ -10,6 +10,7 @@ analyticity constant A obtained from the separatrix integrals.
 Trajectories are integrated by stepping scipy's DOP853 solver (rtol 1e-12);
 each sign change of theta - section is refined by a root search on the
 step's dense output, and integration stops at the first crossing with r > 1.
+Plot samples of a trajectory come from the dense output of those same steps.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from .numerics import L3labError
@@ -129,6 +130,17 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
     stops at the first crossing that is kept, so ``t_max`` is only a time
     budget: :class:`NoCrossing` is raised if it runs out first.
     """
+    return _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time)[0]
+
+
+def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
+           keep_steps=False):
+    """Step DOP853 from the seed to the first kept section crossing.
+
+    Returns the :class:`SectionPoint` and, with ``keep_steps``, an
+    ``OdeSolution`` made of the dense output of every step up to the hit
+    (three extra field calls per step); otherwise ``None``.
+    """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 3e-4 <= mu <= 1e-2:
@@ -142,15 +154,22 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
     # function, so a hit does not depend on how far past it t_max reaches
     solver = DOP853(lambda t, y: cart_vector_field(y, mu), 0.0, z0,
                     tdir * t_max, rtol=rtol, atol=rtol)
+    step_ts, step_sols = [0.0], []
     g_new = event(z0)
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise NoCrossing(f"integration failed: {message}")
+        sol = None
+        if keep_steps:
+            sol = solver.dense_output()
+            step_ts.append(solver.t)
+            step_sols.append(sol)
         g, g_new = g_new, event(solver.y)
         if not ((g <= 0 <= g_new) or (g >= 0 >= g_new)):
             continue
-        sol = solver.dense_output()
+        if sol is None:
+            sol = solver.dense_output()
         t_ev = brentq(lambda t: event(sol(t)), solver.t_old, solver.t,
                       xtol=4 * _EPS, rtol=4 * _EPS)
         if abs(t_ev) <= skip_time:
@@ -169,9 +188,10 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
                 f"event refinement left |theta - section| = "
                 f"{abs(pol.theta - section):.2e}"
             )
-        return SectionPoint(r=pol.r, R=pol.R, G=pol.G, theta=pol.theta,
-                            t_hit=float(t_ev), state=np.array(y_ev),
-                            mu=mu, branch=branch)
+        hit = SectionPoint(r=pol.r, R=pol.R, G=pol.G, theta=pol.theta,
+                           t_hit=float(t_ev), state=np.array(y_ev),
+                           mu=mu, branch=branch)
+        return hit, OdeSolution(step_ts, step_sols) if keep_steps else None
     raise NoCrossing(f"no r > 1 crossing of theta = {section} within "
                      f"t_max = {t_max} for mu = {mu}, branch = {branch}")
 
@@ -208,16 +228,13 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
 
     Returns ``(ts, states)`` with states of shape (n, 4) in Cartesian
     coordinates, ending at the first crossing of theta = pi/2 with r > 1.
+    The samples come from the dense output of the steps that found the hit,
+    so the trajectory is integrated once.
     """
-    hit = manifold_section_point(mu, branch, seed_eps, t_max, rtol)
-    z0, tdir = _seed(mu, branch, seed_eps)
+    hit, sol = _trace(mu, branch, seed_eps, t_max, rtol, math.pi / 2, 0.0,
+                      keep_steps=True)
     ts = np.linspace(0.0, hit.t_hit, n_points)
-    sol = solve_ivp(lambda t, y, m: cart_vector_field(y, m),
-                    (0.0, hit.t_hit), z0, args=(mu,), method="DOP853",
-                    rtol=rtol, atol=rtol, t_eval=ts)
-    if not sol.success:
-        raise NoCrossing(f"integration failed: {sol.message}")
-    return ts, sol.y.T
+    return ts, sol(ts).T
 
 
 def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,

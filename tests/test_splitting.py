@@ -139,3 +139,24 @@ def test_manifold_trajectory_shape():
     assert states.shape == (200, 4)
     r_end = math.hypot(states[-1, 0], states[-1, 1])
     assert r_end > 1.0
+
+
+def test_manifold_trajectory_traces_once(monkeypatch):
+    calls = [0]
+
+    def counting(y, mu):
+        calls[0] += 1
+        return rpc3bp.cart_vector_field(y, mu)
+
+    monkeypatch.setattr(splitting, "cart_vector_field", counting)
+    for branch in ("unstable_plus", "stable_plus"):
+        calls[0] = 0
+        hit = splitting.manifold_section_point(0.003, branch)
+        hit_calls = calls[0]
+        calls[0] = 0
+        ts, states = splitting.manifold_trajectory(0.003, branch, n_points=200)
+        # one pass plus three dense-output stages per DOP853 step of about
+        # twelve field calls; a second integration would double the count
+        assert calls[0] <= 1.3 * hit_calls
+        assert ts[-1] == hit.t_hit
+        assert np.max(np.abs(states[-1] - hit.state)) <= 1e-10
