@@ -26,13 +26,11 @@ __all__ = [
     "CartesianState",
     "PolarState",
     "PoincareState",
-    "MassRatio",
     "Equilibrium",
     "Collision",
     "OriginSingular",
     "HyperbolicInput",
     "h_cart",
-    "grad_h_cart",
     "hess_h_cart",
     "cart_vector_field",
     "cart_jacobian",
@@ -99,19 +97,6 @@ class PoincareState:
     xi: complex
 
 
-@dataclass(frozen=True)
-class MassRatio:
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 < self.mu <= 0.5:
-            raise ValueError("mu must lie in (0, 1/2]")
-
-    @property
-    def delta(self) -> float:
-        return self.mu ** 0.25
-
-
 @dataclass
 class Equilibrium:
     d_mu: float
@@ -156,15 +141,6 @@ def h_cart(s: CartesianState, mu: float) -> float:
     kinetic = 0.5 * (s.p1 ** 2 + s.p2 ** 2)
     coriolis = s.q1 * s.p2 - s.q2 * s.p1
     return kinetic - coriolis - (1.0 - mu) / rS - mu / rP
-
-
-def grad_h_cart(s: CartesianState, mu: float) -> np.ndarray:
-    (dSx, dSy), rS, (dPx, dPy), rP = _primary_offsets(s.q1, s.q2, mu)
-    gq1 = -s.p2 + (1 - mu) * dSx / rS ** 3 + mu * dPx / rP ** 3
-    gq2 = s.p1 + (1 - mu) * dSy / rS ** 3 + mu * dPy / rP ** 3
-    gp1 = s.p1 + s.q2
-    gp2 = s.p2 - s.q1
-    return np.array([gq1, gq2, gp1, gp2])
 
 
 def hess_h_cart(s: CartesianState, mu: float) -> np.ndarray:

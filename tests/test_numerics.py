@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3lab import numerics, separatrix
-from l3lab.numerics import (Arc, ComplexPath, Line, NoBracket, NoConvergence,
-                            NonFinite, StepUnderflow, find_root,
-                            integrate_chain, integrate_ode, quad_path)
+from l3lab.numerics import (Arc, ComplexPath, L3labError, Line, NoBracket,
+                            NoConvergence, NonFinite, StepUnderflow,
+                            find_root, integrate_chain, integrate_ode,
+                            quad_path)
 
 
 def test_path_validation():
@@ -75,6 +76,90 @@ def test_ode_tolerance_validation():
                       (1.0,), rtol=1e-15)
 
 
+def test_ode_step_counts_pinned():
+    # the scalar stepper takes the same steps as the numpy one it replaced
+    rot = integrate_ode(lambda t, y: (1j * y[0],),
+                        ComplexPath.line(0.0, math.pi), (1.0,),
+                        rtol=1e-12, atol=1e-14)
+    assert (rot.steps, rot.rejected) == (19, 0)
+    pend = integrate_ode(lambda t, y: (y[1], -cmath.sin(y[0]) + 0.1 * t),
+                         ComplexPath.polyline([0.1, 0.4, 0.4 + 0.3j,
+                                               -0.2 + 0.1j, 1.0]),
+                         (0.5, 0.2j), rtol=1e-11, atol=1e-13)
+    assert (pend.steps, pend.rejected) == (18, 0)
+    assert isinstance(pend.y_end, np.ndarray) and pend.y_end.dtype == complex
+
+
+@pytest.mark.parametrize("field", [
+    lambda t, y: (1e200 * y[0] * y[0], 0.0),
+    lambda t, y: ((1e200 * y[0]) ** 2, 0.0),  # raises OverflowError itself
+], ids=["huge_product", "huge_power"])
+def test_ode_huge_field_raises_package_error(field):
+    with pytest.raises(L3labError):
+        integrate_ode(field, ComplexPath.line(0.0, 1.0), (1.0, 0.0))
+
+
+def test_ode_nan_at_interior_stage_is_nonfinite():
+    # calls 1 and 2 are the start and the starting-step probe; call 5 is
+    # stage 3 of the first step
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return (math.nan if len(calls) == 5 else y[0],)
+
+    with pytest.raises(NonFinite):
+        integrate_ode(field, ComplexPath.line(0.0, 1.0), (1.0,))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan])
+def test_ode_rejects_bad_max_step(max_step):
+    with pytest.raises(ValueError):
+        integrate_ode(lambda t, y: (y[0],), ComplexPath.line(0.0, 1.0),
+                      (1.0,), max_step=max_step)
+
+
+def _chain_of_segments(start, moves):
+    """A connected Line/Arc chain from ``start``; each move is
+    ("line", step) or ("arc", radius, phi_start, turn)."""
+    segs, p = [], start
+    for move in moves:
+        if move[0] == "line":
+            seg = Line(p, p + move[1])
+        else:
+            _, radius, phi0, turn = move
+            seg = Arc(p - radius * cmath.exp(1j * phi0), radius, phi0,
+                      phi0 + turn)
+        segs.append(seg)
+        p = seg.end
+    return ComplexPath(tuple(segs))
+
+
+_BOUNDED = st.floats(-1.0, 1.0)
+_COMPLEX = st.builds(complex, _BOUNDED, _BOUNDED)
+_MOVE = st.one_of(
+    st.tuples(st.just("line"), _COMPLEX.filter(lambda z: abs(z) > 1e-3)),
+    st.tuples(st.just("arc"), st.floats(0.05, 0.5),
+              st.floats(-math.pi, math.pi),
+              st.floats(0.1, 2.0 * math.pi) | st.floats(-2.0 * math.pi, -0.1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_COMPLEX.map(lambda z: 2.0 * z), b=_COMPLEX.map(lambda z: 2.0 * z),
+       start=_COMPLEX, moves=st.lists(_MOVE, min_size=1, max_size=4))
+def test_ode_linear_field_matches_exponential(a, b, start, moves):
+    path = _chain_of_segments(start, moves)
+    y0 = (1.0 + 0.5j, -0.3j)
+    res = integrate_ode(lambda t, y: (a * y[0], b * y[1]), path, y0,
+                        rtol=1e-11, atol=1e-13)
+    dt = path.end - path.start
+    exact = (y0[0] * cmath.exp(a * dt), y0[1] * cmath.exp(b * dt))
+    for got, want in zip(res.y_end, exact):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 def test_quad_smooth():
     res = quad_path(lambda t: 1.0 / (1.0 + t * t),
                     ComplexPath.line(0.0, 1.0), tol=1e-13)
@@ -113,6 +198,31 @@ def test_quad_no_convergence():
     # a genuinely non-integrable endpoint blows the refinement budget
     with pytest.raises((NoConvergence, NonFinite, OverflowError)):
         quad_path(lambda t: 1.0 / t, ComplexPath.line(0.0, 1.0), tol=1e-13)
+
+
+# the box avoids the pole of exp(t)/(1+t) at t = -1, and so do the
+# straight segments between its points
+_BOX_POINT = st.builds(complex, st.floats(0.0, 2.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_BOX_POINT, min_size=2, max_size=6).filter(
+    lambda pts: all(abs(q - p) > 1e-3 for p, q in zip(pts, pts[1:]))))
+def test_quad_reversal_cancels_on_random_polyline(points):
+    path = ComplexPath.polyline(points)
+    f = lambda t: cmath.exp(t) / (1.0 + t)
+    tol = 1e-12
+    fwd = quad_path(f, path, tol=tol).value
+    bwd = quad_path(f, path.reversed(), tol=tol).value
+    assert abs(fwd + bwd) <= tol
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_quad_rejects_bad_tol(tol):
+    # with tol = nan the divergent integrand used to return a value
+    with pytest.raises(ValueError):
+        quad_path(lambda t: 1.0 / (t - 0.5) ** 2, ComplexPath.line(0.0, 1.0),
+                  tol=tol)
 
 
 @pytest.mark.parametrize("g, bracket, root", [

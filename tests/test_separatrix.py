@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l3lab import separatrix as sep
 from l3lab.numerics import ComplexPath, find_root
@@ -75,6 +77,14 @@ def test_t_star_homotopy_invariance():
     t_a = sep.t_star("zero_upper", detour=1e-3, tol=tol)
     t_b = sep.t_star("zero_upper", detour=5e-3, tol=tol)
     assert abs(t_a - t_b) <= 10 * tol
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.floats(1e-3, 5e-3))
+def test_t_star_upper_and_lower_are_conjugate(detour):
+    upper = sep.t_star("zero_upper", detour=detour)
+    lower = sep.t_star("zero_lower", detour=detour)
+    assert abs(upper - lower.conjugate()) <= 1e-12
 
 
 def test_branched_point_sign_flip():
