@@ -103,14 +103,12 @@ def _cmd_a(args) -> int:
 
 
 def _cmd_stokes(args) -> int:
-    if args.rho_step <= 0 or args.rho_max < args.rho_min:
-        print("error: empty rho range", file=sys.stderr)
-        return 2
-    rhos = list(np.arange(args.rho_min, args.rho_max + args.rho_step / 2,
-                          args.rho_step))
-    if not rhos:
-        print("error: empty rho range", file=sys.stderr)
-        return 2
+    lo, hi, step = args.rho_min, args.rho_max, args.rho_step
+    # written so that a NaN fails it
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+            and 0.0 < step < math.inf):
+        raise ValueError(f"empty rho range: {lo} to {hi} in steps of {step}")
+    rhos = list(np.arange(lo, hi + step / 2, step))
     rows = []
     failed = False
     for rho in rhos:

@@ -1,11 +1,14 @@
 """Shared high-accuracy primitives.
 
-Four tools used everywhere else in the package:
+Five tools used everywhere else in the package:
 
+* :func:`ode_steps` -- the package's one ODE stepper, an embedded
+  Dormand--Prince 8(5,3) pair (Hairer's DOP853) with compensated (Kahan)
+  accumulation of the solution, as a generator of accepted steps; each
+  step carries the method's seventh-order dense output.
 * :func:`integrate_ode` -- adaptive integration of a complex ODE along a
-  piecewise path in the complex plane of the independent variable, built on
-  an embedded Dormand--Prince 8(5,3) pair with compensated (Kahan)
-  accumulation of the solution.
+  piecewise path in the complex plane of the independent variable, one
+  :func:`ode_steps` run per segment.
 * :func:`integrate_chain` -- the states of such an ODE at a chain of
   checkpoints, one straight-line :func:`integrate_ode` leg per step of the
   chain (separatrix sweeps, inner shooting and the zero scan).
@@ -21,20 +24,20 @@ concurrently.
 numerical failure; each module's concrete classes subclass it directly.
 Invalid arguments raise :class:`ValueError` instead.
 
-The complex-path integrator keeps its own Dormand--Prince stepper rather
-than running scipy's DOP853 segment by segment.  A prototype of that swap
-moved theta_rho by at most 1.2e-7 (rho = 13..20), but it had to derive
-rejected steps from ``nfev``, reach into scipy internals for the error
-estimate and lost the compensated sum.  The stepper works on Python complex
-scalars, not numpy arrays: the fields here have 2 or 3 components, and on
-them a step attempt takes about half as long as on numpy arrays of that
-length (55-80 us against 110-165 us for a 2-component linear field on a
-2-vCPU Xeon host whose speed drifts).  :mod:`l3lab.splitting` steps
-scipy's DOP853 solver directly for real-time trajectory tracing.
+The same stepper serves the complex-time paths and the real-time manifold
+tracing of :mod:`l3lab.splitting`, which steps it in time units on real
+states and finds the section crossings on the dense output.  It works on
+Python scalars, not numpy arrays: the fields here have 2 to 4 components,
+and on them a step attempt takes about half as long as on numpy arrays of
+that length (55-80 us against 110-165 us for a 2-component linear field on
+a 2-vCPU Xeon host whose speed drifts).  A field should therefore return
+Python numbers: numpy scalars would carry their per-operation cost into
+every stage sum.
 """
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -47,7 +50,9 @@ __all__ = [
     "Arc",
     "ComplexPath",
     "OdeResult",
+    "OdeStep",
     "QuadResult",
+    "ode_steps",
     "integrate_ode",
     "integrate_chain",
     "quad_path",
@@ -65,7 +70,7 @@ class L3labError(Exception):
 
 
 class StepUnderflow(L3labError):
-    """Adaptive step fell below 1e-14 of the segment length.
+    """Adaptive step fell below 1e-14 of the range of the segment parameter.
 
     Usually means a singularity of the field sits on or very near the path.
     """
@@ -223,7 +228,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERR_EXP = -1.0 / (_tab.ERROR_ESTIMATOR_ORDER + 1)
-_MIN_STEP = 1e-14  # in units of the segment parameter, which runs over [0, 1]
+_MIN_STEP = 1e-14  # as a fraction of the range of the segment parameter
 
 
 def _nonzero(coeffs):
@@ -238,13 +243,18 @@ _STAGES = tuple((float(_tab.C[i]), _nonzero(_tab.A[i, :i]))
 _B = _nonzero(_tab.B)
 _E3 = _nonzero(_tab.E3)
 _E5 = _nonzero(_tab.E5)
+# (node, nonzero row of A) for the dense-output stages 13..15, and the rows
+# of D; both reach stage 12, the field at the end of the step
+_DENSE = tuple((float(c), _nonzero(row))
+               for c, row in zip(_tab.C_EXTRA, _tab.A_EXTRA))
+_D = tuple(_nonzero(row) for row in _tab.D)
 
 
 def _combine(terms, K):
     """sum_j c_j K[k][j] for each component k, over the nonzero (j, c_j)."""
     out = []
     for Kk in K:
-        acc = 0j
+        acc = 0.0
         for j, c in terms:
             acc += c * Kk[j]
         out.append(acc)
@@ -265,14 +275,14 @@ def _finite(v):
     return all(map(cmath.isfinite, v))
 
 
-def _initial_step(fun, y0, f0, rtol, atol, max_step):
+def _initial_step(fun, y0, f0, rtol, atol, max_step, s_end):
     # Hairer's starting-step heuristic on the segment parameter.
     root_n = math.sqrt(len(y0))
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = math.sqrt(_sq_norm(y0, scale)) / root_n
     d1 = math.sqrt(_sq_norm(f0, scale)) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, max_step, 1.0)
+    h0 = min(h0, max_step, s_end)
     f1 = fun(h0, [v + h0 * df for v, df in zip(y0, f0)])
     diff = [a - b for a, b in zip(f1, f0)]
     d2 = math.sqrt(_sq_norm(diff, scale)) / root_n / h0
@@ -280,15 +290,86 @@ def _initial_step(fun, y0, f0, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / (_tab.ERROR_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, max_step, 1.0)
+    return min(100 * h0, h1, max_step, s_end)
 
 
-def _integrate_segment(field, seg: Segment, y, rtol, atol, max_step_s, stats):
-    """March y' = seg'(s) * field(seg(s), y) over s in [0, 1].
+class OdeStep:
+    """One accepted step, from ``s_old`` to ``s_new`` of the segment parameter.
+
+    ``y_old`` and ``y_new`` are the states at its ends.  ``step(s)`` for s in
+    [s_old, s_new] is DOP853's seventh-order dense output, exact at both
+    ends; its three extra field calls are made at the first call.
+    ``rejected`` counts the attempts rejected just before this step and
+    ``err_est`` is its error estimate in state units.
+    """
+
+    __slots__ = ("s_old", "s_new", "y_old", "y_new", "rejected", "err_est",
+                 "_fun", "_h", "_K", "_F")
+
+    def __init__(self, fun, s_old, s_new, h, y_old, y_new, K, rejected,
+                 err_est):
+        self.s_old, self.s_new, self._h = s_old, s_new, h
+        self.y_old, self.y_new = y_old, y_new
+        self.rejected, self.err_est = rejected, err_est
+        self._fun, self._K, self._F = fun, K, None
+
+    def _coefficients(self):
+        # per component k, F[k] = [F_0, ..., F_6] of the interpolant
+        h, K, y_old = self._h, self._K, self.y_old
+        for c, row in _DENSE:
+            y_i = [yk + h * dk for yk, dk in zip(y_old, _combine(row, K))]
+            k_i = self._fun(self.s_old + c * h, y_i)
+            if not _finite(k_i):
+                raise NonFinite(
+                    f"field not finite in the dense output at s={self.s_old}")
+            for Kk, v in zip(K, k_i):
+                Kk.append(v)
+        high = [_combine(row, K) for row in _D]
+        F = []
+        for k, (yo, yn, Kk) in enumerate(zip(y_old, self.y_new, K)):
+            dy = yn - yo
+            F.append([dy, h * Kk[0] - dy, 2 * dy - h * (Kk[12] + Kk[0]),
+                      *(h * d[k] for d in high)])
+        return F
+
+    def __call__(self, s):
+        if s == self.s_new:
+            return list(self.y_new)
+        if self._F is None:
+            with _scalar_errors():
+                self._F = self._coefficients()
+        x = (s - self.s_old) / self._h
+        out = []
+        for yo, Fk in zip(self.y_old, self._F):
+            acc = 0.0
+            for i, f in enumerate(reversed(Fk)):
+                acc = (acc + f) * (x if i % 2 == 0 else 1.0 - x)
+            out.append(yo + acc)
+        return out
+
+
+@contextlib.contextmanager
+def _scalar_errors():
+    # Python scalars raise where numpy arrays would give inf or nan
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFinite(f"overflow or division by zero: {exc}") from exc
+
+
+def _check_tolerances(rtol, atol, max_step):
+    if not (1e-14 <= rtol <= 1e-2) or not (1e-14 <= atol <= 1e-2):
+        raise ValueError("rtol and atol must lie in [1e-14, 1e-2]")
+    if not max_step > 0.0:
+        raise ValueError("max_step must be positive")
+
+
+def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
+    """Accepted steps of y' = seg'(s) * field(seg(s), y) over s in [0, s_end].
 
     The state ``y``, the stage values and the Kahan carry are lists of
-    Python complex numbers, and each stage sum runs over the nonzero tableau
-    entries only.
+    Python scalars, and each stage sum runs over the nonzero tableau entries
+    only.
     """
     point, derivative = seg.point, seg.derivative
 
@@ -296,79 +377,98 @@ def _integrate_segment(field, seg: Segment, y, rtol, atol, max_step_s, stats):
         d = derivative(s)
         return [d * v for v in field(point(s), yy)]
 
-    n = len(y)
-    comp = [0j] * n  # Kahan carry for the y accumulator
-    s = 0.0
-    f = fun(s, y)
-    if len(f) != n:
-        raise ValueError(
-            f"field returned {len(f)} components for a state of {n}")
-    if not _finite(f):
-        raise NonFinite("field not finite at the start of a segment")
-    h = _initial_step(fun, y, f, rtol, atol, max_step_s)
+    with _scalar_errors():
+        n = len(y)
+        # Kahan carry for the y accumulator, zero of the state's scalar type
+        comp = [0j if isinstance(v, complex) else 0.0 for v in y]
+        s = 0.0
+        f = fun(s, y)
+        if len(f) != n:
+            raise ValueError(
+                f"field returned {len(f)} components for a state of {n}")
+        if not _finite(f):
+            raise NonFinite("field not finite at the start of a segment")
+        h = _initial_step(fun, y, f, rtol, atol, max_step, s_end)
+        min_step = _MIN_STEP * s_end
+        rejected = 0
 
-    while True:
-        remaining = 1.0 - s
-        if remaining <= 1e-15:
-            break
-        if h < _MIN_STEP:
-            raise StepUnderflow(
-                f"step {h:.3e} under {_MIN_STEP:.0e} at s={s:.6f} "
-                f"(path point {seg.point(s)})"
-            )
-        h = min(h, max_step_s)
-        final = h >= remaining
-        if final:
-            h = remaining
-        K = [[v] for v in f]  # K[k][i]: component k of stage i
-        for c, row in _STAGES:
-            y_i = [yk + h * dk for yk, dk in zip(y, _combine(row, K))]
-            k_i = fun(s + c * h, y_i)
-            if not _finite(k_i):
+        while True:
+            remaining = s_end - s
+            if remaining <= 1e-15 * s_end:
+                return
+            if h < min_step:
+                raise StepUnderflow(
+                    f"step {h:.3e} under {min_step:.0e} at s={s:.6f} "
+                    f"(path point {seg.point(s)})"
+                )
+            h = min(h, max_step)
+            final = h >= remaining
+            if final:
+                h = remaining
+            K = [[v] for v in f]  # K[k][i]: component k of stage i
+            for c, row in _STAGES:
+                y_i = [yk + h * dk for yk, dk in zip(y, _combine(row, K))]
+                k_i = fun(s + c * h, y_i)
+                if not _finite(k_i):
+                    raise NonFinite(
+                        f"field not finite near path point {seg.point(s)}")
+                for Kk, v in zip(K, k_i):
+                    Kk.append(v)
+            # compensated update: y_new = y + incr, carrying the rounding term
+            tmp = [h * bk + ck for bk, ck in zip(_combine(_B, K), comp)]
+            y_new = [yk + t for yk, t in zip(y, tmp)]
+            comp_new = [t - (yn - yk) for t, yn, yk in zip(tmp, y_new, y)]
+            if not _finite(y_new):
+                raise NonFinite(
+                    f"state not finite near path point {seg.point(s)}")
+            f_new = fun(s + h, y_new)
+            if not _finite(f_new):
                 raise NonFinite(
                     f"field not finite near path point {seg.point(s)}")
-            for Kk, v in zip(K, k_i):
+            for Kk, v in zip(K, f_new):
                 Kk.append(v)
-        # compensated update: y_new = y + incr, carrying the rounding term
-        tmp = [h * bk + ck for bk, ck in zip(_combine(_B, K), comp)]
-        y_new = [yk + t for yk, t in zip(y, tmp)]
-        comp_new = [t - (yn - yk) for t, yn, yk in zip(tmp, y_new, y)]
-        if not _finite(y_new):
-            raise NonFinite(
-                f"state not finite near path point {seg.point(s)}")
-        f_new = fun(s + h, y_new)
-        if not _finite(f_new):
-            raise NonFinite(
-                f"field not finite near path point {seg.point(s)}")
-        for Kk, v in zip(K, f_new):
-            Kk.append(v)
 
-        scale = [atol + rtol * max(abs(yk), abs(yn))
-                 for yk, yn in zip(y, y_new)]
-        n5 = _sq_norm(_combine(_E5, K), scale)
-        n3 = _sq_norm(_combine(_E3, K), scale)
-        if n5 == 0.0 and n3 == 0.0:
-            err_norm = 0.0
-        else:
-            err_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * n)
+            scale = [atol + rtol * max(abs(yk), abs(yn))
+                     for yk, yn in zip(y, y_new)]
+            n5 = _sq_norm(_combine(_E5, K), scale)
+            n3 = _sq_norm(_combine(_E3, K), scale)
+            if n5 == 0.0 and n3 == 0.0:
+                err_norm = 0.0
+            else:
+                err_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * n)
 
-        if err_norm < 1.0:
-            s = 1.0 if final else s + h
-            y = y_new
-            comp = comp_new
-            f = f_new
-            stats["steps"] += 1
-            est = err_norm * max(scale)
-            if est > stats["max_err_est"]:
-                stats["max_err_est"] = est
-            factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err_norm ** _ERR_EXP
-            )
-            h *= factor
-        else:
-            stats["rejected"] += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXP)
-    return y
+            if err_norm < 1.0:
+                s_old, s = s, (s_end if final else s + h)
+                step = OdeStep(fun, s_old, s, h, y, y_new, K, rejected,
+                               err_norm * max(scale))
+                y, comp, f = y_new, comp_new, f_new
+                rejected = 0
+                factor = _MAX_FACTOR if err_norm == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err_norm ** _ERR_EXP
+                )
+                h *= factor
+                yield step
+            else:
+                rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXP)
+
+
+def ode_steps(field, seg: Segment, y0, rtol: float = 1e-10,
+              atol: float = 1e-12, max_step: float = math.inf,
+              s_end: float = 1.0):
+    """Generator of the accepted :class:`OdeStep` of one segment.
+
+    Steps y' = seg'(s) * field(seg(s), y) from s = 0 to ``s_end``, which
+    need not be 1: on ``Line(0, 1)`` or ``Line(0, -1)`` the parameter is
+    time itself, so the step sequence does not depend on how far
+    ``s_end`` reaches.  Real (float) states step as floats, complex ones as
+    complex.  ``max_step`` is measured in the segment parameter.
+    """
+    _check_tolerances(rtol, atol, max_step)
+    if not (math.isfinite(s_end) and s_end > 0.0):
+        raise ValueError("s_end must be finite and positive")
+    return _steps(field, seg, np.asarray(y0).tolist(), rtol, atol, max_step,
+                  s_end)
 
 
 def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
@@ -380,23 +480,20 @@ def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
     via the chain rule dy/ds = seg'(s) * field(seg(s), y).  ``max_step`` is
     measured in the segment parameter.
     """
-    if not (1e-14 <= rtol <= 1e-2) or not (1e-14 <= atol <= 1e-2):
-        raise ValueError("rtol and atol must lie in [1e-14, 1e-2]")
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
+    _check_tolerances(rtol, atol, max_step)
     if isinstance(path, (Line, Arc)):
         path = ComplexPath((path,))
     y = [complex(v) for v in np.asarray(y0, dtype=complex)]
-    stats = {"steps": 0, "rejected": 0, "max_err_est": 0.0}
-    try:
-        for seg in path.segments:
-            y = _integrate_segment(field, seg, y, rtol, atol, max_step, stats)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # Python scalars raise where numpy arrays would give inf or nan
-        raise NonFinite(f"overflow or division by zero: {exc}") from exc
-    return OdeResult(y_end=np.array(y), steps=stats["steps"],
-                     rejected=stats["rejected"],
-                     max_err_est=stats["max_err_est"])
+    steps = rejected = 0
+    max_err_est = 0.0
+    for seg in path.segments:
+        for step in _steps(field, seg, y, rtol, atol, max_step, 1.0):
+            steps += 1
+            rejected += step.rejected
+            max_err_est = max(max_err_est, step.err_est)
+        y = step.y_new
+    return OdeResult(y_end=np.array(y), steps=steps, rejected=rejected,
+                     max_err_est=max_err_est)
 
 
 def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
@@ -408,6 +505,7 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     one straight-line :func:`integrate_ode` call; a point equal to its
     predecessor reuses that state.  Returns one state per point.
     """
+    _check_tolerances(rtol, atol, max_step)
     out = []
     y = np.asarray(y0, dtype=complex)
     prev = complex(start)

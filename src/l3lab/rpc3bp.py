@@ -162,12 +162,17 @@ def hess_h_cart(s: CartesianState, mu: float) -> np.ndarray:
 _J_SYMPL = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
 
-def cart_vector_field(z: np.ndarray, mu: float) -> np.ndarray:
+def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
+    """The flow dz/dt at z = (q1, q2, p1, p2).
+
+    A tuple of Python floats, not an array: the ODE stepper runs on Python
+    scalars, and numpy scalars would slow every stage down.
+    """
     q1, q2, p1, p2 = z
     (dSx, dSy), rS, (dPx, dPy), rP = _primary_offsets(q1, q2, mu)
     ax = -(1 - mu) * dSx / rS ** 3 - mu * dPx / rP ** 3
     ay = -(1 - mu) * dSy / rS ** 3 - mu * dPy / rP ** 3
-    return np.array([p1 + q2, p2 - q1, p2 + ax, -p1 + ay])
+    return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
 
 
 def cart_jacobian(s: CartesianState, mu: float) -> np.ndarray:

@@ -7,21 +7,23 @@ ratios the gap between the two intersection points shrinks like
 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) |Theta|, which cross-validates the
 analyticity constant A obtained from the separatrix integrals.
 
-Trajectories are integrated by stepping scipy's DOP853 solver (rtol 1e-12);
-each sign change of theta - section is refined by a root search on the
-step's dense output, and integration stops at the first crossing with r > 1.
-Plot samples of a trajectory come from the dense output of those same steps.
+Trajectories are integrated by stepping the package's DOP853
+(:func:`~l3lab.numerics.ode_steps`, rtol 1e-12) in time units on real
+states; each sign change of theta - section is refined by
+:func:`~l3lab.numerics.find_root` on the step's seventh-order dense output,
+and integration stops at the first crossing with r > 1.  Plot samples of a
+trajectory come from the dense output of those same steps.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.optimize import brentq
 
-from .numerics import L3labError
+from .numerics import (L3labError, Line, NonFinite, StepUnderflow, find_root,
+                       ode_steps)
 from .rpc3bp import (CartesianState, cart_jacobian, cart_vector_field,
                      locate_L3, polar_from_cart, poincare_from_polar)
 
@@ -95,7 +97,8 @@ def asymptotic_distance(mu: float, A: float, theta_abs: float) -> float:
 
 
 _BRANCHES = ("unstable_plus", "stable_plus", "unstable_minus", "stable_minus")
-_EPS = np.finfo(float).eps
+# |theta - section| at which the root search on the dense output stops
+_EVENT_TOL = 1e-14
 
 
 def _seed(mu, branch, seed_eps):
@@ -137,61 +140,58 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
            keep_steps=False):
     """Step DOP853 from the seed to the first kept section crossing.
 
-    Returns the :class:`SectionPoint` and, with ``keep_steps``, an
-    ``OdeSolution`` made of the dense output of every step up to the hit
-    (three extra field calls per step); otherwise ``None``.
+    Returns the :class:`SectionPoint` and, with ``keep_steps``, the list of
+    every :class:`~l3lab.numerics.OdeStep` up to the hit, whose dense output
+    gives the trajectory; otherwise ``None``.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 3e-4 <= mu <= 1e-2:
         raise ValueError("manifold tracing expects mu in [3e-4, 1e-2]")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError("t_max must be finite and positive")
     z0, tdir = _seed(mu, branch, seed_eps)
 
     def event(y):
         return math.atan2(y[1], y[0]) - section
 
-    # the steps and the root refinement are those of solve_ivp with an event
-    # function, so a hit does not depend on how far past it t_max reaches
-    solver = DOP853(lambda t, y: cart_vector_field(y, mu), 0.0, z0,
-                    tdir * t_max, rtol=rtol, atol=rtol)
-    step_ts, step_sols = [0.0], []
+    # the segment parameter is |t|, so the steps, and with them a hit, do not
+    # depend on how far past it t_max reaches
+    steps = ode_steps(lambda t, y: cart_vector_field(y, mu), Line(0.0, tdir),
+                      z0, rtol=rtol, atol=rtol, s_end=t_max)
+    kept = []
     g_new = event(z0)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise NoCrossing(f"integration failed: {message}")
-        sol = None
-        if keep_steps:
-            sol = solver.dense_output()
-            step_ts.append(solver.t)
-            step_sols.append(sol)
-        g, g_new = g_new, event(solver.y)
-        if not ((g <= 0 <= g_new) or (g >= 0 >= g_new)):
-            continue
-        if sol is None:
-            sol = solver.dense_output()
-        t_ev = brentq(lambda t: event(sol(t)), solver.t_old, solver.t,
-                      xtol=4 * _EPS, rtol=4 * _EPS)
-        if abs(t_ev) <= skip_time:
-            continue
-        y_ev = sol(t_ev)
-        pol = polar_from_cart(CartesianState.from_array(y_ev))
-        if abs(pol.theta - section) > 1e-6:
-            continue  # atan2 branch jump flagged as a sign change, not a hit
-        if pol.r <= 1.0:
-            continue
-        thdot = _theta_dot(y_ev)
-        if abs(thdot) < 1e-8:
-            raise EventDegenerate(f"theta' = {thdot:.2e} at the crossing")
-        if abs(pol.theta - section) > 1e-10:
-            raise EventDegenerate(
-                f"event refinement left |theta - section| = "
-                f"{abs(pol.theta - section):.2e}"
-            )
-        hit = SectionPoint(r=pol.r, R=pol.R, G=pol.G, theta=pol.theta,
-                           t_hit=float(t_ev), state=np.array(y_ev),
-                           mu=mu, branch=branch)
-        return hit, OdeSolution(step_ts, step_sols) if keep_steps else None
+    try:
+        for step in steps:
+            if keep_steps:
+                kept.append(step)
+            g, g_new = g_new, event(step.y_new)
+            if not ((g <= 0 <= g_new) or (g >= 0 >= g_new)):
+                continue
+            s_ev = find_root(lambda s: event(step(s)),
+                             (step.s_old, step.s_new), tol=_EVENT_TOL)
+            if s_ev <= skip_time:
+                continue
+            y_ev = step(s_ev)
+            pol = polar_from_cart(CartesianState.from_array(y_ev))
+            if abs(pol.theta - section) > 1e-6:
+                continue  # atan2 branch jump flagged as a sign change
+            if pol.r <= 1.0:
+                continue
+            thdot = _theta_dot(y_ev)
+            if abs(thdot) < 1e-8:
+                raise EventDegenerate(f"theta' = {thdot:.2e} at the crossing")
+            if abs(pol.theta - section) > 1e-10:
+                raise EventDegenerate(
+                    f"event refinement left |theta - section| = "
+                    f"{abs(pol.theta - section):.2e}"
+                )
+            hit = SectionPoint(r=pol.r, R=pol.R, G=pol.G, theta=pol.theta,
+                               t_hit=tdir * s_ev, state=np.array(y_ev),
+                               mu=mu, branch=branch)
+            return hit, kept if keep_steps else None
+    except (StepUnderflow, NonFinite) as exc:
+        raise NoCrossing(f"integration failed: {exc}") from exc
     raise NoCrossing(f"no r > 1 crossing of theta = {section} within "
                      f"t_max = {t_max} for mu = {mu}, branch = {branch}")
 
@@ -231,10 +231,15 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     The samples come from the dense output of the steps that found the hit,
     so the trajectory is integrated once.
     """
-    hit, sol = _trace(mu, branch, seed_eps, t_max, rtol, math.pi / 2, 0.0,
-                      keep_steps=True)
+    hit, steps = _trace(mu, branch, seed_eps, t_max, rtol, math.pi / 2, 0.0,
+                        keep_steps=True)
     ts = np.linspace(0.0, hit.t_hit, n_points)
-    return ts, sol(ts).T
+    ends = [step.s_new for step in steps]
+    states = []
+    for t in ts:
+        s = abs(float(t))
+        states.append(steps[bisect.bisect_left(ends, s)](s))
+    return ts, np.array(states)
 
 
 def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,

@@ -72,8 +72,30 @@ def test_stokes_csv_shape():
 
 
 def test_stokes_empty_range_usage_error():
-    code, _, _ = run_cli(["stokes", "--rho-min", "15", "--rho-max", "13"])
+    code, out, err = run_cli(["stokes", "--rho-min", "15", "--rho-max", "13"])
     assert code == 2
+    assert out == ""
+    assert "error: empty rho range" in err
+    assert "wall time" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho-min", "nan"],
+    ["--rho-max", "nan"],
+    ["--rho-step", "nan"],
+    ["--rho-max", "inf"],
+    ["--rho-min=-inf"],
+    ["--rho-step", "inf"],
+    ["--rho-step", "0"],
+], ids=["nan_min", "nan_max", "nan_step", "inf_max", "inf_min",
+        "inf_step", "zero_step"])
+def test_stokes_bad_rho_range_exits_2(flags):
+    code, out, err = run_cli_process(["stokes", *flags])
+    assert code == 2
+    assert out == ""
+    assert "error: empty rho range" in err
+    assert "wall time" not in err
+    assert "Traceback" not in err
 
 
 def test_stokes_flags_precision_starved_rows():

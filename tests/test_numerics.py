@@ -1,16 +1,20 @@
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3lab import numerics, separatrix
+from l3lab import _dop853, numerics, separatrix
 from l3lab.numerics import (Arc, ComplexPath, L3labError, Line, NoBracket,
                             NoConvergence, NonFinite, StepUnderflow,
                             find_root, integrate_chain, integrate_ode,
-                            quad_path)
+                            ode_steps, quad_path)
 
 
 def test_path_validation():
@@ -118,6 +122,70 @@ def test_ode_rejects_bad_max_step(max_step):
     with pytest.raises(ValueError):
         integrate_ode(lambda t, y: (y[0],), ComplexPath.line(0.0, 1.0),
                       (1.0,), max_step=max_step)
+
+
+def test_chain_and_steps_validate_before_any_leg():
+    # no leg runs here, so only an up-front check can reject the arguments
+    with pytest.raises(ValueError):
+        integrate_chain(lambda t, y: (y[0],), 0, [0, 0], (1,),
+                        max_step=math.nan, rtol=5.0)
+    with pytest.raises(ValueError):
+        ode_steps(lambda t, y: (y[0],), Line(0.0, 1.0), (1.0,), rtol=5.0)
+    for s_end in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ode_steps(lambda t, y: (y[0],), Line(0.0, 1.0), (1.0,),
+                      s_end=s_end)
+
+
+def test_dense_output_coefficients_match_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    assert np.array_equal(_dop853.A, ref.A[:12, :12])
+    assert np.array_equal(_dop853.C, ref.C[:12])
+    for name in ("B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name), getattr(ref, name))
+    assert np.array_equal(_dop853.A_EXTRA, ref.A[13:])
+    assert np.array_equal(_dop853.C_EXTRA, ref.C[13:])
+
+
+@pytest.mark.parametrize("a, y0", [(-1.5, 1.0), (0.7 + 2.0j, 1.0 + 0.0j)])
+def test_dense_output_on_linear_field(a, y0):
+    # y' = a y stepped in time units: the interpolant is exact at both ends
+    # of every step and follows exp(a t) in between; a real state steps as
+    # Python floats, a complex one as Python complex numbers
+    steps = list(ode_steps(lambda t, y: (a * y[0],), Line(0.0, 1.0),
+                           np.array([y0]), rtol=1e-12, atol=1e-14,
+                           s_end=3.0))
+    assert len(steps) > 3 and steps[-1].s_new == 3.0
+    for step in steps:
+        assert type(step.y_new[0]) is type(y0)
+        assert step(step.s_old) == step.y_old
+        assert step(step.s_new) == step.y_new
+        for x in (0.25, 0.5, 0.9):
+            t = step.s_old + x * (step.s_new - step.s_old)
+            assert abs(step(t)[0] - cmath.exp(a * t)) <= 1e-10
+
+
+def test_kahan_carry_keeps_small_increments():
+    # 10^4 increments of 1e-4 on a state of 1e6: a plain sum rounds each one
+    # to a multiple of ulp(1e6) ~ 1.2e-10 and drifts by about 5e-7; the
+    # carry keeps the total within a few ulp
+    res = integrate_ode(lambda t, y: (1.0,), ComplexPath.line(0.0, 1.0),
+                        (1e6,), max_step=1e-4)
+    assert abs(res.y_end[0] - (1e6 + 1.0)) <= 4 * math.ulp(1e6)
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import importlib, pkgutil, sys, l3lab\n"
+            "for m in pkgutil.iter_modules(l3lab.__path__):\n"
+            "    importlib.import_module('l3lab.' + m.name)\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    src = str(pathlib.Path(numerics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _chain_of_segments(start, moves):

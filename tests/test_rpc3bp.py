@@ -214,8 +214,8 @@ def test_hessian_matches_finite_differences():
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            col = (r3.cart_vector_field(zp, mu)
-                   - r3.cart_vector_field(zm, mu)) / (2 * h)
+            col = np.subtract(r3.cart_vector_field(zp, mu),
+                              r3.cart_vector_field(zm, mu)) / (2 * h)
             denom = np.maximum(np.abs(jac[:, i]), 1.0)
             assert np.max(np.abs(col - jac[:, i]) / denom) <= 1e-6
 
