@@ -10,7 +10,6 @@ infinity give the farther pair near -0.0867 -+ 0.9695 i.
 import math
 
 from l3lab import separatrix
-from l3lab.numerics import ComplexPath
 
 A = separatrix.compute_A()
 print("singularities from q-plane path integrals:")
@@ -32,7 +31,7 @@ print(f"  |c| = {abs(rep.fitted_coefficient):.4f} "
 print(f"  Lambda blow-up exponent = {rep.momentum_exponent:.4f} (exact -1/3)")
 
 print("\nenergy conservation along a complex path (t = 0 -> 0.1 + 0.12i):")
-st = separatrix.sigma(ComplexPath.polyline([0.0, 0.1, 0.1 + 0.12j]))
+st = separatrix.sigma_sweep([0.1, 0.1 + 0.12j])[-1]
 resid = abs(separatrix.pend_energy(st.lam, st.Lam) + 0.5)
 print(f"  lambda = {st.lam:.6f}, Lambda = {st.Lam:.6f}")
 print(f"  |H_pend + 1/2| = {resid:.2e}")

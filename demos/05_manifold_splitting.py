@@ -4,8 +4,9 @@ The one-dimensional unstable and stable manifolds of the collinear point are
 grown from eigenvector seeds and followed to their first crossings of the
 section theta = pi/2, r > 1.  The gap between the two crossing points shrinks
 like 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) |Theta|; fitting log(gap mu^(-1/3))
-against 1/sqrt(mu) recovers the analyticity constant A to within a percent,
-tying the abstract strip half-width to concrete phase-space geometry.
+against 1/sqrt(mu) recovers the analyticity constant A (acceptance check 13
+gates the slope at 10% of -A), tying the abstract strip half-width to
+concrete phase-space geometry.
 """
 import numpy as np
 

@@ -148,7 +148,7 @@ def _cmd_singularities(args) -> int:
 
 def _cmd_separatrix(args) -> int:
     ts = np.linspace(-args.t_max, args.t_max, args.n)
-    states = separatrix._sigma_sweep(list(ts))
+    states = separatrix.sigma_sweep(list(ts))
     rows = []
     for t, st in zip(ts, states):
         lam = st.lam.real
@@ -187,8 +187,12 @@ def _cmd_manifolds(args) -> int:
 
 def _cmd_distance(args) -> int:
     t0 = time.perf_counter()
-    A = separatrix.compute_A()
     theta_abs = args.theta_abs
+    # checked before any tracing; the ratio below also rules out 0
+    if theta_abs is not None and not 0.0 < theta_abs < math.inf:
+        raise ValueError(
+            f"theta_abs must be finite and positive, got {theta_abs}")
+    A = separatrix.compute_A()
     if theta_abs is None:
         theta_abs = inner.theta(15.0).theta
     sample = splitting.section_gap(args.mu, t_max=args.t_max, A=A,
@@ -316,6 +320,8 @@ def _apply_config(parser: argparse.ArgumentParser, path: str):
 
     The values stay strings: argparse converts a string default through the
     option's ``type`` and exits 2 on a bad value, so explicit flags still win.
+    It does not check a default against the option's ``choices``, so that
+    is done here.
     """
     try:
         cfg = _load_config(path)
@@ -323,8 +329,13 @@ def _apply_config(parser: argparse.ArgumentParser, path: str):
         parser.error(f"cannot read --config {path}: {exc}")
     for action in parser._subparsers._group_actions:
         for sp in action.choices.values():
-            dests = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
+            found = {a.dest: a for a in sp._actions if a.dest in cfg}
+            for dest, a in found.items():
+                if a.choices is not None and cfg[dest] not in a.choices:
+                    parser.error(f"--config {path}: invalid choice "
+                                 f"{dest} = {cfg[dest]!r} (choose from "
+                                 f"{', '.join(a.choices)})")
+            sp.set_defaults(**{dest: cfg[dest] for dest in found})
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rpc3bp, separatrix
-from .numerics import ComplexPath, L3labError, integrate_chain
+from .numerics import L3labError, integrate_chain
 
 __all__ = [
     "InnerState",
@@ -170,12 +170,15 @@ def grad_K(U, Z):
     return dK_dU, dK_dW, pref * dJ_dX, pref * dJ_dY
 
 
-def grad_K_fd(U, Z, step: float = 1e-6):
-    """Central-difference gradient of K; the oracle that gates grad_K."""
+def grad_K_fd(U, Z):
+    """Central-difference gradient of K; the oracle that gates grad_K.
+
+    Each argument is stepped by 1e-6 times max(1, its modulus).
+    """
     args = [U, *Z]
     out = []
     for k in range(4):
-        h = step * max(1.0, abs(args[k]))
+        h = 1e-6 * max(1.0, abs(args[k]))
         up = list(args)
         dn = list(args)
         up[k] += h
@@ -277,25 +280,28 @@ _BRANCHES = ("unstable", "stable")
 
 
 def shoot(branch: str, rho: float, re_start: float = RE_START,
-          rtol: float = 1e-12, atol: float = 1e-14,
-          max_step: float = math.inf) -> InnerState:
+          rtol: float = 1e-12, max_step: float = math.inf) -> InnerState:
     """March one decaying solution along Im U = -rho to U = -i rho."""
     return _shoot_record(branch, rho, [0.0], re_start=re_start, rtol=rtol,
-                         atol=atol, max_step=max_step)[0.0]
+                         max_step=max_step)[0.0]
 
 
-def _shoot_record(branch, rho, xs, re_start=RE_START, rtol=1e-12, atol=1e-14,
+def _shoot_record(branch, rho, xs, re_start=RE_START, rtol=1e-12,
                   max_step=math.inf):
     """Shoot once, recording the state at each requested Re U checkpoint."""
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 8.0 <= rho <= 30.0:
         raise ValueError("rho must lie in [8, 30]")
+    # the seed must sit on the side the branch decays toward; a NaN fails too
+    if not 0.0 < re_start < math.inf:
+        raise ValueError(
+            f"re_start must be finite and positive, got {re_start}")
     U0 = complex(-re_start if branch == "unstable" else re_start, -rho)
     order = sorted(xs, reverse=branch == "stable")
     ys = integrate_chain(lambda u, y: graph_rhs(u, tuple(y)), U0,
                          [complex(x, -rho) for x in order],
-                         series_Z(U0).as_tuple(), rtol=rtol, atol=atol,
+                         series_Z(U0).as_tuple(), rtol=rtol, atol=1e-14,
                          max_step=max_step)
     return {x: InnerState(*map(complex, y)) for x, y in zip(order, ys)}
 
@@ -337,10 +343,9 @@ def theta(rho: float, re_start: float = RE_START, rtol: float = 1e-12,
                         y_unstable=zu.Y, y_stable=zs.Y)
 
 
-def theta_table(rho_list, re_start: float = RE_START,
-                rtol: float = 1e-12) -> list[StokesRecord]:
+def theta_table(rho_list) -> list[StokesRecord]:
     """Stokes records for a grid of rho values (grid points independent)."""
-    return [theta(r, re_start=re_start, rtol=rtol) for r in rho_list]
+    return [theta(r) for r in rho_list]
 
 
 @dataclass
@@ -355,18 +360,16 @@ class DiffStructure:
     arg_spread_y: float
 
 
-def diff_structure(rho: float = 15.0, x_samples=None,
-                   rtol: float = 1e-12) -> DiffStructure:
+def diff_structure(rho: float = 15.0) -> DiffStructure:
     """Shape of the two-solution difference across Re U in the overlap zone.
 
-    e^{iU} Delta Y should plateau (it tends to the Stokes constant), while
-    Delta X and Delta W are suppressed by extra powers of U.
+    Samples Re U = -5, -4, ..., 5.  e^{iU} Delta Y should plateau (it tends
+    to the Stokes constant), while Delta X and Delta W are suppressed by
+    extra powers of U.
     """
-    if x_samples is None:
-        x_samples = np.linspace(-5.0, 5.0, 11)
-    xs = list(np.asarray(x_samples, dtype=float))
-    zu = _shoot_record("unstable", rho, xs, rtol=rtol)
-    zs = _shoot_record("stable", rho, xs, rtol=rtol)
+    xs = list(np.linspace(-5.0, 5.0, 11))
+    zu = _shoot_record("unstable", rho, xs)
+    zs = _shoot_record("stable", rho, xs)
     ey, ex, ew = [], [], []
     for x in xs:
         U = complex(x, -rho)
@@ -423,7 +426,7 @@ def _compose_inner_hamiltonian(U, Z, delta, A, l3_offsets):
     ap = separatrix.ALPHA_PLUS
     u = 1j * A + delta * delta * U
     via = 1j * 0.85 * u.imag
-    state = separatrix.sigma(ComplexPath.polyline([0.0, via, u]))
+    state = separatrix.sigma_sweep([via, u])[-1]
     lam_h, Lam_h = state.lam, state.Lam
     W, X, Y = Z
     d13 = delta ** (1.0 / 3.0)

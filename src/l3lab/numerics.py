@@ -195,15 +195,6 @@ class ComplexPath:
     def length(self) -> float:
         return sum(seg.length() for seg in self.segments)
 
-    def reversed(self) -> "ComplexPath":
-        out = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, Line):
-                out.append(Line(seg.b, seg.a))
-            else:
-                out.append(Arc(seg.center, seg.radius, seg.phi_end, seg.phi_start))
-        return ComplexPath(tuple(out))
-
 
 @dataclass
 class OdeResult:
@@ -481,8 +472,6 @@ def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
     measured in the segment parameter.
     """
     _check_tolerances(rtol, atol, max_step)
-    if isinstance(path, (Line, Arc)):
-        path = ComplexPath((path,))
     y = [complex(v) for v in np.asarray(y0, dtype=complex)]
     steps = rejected = 0
     max_err_est = 0.0
@@ -605,8 +594,6 @@ def quad_path(f, path: ComplexPath, tol: float = 1e-12) -> QuadResult:
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
-    if isinstance(path, (Line, Arc)):
-        path = ComplexPath((path,))
     total = 0.0 + 0.0j
     err = 0.0
     evals = 0
@@ -622,10 +609,11 @@ def quad_path(f, path: ComplexPath, tol: float = 1e-12) -> QuadResult:
 # root finding
 # ---------------------------------------------------------------------------
 
-def find_root(g, bracket, tol: float = 1e-12, max_iter: int = 200) -> float:
+def find_root(g, bracket, tol: float = 1e-12) -> float:
     """Safeguarded Newton on a bracket; bisection whenever Newton misbehaves.
 
-    Stops when |g(x)| <= tol or the bracket width drops below tol.
+    Stops when |g(x)| <= tol or the bracket width drops below tol, and after
+    200 iterations at the latest.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     glo, ghi = g(lo), g(hi)
@@ -636,7 +624,7 @@ def find_root(g, bracket, tol: float = 1e-12, max_iter: int = 200) -> float:
     if glo * ghi > 0.0:
         raise NoBracket(f"g({lo}) = {glo:.3e} and g({hi}) = {ghi:.3e} agree in sign")
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         gx = g(x)
         if abs(gx) <= tol or (hi - lo) <= tol:
             return x

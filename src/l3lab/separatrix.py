@@ -4,8 +4,9 @@ The one-degree-of-freedom Hamiltonian -(3/2) Lambda^2 + V(lambda) with
 V(lambda) = 1 - cos(lambda) - 1/sqrt(2 + 2 cos(lambda)) has a saddle at the
 origin and a homoclinic loop at energy -1/2.  This module provides
 
-* the time parametrization sigma(t) of that loop continued along arbitrary
-  complex time paths (:func:`sigma`),
+* the time parametrization sigma(t) of that loop continued into complex
+  time along straight legs from t = 0 (:func:`sigma` for one point,
+  :func:`sigma_sweep` for a chain of points, each leg integrated once),
 * the half-width A of its maximal analyticity strip as an explicit integral
   (:func:`compute_A`) together with the equivalent rescaled form,
 * the location of the singularities of the continuation reachable through
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (Arc, ComplexPath, L3labError, Line, QuadResult,
-                       integrate_chain, integrate_ode, quad_path)
+                       integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -47,6 +48,7 @@ __all__ = [
     "residue_pole_numeric",
     "t_star",
     "sigma",
+    "sigma_sweep",
     "fit_branch",
     "SingularityReport",
     "check_zero_of_Lambda",
@@ -246,17 +248,14 @@ def _integrate_fhat(path: ComplexPath, tol: float,
 # the constant A and the pole residue
 # ---------------------------------------------------------------------------
 
-def _a_quad(tol: float) -> QuadResult:
-    # integral of (1/(1-x)) sqrt(x/(3(x+1)(a+-x)(x-a-))) over [0, a+], written
-    # in the shifted variable xi = a+ - x so the inverse-square-root endpoint
-    # sits at coordinate zero and keeps full double precision.
-    def g(xi):
-        x = A_PLUS - xi
-        return (1.0 / (1.0 - x)) * math.sqrt(
-            x / (3.0 * (x + 1.0) * xi.real * (x - A_MINUS))
-        )
-
-    return quad_path(lambda z: g(z.real), ComplexPath.line(0.0, A_PLUS), tol=tol)
+def _quad_shifted(g, tol: float) -> QuadResult:
+    # integral of g over xi = a+ - x in [0, a+]: the inverse-square-root
+    # endpoint x = a+ sits at coordinate zero and keeps full double precision
+    if not tol >= 1e-13:
+        raise ValueError("tol must be >= 1e-13")
+    res = quad_path(lambda z: g(z.real), ComplexPath.line(0.0, A_PLUS),
+                    tol=tol)
+    return QuadResult(value=res.value.real, err=res.err, evals=res.evals)
 
 
 def compute_A(tol: float = 1e-12) -> float:
@@ -265,10 +264,14 @@ def compute_A(tol: float = 1e-12) -> float:
 
 
 def compute_A_quad(tol: float = 1e-12) -> QuadResult:
-    if not tol >= 1e-13:
-        raise ValueError("tol must be >= 1e-13")
-    res = _a_quad(tol)
-    return QuadResult(value=res.value.real, err=res.err, evals=res.evals)
+    """A as the integral of sqrt(x/(3(x+1)(a+-x)(x-a-)))/(1-x) on [0, a+]."""
+    def g(xi):
+        x = A_PLUS - xi
+        return (1.0 / (1.0 - x)) * math.sqrt(
+            x / (3.0 * (x + 1.0) * xi * (x - A_MINUS))
+        )
+
+    return _quad_shifted(g, tol)
 
 
 def compute_A_rescaled(tol: float = 1e-12) -> float:
@@ -277,16 +280,12 @@ def compute_A_rescaled(tol: float = 1e-12) -> float:
     Shifting x = a+ - xi turns the polynomial 1 - 4x - 4x^2 into
     4 xi (sqrt(2) - xi) exactly, which is how it is evaluated here.
     """
-    if not tol >= 1e-13:
-        raise ValueError("tol must be >= 1e-13")
-
     def g(xi):
         x = A_PLUS - xi
         poly = 4.0 * xi * (SQRT2 - xi)
         return (2.0 / (1.0 - x)) * math.sqrt(x / (3.0 * (x + 1.0) * poly))
 
-    res = quad_path(lambda z: g(z.real), ComplexPath.line(0.0, A_PLUS), tol=tol)
-    return res.value.real
+    return _quad_shifted(g, tol).value
 
 
 def residue_pole() -> float:
@@ -294,12 +293,12 @@ def residue_pole() -> float:
     return math.sqrt(1.0 / (6.0 * (1.0 - A_PLUS) * (1.0 - A_MINUS)))
 
 
-def residue_pole_numeric(radius: float = 1e-3, tol: float = 1e-12) -> complex:
+def residue_pole_numeric(radius: float = 1e-3) -> complex:
     """(1/2 pi i) times the contour integral of fhat around q = 1."""
     if not 1e-6 < radius <= 0.2:
         raise ValueError("radius must lie in (1e-6, 0.2]")
     circle = ComplexPath((Arc(1.0, radius, -math.pi, math.pi),))
-    res = _integrate_fhat(circle, tol)
+    res = _integrate_fhat(circle, 1e-12)
     return res.value / (2j * math.pi)
 
 
@@ -326,38 +325,42 @@ def _zero_path(detour: float) -> ComplexPath:
     ))
 
 
-def _infinity_path(detour: float, r_max: float) -> ComplexPath:
+# where the paths to infinity are truncated
+_R_MAX = 1e4
+
+
+def _infinity_path(detour: float) -> ComplexPath:
     return ComplexPath((
         Line(A_PLUS, 1.0 - detour),
         Arc(1.0, detour, math.pi, 0.0),
-        Line(1.0 + detour, r_max),
+        Line(1.0 + detour, _R_MAX),
     ))
 
 
 _T_STAR_KINDS = ("zero_upper", "zero_lower", "infinity_upper", "infinity_lower")
 
 
-def t_star(path_kind: str, detour: float = 1e-3, r_max: float = 1e4,
+def t_star(path_kind: str, detour: float = 1e-3,
            tol: float = 1e-11) -> complex:
     """Singularity position reached by the chosen q-plane path family.
 
     ``zero_upper``/``zero_lower``: q from a+ to 0 with the branch-point
     detour through the upper/lower half plane (giving -iA / +iA).
     ``infinity_upper``/``infinity_lower``: q from a+ past the pole at q = 1
-    to infinity; the integral is truncated at ``r_max`` and finished with the
-    analytic tail 1/(sqrt(3) r_max) of fhat = 1/(sqrt(3) q^2) + O(q^-3).
+    to infinity; the integral is truncated at q = R = 1e4 and finished with
+    the analytic tail 1/(sqrt(3) R) of fhat = 1/(sqrt(3) q^2) + O(q^-3).
     """
     if path_kind not in _T_STAR_KINDS:
         raise ValueError(f"path_kind must be one of {_T_STAR_KINDS}")
     to_zero = path_kind.startswith("zero")
     upper = path_kind.endswith("upper")
-    path = _zero_path(detour) if to_zero else _infinity_path(detour, r_max)
+    path = _zero_path(detour) if to_zero else _infinity_path(detour)
     if not upper:
         path = _conj_path(path)
     res = _integrate_fhat(path, tol)
     value = res.value
     if not to_zero:
-        value += 1.0 / (math.sqrt(3.0) * r_max)
+        value += 1.0 / (math.sqrt(3.0) * _R_MAX)
     return value
 
 
@@ -374,22 +377,19 @@ def _state(y) -> PendulumState:
     return PendulumState(lam=complex(y[0]), Lam=complex(y[1]))
 
 
-def sigma(t_path, rtol: float = 1e-12, atol: float = 1e-14) -> PendulumState:
-    """Continue the separatrix from sigma(0) = (lambda0, 0) along a time path.
+def sigma(t: complex) -> PendulumState:
+    """The separatrix continued from sigma(0) = (lambda0, 0) straight to t."""
+    return sigma_sweep([t])[0]
 
-    ``t_path`` is a :class:`ComplexPath` starting at 0, or a single complex
-    endpoint (integrated along the straight segment from 0).
+
+def sigma_sweep(points, rtol: float = 1e-12) -> list[PendulumState]:
+    """States at a chain of time points from t = 0, integrating each leg once.
+
+    The chain is a polyline 0 -> points[0] -> points[1] -> ..., so a path
+    that detours around a singularity is given by its corners.
     """
-    if isinstance(t_path, ComplexPath):
-        return _state(integrate_ode(_pend_field, t_path, (lambda0(), 0.0),
-                                    rtol=rtol, atol=atol).y_end)
-    return _sigma_sweep([t_path], rtol=rtol, atol=atol)[0]
-
-
-def _sigma_sweep(points, rtol=1e-12, atol=1e-14):
-    """States at a chain of time points from t = 0, integrating each leg once."""
     ys = integrate_chain(_pend_field, 0.0, points, (lambda0(), 0.0),
-                         rtol=rtol, atol=atol)
+                         rtol=rtol, atol=1e-14)
     return [_state(y) for y in ys]
 
 
@@ -403,7 +403,7 @@ class SingularityReport:
     residual: float
 
 
-def fit_branch(t_offsets=None, rtol: float = 1e-12) -> SingularityReport:
+def fit_branch(t_offsets=None) -> SingularityReport:
     """Local structure of the continuation at t = iA from inside the strip.
 
     Samples sigma on the ray t = i(A - s); a log-log regression of
@@ -419,7 +419,7 @@ def fit_branch(t_offsets=None, rtol: float = 1e-12) -> SingularityReport:
         raise ValueError("offsets must lie in [1e-4, 1e-2]")
     A = compute_A()
     heights = [1j * (A - v) for v in s[::-1]]
-    states = _sigma_sweep(heights, rtol=rtol)[::-1]
+    states = sigma_sweep(heights)[::-1]
     lam = np.array([st.lam for st in states])
     Lam = np.array([st.Lam for st in states])
 
@@ -441,14 +441,13 @@ def fit_branch(t_offsets=None, rtol: float = 1e-12) -> SingularityReport:
     )
 
 
-def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02,
-                         puncture: float = 0.05,
-                         rtol: float = 1e-10) -> float:
+def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
     """min |Lambda| on a strip grid with disks around 0 and +-iA removed.
 
-    Supports the statement that t = 0 is the only zero of Lambda in the
-    closed strip: the returned minimum stays well away from zero.  Each grid
-    column integrates 0 -> x once and continues up and down from that state.
+    The disks have radius 0.05.  Supports the statement that t = 0 is the
+    only zero of Lambda in the closed strip: the returned minimum stays well
+    away from zero.  Each grid column integrates 0 -> x once (rtol 1e-10)
+    and continues up and down from that state.
     """
     if not (math.isfinite(spacing) and 0.0 < spacing <= 0.02 + 1e-12):
         raise ValueError("grid spacing must lie in (0, 0.02]")
@@ -461,15 +460,15 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02,
     for x in np.arange(lo, hi + spacing / 2, spacing):
         base = complex(x, 0.0)
         (y_base,) = integrate_chain(_pend_field, 0.0, [base],
-                                    (lambda0(), 0.0), rtol=rtol, atol=1e-14)
+                                    (lambda0(), 0.0), rtol=1e-10, atol=1e-14)
         points, ys = [base], [y_base]
         for sign in (1.0, -1.0):
             column = [complex(x, sign * v) for v in ims]
             points += column
             ys += integrate_chain(_pend_field, base, column, y_base,
-                                  rtol=rtol, atol=1e-14)
+                                  rtol=1e-10, atol=1e-14)
         for t, y in zip(points, ys):
-            if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < puncture:
+            if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < 0.05:
                 continue
             best = min(best, abs(complex(y[1])))
     return best

@@ -26,6 +26,7 @@ from .numerics import (L3labError, Line, NonFinite, StepUnderflow, find_root,
                        ode_steps)
 from .rpc3bp import (CartesianState, cart_jacobian, cart_vector_field,
                      locate_L3, polar_from_cart, poincare_from_polar)
+from .separatrix import compute_A
 
 __all__ = [
     "SectionPoint",
@@ -92,11 +93,18 @@ def asymptotic_distance(mu: float, A: float, theta_abs: float) -> float:
     """Leading term 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) * theta_abs."""
     if not 0.0 < mu <= 0.05:
         raise ValueError("mu must lie in (0, 0.05]")
+    # written so that a NaN fails it
+    if not 0.0 <= theta_abs < math.inf:
+        raise ValueError(
+            f"theta_abs must be finite and non-negative, got {theta_abs}")
     return 4.0 ** (1.0 / 3.0) * mu ** (1.0 / 3.0) * math.exp(
         -A / math.sqrt(mu)) * theta_abs
 
 
 _BRANCHES = ("unstable_plus", "stable_plus", "unstable_minus", "stable_minus")
+# seed offset along the eigenvector and DOP853 tolerance of every trace
+_SEED_EPS = 1e-7
+_RTOL = 1e-12
 # |theta - section| at which the root search on the dense output stops
 _EVENT_TOL = 1e-14
 
@@ -121,8 +129,8 @@ def _seed(mu, branch, seed_eps):
 
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
-                           seed_eps: float = 1e-7, t_max: float = 1000.0,
-                           rtol: float = 1e-12, section: float = math.pi / 2,
+                           seed_eps: float = _SEED_EPS, t_max: float = 1000.0,
+                           rtol: float = _RTOL, section: float = math.pi / 2,
                            skip_time: float = 0.0) -> SectionPoint:
     """First crossing of the section theta = ``section`` with r > 1.
 
@@ -178,7 +186,8 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
                 continue  # atan2 branch jump flagged as a sign change
             if pol.r <= 1.0:
                 continue
-            thdot = _theta_dot(y_ev)
+            # d/dt atan2(q2, q1) with qdot = (p1 + q2, p2 - q1)
+            thdot = pol.G / pol.r**2 - 1.0
             if abs(thdot) < 1e-8:
                 raise EventDegenerate(f"theta' = {thdot:.2e} at the crossing")
             if abs(pol.theta - section) > 1e-10:
@@ -196,15 +205,8 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
                      f"t_max = {t_max} for mu = {mu}, branch = {branch}")
 
 
-def _theta_dot(y):
-    q1, q2, p1, p2 = y
-    r2 = q1 * q1 + q2 * q2
-    # d/dt atan2(q2, q1) with qdot = (p1 + q2, p2 - q1)
-    return (q1 * (p2 - q1) - q2 * (p1 + q2)) / r2
-
-
-def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 1000.0,
-                rtol: float = 1e-12, A: float | None = None,
+def section_gap(mu: float, seed_eps: float = _SEED_EPS, t_max: float = 1000.0,
+                rtol: float = _RTOL, A: float | None = None,
                 theta_abs: float = 1.63) -> SplittingSample:
     """Gap between the first section hits of the two plus branches."""
     pu = manifold_section_point(mu, "unstable_plus", seed_eps, t_max, rtol)
@@ -212,7 +214,6 @@ def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 1000.0,
     gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
     dist = math.sqrt(gr * gr + gR * gR + gG * gG)
     if A is None:
-        from .separatrix import compute_A
         A = compute_A()
     return SplittingSample(
         mu=mu, dist_measured=dist,
@@ -222,8 +223,7 @@ def section_gap(mu: float, seed_eps: float = 1e-7, t_max: float = 1000.0,
 
 
 def manifold_trajectory(mu: float, branch: str = "unstable_plus",
-                        seed_eps: float = 1e-7, t_max: float = 1000.0,
-                        rtol: float = 1e-12, n_points: int = 2000):
+                        t_max: float = 1000.0, n_points: int = 2000):
     """Sampled manifold trajectory up to its section hit, for plotting.
 
     Returns ``(ts, states)`` with states of shape (n, 4) in Cartesian
@@ -231,7 +231,7 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     The samples come from the dense output of the steps that found the hit,
     so the trajectory is integrated once.
     """
-    hit, steps = _trace(mu, branch, seed_eps, t_max, rtol, math.pi / 2, 0.0,
+    hit, steps = _trace(mu, branch, _SEED_EPS, t_max, _RTOL, math.pi / 2, 0.0,
                         keep_steps=True)
     ts = np.linspace(0.0, hit.t_hit, n_points)
     ends = [step.s_new for step in steps]
@@ -242,9 +242,7 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     return ts, np.array(states)
 
 
-def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,
-                           t_max: float = 1000.0,
-                           rtol: float = 1e-12) -> SplittingFit:
+def fit_splitting_exponent(mu_grid=None) -> SplittingFit:
     """Linear fit of log(dist * mu^(-1/3)) against 1/sqrt(mu).
 
     The slope estimates -A.  The default grid stays below mu ~ 2e-3: beyond
@@ -259,10 +257,8 @@ def fit_splitting_exponent(mu_grid=None, seed_eps: float = 1e-7,
         raise ValueError("need at least 4 grid points")
     if mu_grid[0] < 1e-3 - 1e-12 or mu_grid[-1] > 1e-2 + 1e-12:
         raise ValueError("grid must lie inside [1e-3, 1e-2]")
-    from .separatrix import compute_A
     A = compute_A()
-    samples = [section_gap(m, seed_eps=seed_eps, t_max=t_max, rtol=rtol, A=A)
-               for m in mu_grid]
+    samples = [section_gap(m, A=A) for m in mu_grid]
     x = 1.0 / np.sqrt(mu_grid)
     y = np.log([s.dist_measured * m ** (-1.0 / 3.0)
                 for s, m in zip(samples, mu_grid)])

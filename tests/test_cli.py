@@ -213,13 +213,16 @@ def test_config_values_typed_by_option(tmp_path):
     assert len(lines) == 1 + 21
 
 
-@pytest.mark.parametrize("case", ["bad_value", "no_path_after_command",
-                                  "no_path", "missing_file"])
+@pytest.mark.parametrize("case", ["bad_value", "bad_choice",
+                                  "no_path_after_command", "no_path",
+                                  "missing_file"])
 def test_bad_config_exits_2(tmp_path, case):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("n = abc\n")
+    # argparse checks the choices of a flag, but not of a default
+    cfg.write_text("format = xml\n" if case == "bad_choice" else "n = abc\n")
     argv = {
         "bad_value": ["--config", str(cfg), "separatrix"],
+        "bad_choice": ["--config", str(cfg), "a"],
         "no_path_after_command": ["separatrix", "--config"],
         "no_path": ["--config"],
         "missing_file": ["--config", str(tmp_path / "absent.cfg"),
@@ -228,6 +231,28 @@ def test_bad_config_exits_2(tmp_path, case):
     code, _, err = run_cli_process(argv)
     assert code == 2
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_distance_bad_theta_abs_exits_2(value):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli_process(
+            ["distance", f"--theta-abs={value}", "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "theta_abs" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-100"])
+def test_stokes_bad_re_start_exits_2(value):
+    code, out, err = run_cli_process(
+        ["stokes", "--rho-min", "13", "--rho-max", "13",
+         f"--re-start={value}"])
+    assert code == 2
+    assert out == ""
+    assert "error: re_start" in err
     assert "Traceback" not in err
 
 

@@ -275,6 +275,14 @@ def test_shoot_validation():
         inner.shoot("sideways", 13.0)
 
 
+@pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0])
+def test_shoot_rejects_bad_re_start(re_start):
+    # a negative start would seed each branch on the other's side
+    for branch in ("unstable", "stable"):
+        with pytest.raises(ValueError, match="re_start"):
+            inner.shoot(branch, 13.0, re_start=re_start)
+
+
 def test_diff_structure():
     rep = inner.diff_structure(rho=15.0)
     assert rep.rel_spread_y <= 0.2

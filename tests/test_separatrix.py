@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3lab import separatrix as sep
-from l3lab.numerics import ComplexPath, find_root
+from l3lab.numerics import find_root
 
 A_REF = 0.177744  # published rounding of the strip half-width
 
@@ -123,8 +123,7 @@ def test_sigma_complex_energy():
     assert abs(st.Lam.real) < 1e-10
     # beyond the strip boundary (0.5 > A) the point is reached by a detour
     # around the singularity; the energy invariant holds on any sheet
-    detour = ComplexPath.polyline([0.0, 0.7, 0.7 + 0.5j, 0.5j])
-    st = sep.sigma(detour)
+    st = sep.sigma_sweep([0.7, 0.7 + 0.5j, 0.5j])[-1]
     assert abs(st.lam.imag) > 1e-3
     assert abs(sep.pend_energy(st.lam, st.Lam) + 0.5) <= 1e-9
 
@@ -175,7 +174,7 @@ def test_zero_scan_matches_sweeps_from_origin():
         base = complex(x, 0.0)
         for sign in (0.0, 1.0, -1.0):
             chain = [base] + [complex(x, sign * v) for v in ims if sign]
-            for t, st in zip(chain, sep._sigma_sweep(chain, rtol=rtol)):
+            for t, st in zip(chain, sep.sigma_sweep(chain, rtol=rtol)):
                 if (abs(t) < puncture or abs(t - 1j * A) < puncture
                         or abs(t + 1j * A) < puncture):
                     continue
@@ -201,7 +200,7 @@ def test_alpha_plus_matches_continuation():
     # Lambda_h(i(A - s)) ~ -(2 alpha_+/3) (-i s)^(-1/3)
     a = sep.compute_A(tol=1e-12)
     s = 1e-3
-    st = sep.sigma(ComplexPath.polyline([0.0, 1j * (a - s)]))
+    st = sep.sigma(1j * (a - s))
     w = (-1j * s) ** (-1.0 / 3.0)
     alpha_est = st.Lam / (-2.0 / 3.0 * w)
     assert abs(alpha_est - sep.ALPHA_PLUS) < 0.02

@@ -15,6 +15,13 @@ def test_asymptotic_distance_plugin():
     assert splitting.asymptotic_distance(2e-3, 0.177744, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("theta_abs", [math.nan, math.inf, -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_asymptotic_distance_rejects_bad_prefactor(theta_abs):
+    with pytest.raises(ValueError, match="theta_abs"):
+        splitting.asymptotic_distance(1e-3, 0.177744, theta_abs)
+
+
 def test_asymptotic_distance_monotone():
     mus = np.geomspace(1e-4, 0.05, 20)
     vals = [splitting.asymptotic_distance(m, 0.177744, 1.63) for m in mus]
