@@ -146,7 +146,16 @@ def _cmd_singularities(args) -> int:
     return 0
 
 
+def _check_samples(args):
+    """Refuse a sample grid other than n >= 2 points up to a finite t_max > 0."""
+    # written so that a NaN fails it
+    if not (0.0 < args.t_max < math.inf and args.n >= 2):
+        raise ValueError(f"need a finite --t-max > 0 and --n >= 2, got "
+                         f"--t-max {args.t_max} and --n {args.n}")
+
+
 def _cmd_separatrix(args) -> int:
+    _check_samples(args)
     ts = np.linspace(-args.t_max, args.t_max, args.n)
     states = separatrix.sigma_sweep(list(ts))
     rows = []
@@ -174,6 +183,7 @@ def _cmd_l3(args) -> int:
 
 
 def _cmd_manifolds(args) -> int:
+    _check_samples(args)
     rows = []
     for branch in ("unstable_plus", "stable_plus"):
         ts, states = splitting.manifold_trajectory(

@@ -27,17 +27,20 @@ Invalid arguments raise :class:`ValueError` instead.
 The same stepper serves the complex-time paths and the real-time manifold
 tracing of :mod:`l3lab.splitting`, which steps it in time units on real
 states and finds the section crossings on the dense output.  It works on
-Python scalars, not numpy arrays: the fields here have 2 to 4 components,
-and on them a step attempt takes about half as long as on numpy arrays of
-that length (55-80 us against 110-165 us for a 2-component linear field on
-a 2-vCPU Xeon host whose speed drifts).  A field should therefore return
-Python numbers: numpy scalars would carry their per-operation cost into
-every stage sum.
+Python scalars, not numpy arrays: the fields here have 2 to 4 components.
+Each step attempt is straight-line code generated from the tableau for the
+length of the state, with every stage in scalar locals.  On a 2-component
+linear field an accepted step takes about 26 us on complex states and 17 us
+on real ones, against 46-54 us and 33 us for a loop over the tableau
+entries (best of 7 runs of 2,000 steps on a 2-vCPU Xeon host whose speed
+drifts).  A field should therefore return Python numbers: numpy scalars
+would carry their per-operation cost into every stage sum.
 """
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,6 +244,81 @@ _DENSE = tuple((float(c), _nonzero(row))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
 
+def _attempt_source(n):
+    """Source of one straight-line DOP853 step attempt on states of length n.
+
+    Component k of stage i is the local ``k<i>_<k>``; stage 0 is ``f``, the
+    field at the start of the step, and stage 12 the field at its end.  Every
+    stage sum, the B update and each E5/E3 error sum is one expression over
+    the nonzero tableau entries as ``repr`` literals, in row order from 0.0.
+    Each stage is checked for finiteness before the next field call, and a
+    field of the wrong length fails its unpacking with ``ValueError``.
+    """
+    comps = range(n)
+
+    def names(prefix):
+        return [f"{prefix}{k}" for k in comps]
+
+    def stage(i):
+        return names(f"k{i}_")
+
+    def target(vs):
+        return ", ".join(vs) + ("," if n == 1 else "")
+
+    def dot(terms, k):
+        return " + ".join(["0.0", *(f"{c!r} * k{j}_{k}" for j, c in terms)])
+
+    def check(vs, what):
+        test = " and ".join(f"isfinite({v})" for v in vs)
+        return [f"    if not ({test}):",
+                f"        raise NonFinite(f'{what} not finite near path point"
+                f" {{point(s)}}')"]
+
+    lines = ["def attempt(fun, point, s, h, y, comp, f):",
+             f"    {target(names('y'))} = y",
+             f"    {target(names('comp'))} = comp",
+             f"    {target(stage(0))} = f"]
+    for i, (c, row) in enumerate(_STAGES, start=1):
+        y_i = ", ".join(f"y{k} + h * ({dot(row, k)})" for k in comps)
+        lines.append(f"    {target(stage(i))} = fun(s + {c!r} * h, [{y_i}])")
+        lines += check(stage(i), "field")
+    # compensated update: y_new = y + t, carrying the rounding term
+    lines += [f"    t{k} = h * ({dot(_B, k)}) + comp{k}" for k in comps]
+    lines += [f"    yn{k} = y{k} + t{k}" for k in comps]
+    lines += check(names("yn"), "state")
+    last = len(_STAGES) + 1
+    lines.append(f"    {target(stage(last))} = f_new = "
+                 f"fun(s + h, [{', '.join(names('yn'))}])")
+    lines += check(stage(last), "field")
+    stages = ", ".join(f"[{', '.join(f'k{i}_{k}' for i in range(last + 1))}]"
+                       for k in comps)
+    lines += [
+        f"    return ([{', '.join(names('yn'))}],",
+        f"            [{', '.join(f't{k} - (yn{k} - y{k})' for k in comps)}],",
+        "            f_new,",
+        f"            [{', '.join(dot(_E5, k) for k in comps)}],",
+        f"            [{', '.join(dot(_E3, k) for k in comps)}],",
+        f"            [{stages}])",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _attempt(n):
+    """The compiled step attempt for states of length n, made at first use.
+
+    ``attempt(fun, point, s, h, y, comp, f)`` returns ``(y_new, comp_new,
+    f_new, e5, e3, K)``: the state, its Kahan carry and the field at the end
+    of the step, the E5 and E3 error sums, and ``K[k][i]``, component k of
+    stage i for i = 0..12.  ``point`` maps s to the path point named in a
+    :class:`NonFinite` message.
+    """
+    scope = {"isfinite": cmath.isfinite, "NonFinite": NonFinite}
+    exec(compile(_attempt_source(n), f"<DOP853 attempt, n={n}>", "exec"),
+         scope)
+    return scope["attempt"]
+
+
 def _combine(terms, K):
     """sum_j c_j K[k][j] for each component k, over the nonzero (j, c_j)."""
     out = []
@@ -266,6 +344,12 @@ def _finite(v):
     return all(map(cmath.isfinite, v))
 
 
+def _check_length(k, n):
+    if len(k) != n:
+        raise ValueError(
+            f"field returned {len(k)} components for a state of {n}")
+
+
 def _initial_step(fun, y0, f0, rtol, atol, max_step, s_end):
     # Hairer's starting-step heuristic on the segment parameter.
     root_n = math.sqrt(len(y0))
@@ -275,6 +359,7 @@ def _initial_step(fun, y0, f0, rtol, atol, max_step, s_end):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, max_step, s_end)
     f1 = fun(h0, [v + h0 * df for v, df in zip(y0, f0)])
+    _check_length(f1, len(y0))
     diff = [a - b for a, b in zip(f1, f0)]
     d2 = math.sqrt(_sq_norm(diff, scale)) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -310,6 +395,7 @@ class OdeStep:
         for c, row in _DENSE:
             y_i = [yk + h * dk for yk, dk in zip(y_old, _combine(row, K))]
             k_i = self._fun(self.s_old + c * h, y_i)
+            _check_length(k_i, len(y_old))
             if not _finite(k_i):
                 raise NonFinite(
                     f"field not finite in the dense output at s={self.s_old}")
@@ -359,9 +445,13 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
     """Accepted steps of y' = seg'(s) * field(seg(s), y) over s in [0, s_end].
 
     The state ``y``, the stage values and the Kahan carry are lists of
-    Python scalars, and each stage sum runs over the nonzero tableau entries
-    only.
+    Python scalars; each attempt is the straight-line code that
+    :func:`_attempt` generates for the length of ``y``.
     """
+    n = len(y)
+    if n == 0:
+        raise ValueError("the state needs at least one component")
+    attempt = _attempt(n)
     point, derivative = seg.point, seg.derivative
 
     def fun(s, yy):
@@ -369,14 +459,11 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
         return [d * v for v in field(point(s), yy)]
 
     with _scalar_errors():
-        n = len(y)
         # Kahan carry for the y accumulator, zero of the state's scalar type
         comp = [0j if isinstance(v, complex) else 0.0 for v in y]
         s = 0.0
         f = fun(s, y)
-        if len(f) != n:
-            raise ValueError(
-                f"field returned {len(f)} components for a state of {n}")
+        _check_length(f, n)
         if not _finite(f):
             raise NonFinite("field not finite at the start of a segment")
         h = _initial_step(fun, y, f, rtol, atol, max_step, s_end)
@@ -396,33 +483,12 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
             final = h >= remaining
             if final:
                 h = remaining
-            K = [[v] for v in f]  # K[k][i]: component k of stage i
-            for c, row in _STAGES:
-                y_i = [yk + h * dk for yk, dk in zip(y, _combine(row, K))]
-                k_i = fun(s + c * h, y_i)
-                if not _finite(k_i):
-                    raise NonFinite(
-                        f"field not finite near path point {seg.point(s)}")
-                for Kk, v in zip(K, k_i):
-                    Kk.append(v)
-            # compensated update: y_new = y + incr, carrying the rounding term
-            tmp = [h * bk + ck for bk, ck in zip(_combine(_B, K), comp)]
-            y_new = [yk + t for yk, t in zip(y, tmp)]
-            comp_new = [t - (yn - yk) for t, yn, yk in zip(tmp, y_new, y)]
-            if not _finite(y_new):
-                raise NonFinite(
-                    f"state not finite near path point {seg.point(s)}")
-            f_new = fun(s + h, y_new)
-            if not _finite(f_new):
-                raise NonFinite(
-                    f"field not finite near path point {seg.point(s)}")
-            for Kk, v in zip(K, f_new):
-                Kk.append(v)
-
+            y_new, comp_new, f_new, e5, e3, K = attempt(
+                fun, point, s, h, y, comp, f)
             scale = [atol + rtol * max(abs(yk), abs(yn))
                      for yk, yn in zip(y, y_new)]
-            n5 = _sq_norm(_combine(_E5, K), scale)
-            n3 = _sq_norm(_combine(_E3, K), scale)
+            n5 = _sq_norm(e5, scale)
+            n3 = _sq_norm(e3, scale)
             if n5 == 0.0 and n3 == 0.0:
                 err_norm = 0.0
             else:

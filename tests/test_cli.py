@@ -292,3 +292,24 @@ def test_every_package_exception_is_an_l3lab_error():
         "CollisionSingularity", "FitRejected", "NoCrossing",
         "EventDegenerate",
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["separatrix", "--t-max=-1", "--n", "3"],
+    ["separatrix", "--t-max", "0"],
+    ["separatrix", "--t-max", "inf"],
+    ["separatrix", "--t-max", "nan"],
+    ["separatrix", "--n", "0"],
+    ["separatrix", "--n", "1"],
+    ["manifolds", "--n", "0"],
+    ["manifolds", "--t-max", "inf"],
+    ["manifolds", "--t-max=-1"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_bad_sample_grid_exits_2(argv):
+    # --t-max -1 used to print rows from t = 1 down to -1, --n 0 only the
+    # header, and --t-max inf a numpy RuntimeWarning before the error
+    code, out, err = run_cli_process(argv)
+    assert code == 2
+    assert out == ""
+    assert "error: need a finite --t-max > 0 and --n >= 2" in err
+    assert "Traceback" not in err and "Warning" not in err

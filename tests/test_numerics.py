@@ -137,6 +137,53 @@ def test_chain_and_steps_validate_before_any_leg():
                       s_end=s_end)
 
 
+def _run_integrate_ode(field):
+    return integrate_ode(field, ComplexPath.line(0.0, 1.0), (1.0, 1.0))
+
+
+def _run_ode_steps(field):
+    return list(ode_steps(field, Line(0.0, 1.0), (1.0, 1.0)))
+
+
+# call 1 is the start, 2 the starting-step probe, 3..13 stages 1..11 and
+# 14 the field at the end of the first step
+@pytest.mark.parametrize("bad_call", [2, 5, 14],
+                         ids=["probe", "stage_3", "step_end"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+@pytest.mark.parametrize("run", [_run_integrate_ode, _run_ode_steps])
+def test_field_of_wrong_length_raises_value_error(run, extra, bad_call):
+    # a longer output used to be truncated (y' = y gave e) and a shorter one
+    # escaped as an IndexError
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return (y[0], y[1], y[0])[:2 + extra] if len(calls) == bad_call \
+            else (y[0], y[1])
+
+    with pytest.raises(ValueError):
+        run(field)
+    assert len(calls) == bad_call
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+def test_dense_output_field_of_wrong_length_raises_value_error(extra):
+    bad = []
+    field = lambda t, y: (y[0], y[1], y[0])[:2 + extra] if bad \
+        else (y[0], y[1])
+    step = next(ode_steps(field, Line(0.0, 1.0), (1.0, 1.0)))
+    bad.append(True)
+    with pytest.raises(ValueError):
+        step(0.5 * (step.s_old + step.s_new))
+
+
+def test_empty_state_raises_value_error():
+    with pytest.raises(ValueError):
+        integrate_ode(lambda t, y: (), ComplexPath.line(0.0, 1.0), ())
+    with pytest.raises(ValueError):
+        next(ode_steps(lambda t, y: (), Line(0.0, 1.0), ()))
+
+
 def test_dense_output_coefficients_match_scipy():
     from scipy.integrate._ivp import dop853_coefficients as ref
     assert np.array_equal(_dop853.A, ref.A[:12, :12])
@@ -226,6 +273,89 @@ def test_ode_linear_field_matches_exponential(a, b, start, moves):
     exact = (y0[0] * cmath.exp(a * dt), y0[1] * cmath.exp(b * dt))
     for got, want in zip(res.y_end, exact):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def _reference_attempt(fun, s, h, y, comp, f):
+    """One DOP853 attempt as loops over the tableau: stage sums over the
+    nonzero entries of each row, in row order from 0.0, component by
+    component.  Returns what the generated attempts return."""
+    def combine(row, K):
+        out = []
+        for Kk in K:
+            acc = 0.0
+            for j, c in enumerate(row):
+                if c != 0.0:
+                    acc += float(c) * Kk[j]
+            out.append(acc)
+        return out
+
+    K = [[v] for v in f]  # K[k][i]: component k of stage i
+    for i in range(1, _dop853.N_STAGES):
+        dy = combine(_dop853.A[i, :i], K)
+        k_i = fun(s + float(_dop853.C[i]) * h,
+                  [yk + h * d for yk, d in zip(y, dy)])
+        for Kk, v in zip(K, k_i):
+            Kk.append(v)
+    tmp = [h * bk + ck for bk, ck in zip(combine(_dop853.B, K), comp)]
+    y_new = [yk + t for yk, t in zip(y, tmp)]
+    comp_new = [t - (yn - yk) for t, yn, yk in zip(tmp, y_new, y)]
+    f_new = fun(s + h, y_new)
+    for Kk, v in zip(K, f_new):
+        Kk.append(v)
+    return (y_new, comp_new, f_new, combine(_dop853.E5, K),
+            combine(_dop853.E3, K), K)
+
+
+def _bits(v):
+    """Exact value and type of a scalar, or of nested lists of them."""
+    if isinstance(v, list):
+        return [_bits(x) for x in v]
+    return type(v), v.real.hex(), v.imag.hex()
+
+
+@st.composite
+def _attempt_case(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    real = draw(st.booleans())
+    num = _BOUNDED if real else _COMPLEX
+    tiny = st.floats(-1e-16, 1e-16)
+    carry = tiny if real else st.builds(complex, tiny, tiny)
+    m = draw(st.lists(st.tuples(num, num, num), min_size=n, max_size=n))
+    return (n, m, draw(st.floats(0.0, 1.0)), draw(st.floats(1e-3, 0.5)),
+            draw(st.lists(num, min_size=n, max_size=n)),
+            draw(st.lists(carry, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_attempt_case())
+def test_generated_attempt_matches_tableau_loop(case):
+    n, m, s, h, y, comp = case
+
+    def fun(t, yy):
+        return [a * yy[(k + 1) % n] + b * yy[k] * yy[k] + c * t
+                for k, (a, b, c) in enumerate(m)]
+
+    f = fun(s, y)
+    got = numerics._attempt(n)(fun, lambda s: s, s, h, y, comp, f)
+    want = _reference_attempt(fun, s, h, y, comp, f)
+    assert _bits(list(got)) == _bits(list(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("zero", [-0.0, complex(-0.0, -0.0)],
+                         ids=["real", "complex"])
+def test_generated_attempt_keeps_signed_zeros(n, zero):
+    # every stage sum starts from 0.0, so -0.0 + h * (0.0 + c * -0.0) is
+    # +0.0; on real states a sum without that start leaves -0.0 in the stages
+    def fun(t, yy):
+        return [yy[(k + 1) % n] for k in range(n)]
+
+    y = [zero] * n
+    f = fun(0.0, y)
+    got = numerics._attempt(n)(fun, lambda s: s, 0.0, 0.125, y, [0 * zero] * n,
+                               f)
+    want = _reference_attempt(fun, 0.0, 0.125, y, [0 * zero] * n, f)
+    assert _bits(list(got)) == _bits(list(want))
 
 
 def test_quad_smooth():
