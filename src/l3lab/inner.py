@@ -299,8 +299,7 @@ def _shoot_record(branch, rho, xs, re_start=RE_START, rtol=1e-12,
             f"re_start must be finite and positive, got {re_start}")
     U0 = complex(-re_start if branch == "unstable" else re_start, -rho)
     order = sorted(xs, reverse=branch == "stable")
-    ys = integrate_chain(lambda u, y: graph_rhs(u, tuple(y)), U0,
-                         [complex(x, -rho) for x in order],
+    ys = integrate_chain(graph_rhs, U0, [complex(x, -rho) for x in order],
                          series_Z(U0).as_tuple(), rtol=rtol, atol=1e-14,
                          max_step=max_step)
     return {x: InnerState(*map(complex, y)) for x, y in zip(order, ys)}

@@ -29,12 +29,17 @@ tracing of :mod:`l3lab.splitting`, which steps it in time units on real
 states and finds the section crossings on the dense output.  It works on
 Python scalars, not numpy arrays: the fields here have 2 to 4 components.
 Each step attempt is straight-line code generated from the tableau for the
-length of the state, with every stage in scalar locals.  On a 2-component
-linear field an accepted step takes about 26 us on complex states and 17 us
-on real ones, against 46-54 us and 33 us for a loop over the tableau
-entries (best of 7 runs of 2,000 steps on a 2-vCPU Xeon host whose speed
-drifts).  A field should therefore return Python numbers: numpy scalars
-would carry their per-operation cost into every stage sum.
+length of the state and the kind of segment, with every stage in scalar
+locals.  It calls the field at each stage with the chain rule written out
+(inline arithmetic on a :class:`Line`), and ends with the step's error norm
+and error scale, so the step loop around it only runs the step-size
+controller.  On a 2-component linear field stepped along ``Line(0, 1)`` an
+accepted step takes about 22 us on complex states and 10 us on real ones,
+against 28 us and 19 us with a chain-rule closure around each field call
+and the error norm computed in the step loop (best of 7 runs of 2,000
+steps on a 2-vCPU Xeon host whose speed drifts by up to 2x).  A field
+should therefore return Python numbers: numpy scalars would carry their
+per-operation cost into every stage sum.
 """
 from __future__ import annotations
 
@@ -244,15 +249,24 @@ _DENSE = tuple((float(c), _nonzero(row))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
 
-def _attempt_source(n):
+def _attempt_source(n, line):
     """Source of one straight-line DOP853 step attempt on states of length n.
 
-    Component k of stage i is the local ``k<i>_<k>``; stage 0 is ``f``, the
-    field at the start of the step, and stage 12 the field at its end.  Every
-    stage sum, the B update and each E5/E3 error sum is one expression over
-    the nonzero tableau entries as ``repr`` literals, in row order from 0.0.
-    Each stage is checked for finiteness before the next field call, and a
-    field of the wrong length fails its unpacking with ``ValueError``.
+    The attempt steps y' = seg'(s) * field(seg(s), y).  Each stage calls
+    ``field`` itself and applies the chain rule inline: on a :class:`Line`
+    (``line`` true) the node is ``a + (s + c*h) * d`` and each component is
+    multiplied by ``d``, with ``a = seg.a`` and ``d = seg.b - seg.a``, the
+    operations of :meth:`Line.point` and :meth:`Line.derivative`; on any
+    other segment the stage calls ``seg.point`` and ``seg.derivative`` at the
+    node.  Component k of stage i is the local ``k<i>_<k>``; stage 0 is
+    ``f``, the field at the start of the step, and stage 12 the field at its
+    end.  Every stage sum, the B update and each E5/E3 error sum is one
+    expression over the nonzero tableau entries as ``repr`` literals, in row
+    order from 0.0.  Each stage is checked for finiteness before the next
+    field call, and a field of the wrong length fails its unpacking with
+    ``ValueError``.  The error sums are divided by the scale
+    ``atol + rtol * max(|y_k|, |y_new_k|)`` and reduced to the mixed 5/3
+    error norm, real parts summed before imaginary parts.
     """
     comps = range(n)
 
@@ -272,50 +286,77 @@ def _attempt_source(n):
         test = " and ".join(f"isfinite({v})" for v in vs)
         return [f"    if not ({test}):",
                 f"        raise NonFinite(f'{what} not finite near path point"
-                f" {{point(s)}}')"]
+                f" {{seg.point(s)}}')"]
 
-    lines = ["def attempt(fun, point, s, h, y, comp, f):",
+    def call(node, vs, args):
+        # the field at segment parameter `node`, times the segment's derivative
+        if line:
+            head = [f"    {target(vs)} = field(a + ({node}) * d, [{args}])"]
+        else:
+            head = [f"    d = derivative({node})",
+                    f"    {target(vs)} = field(point({node}), [{args}])"]
+        return head + [f"    {v} = d * {v}" for v in vs] + check(vs, "field")
+
+    def sq_norm(v):
+        # sum_k |v_k|^2 as the real parts' sum plus the imaginary parts' sum
+        return " + ".join(
+            f"({' + '.join(['0.0', *(f'{x}.{p} * {x}.{p}' for x in v)])})"
+            for p in ("real", "imag"))
+
+    lines = ["def attempt(field, seg, s, h, y, comp, f, rtol, atol):",
+             "    a = seg.a" if line else "    point = seg.point",
+             "    d = seg.b - seg.a" if line
+             else "    derivative = seg.derivative",
              f"    {target(names('y'))} = y",
              f"    {target(names('comp'))} = comp",
              f"    {target(stage(0))} = f"]
     for i, (c, row) in enumerate(_STAGES, start=1):
         y_i = ", ".join(f"y{k} + h * ({dot(row, k)})" for k in comps)
-        lines.append(f"    {target(stage(i))} = fun(s + {c!r} * h, [{y_i}])")
-        lines += check(stage(i), "field")
+        lines += call(f"s + {c!r} * h", stage(i), y_i)
     # compensated update: y_new = y + t, carrying the rounding term
     lines += [f"    t{k} = h * ({dot(_B, k)}) + comp{k}" for k in comps]
     lines += [f"    yn{k} = y{k} + t{k}" for k in comps]
     lines += check(names("yn"), "state")
     last = len(_STAGES) + 1
-    lines.append(f"    {target(stage(last))} = f_new = "
-                 f"fun(s + h, [{', '.join(names('yn'))}])")
-    lines += check(stage(last), "field")
+    lines += call("s + h", stage(last), ", ".join(names("yn")))
+    lines += [f"    sc{k} = atol + rtol * max(abs(y{k}), abs(yn{k}))"
+              for k in comps]
+    lines += [f"    x5_{k} = ({dot(_E5, k)}) / sc{k}" for k in comps]
+    lines += [f"    x3_{k} = ({dot(_E3, k)}) / sc{k}" for k in comps]
     stages = ", ".join(f"[{', '.join(f'k{i}_{k}' for i in range(last + 1))}]"
                        for k in comps)
     lines += [
+        f"    n5 = {sq_norm(names('x5_'))}",
+        f"    n3 = {sq_norm(names('x3_'))}",
+        "    if n5 == 0.0 and n3 == 0.0:",
+        "        err_norm = 0.0",
+        "    else:",
+        f"        err_norm = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",
         f"    return ([{', '.join(names('yn'))}],",
         f"            [{', '.join(f't{k} - (yn{k} - y{k})' for k in comps)}],",
-        "            f_new,",
-        f"            [{', '.join(dot(_E5, k) for k in comps)}],",
-        f"            [{', '.join(dot(_E3, k) for k in comps)}],",
+        f"            [{', '.join(stage(last))}],",
+        f"            err_norm, max([{', '.join(names('sc'))}]),",
         f"            [{stages}])",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _attempt(n):
+def _attempt(n, line):
     """The compiled step attempt for states of length n, made at first use.
 
-    ``attempt(fun, point, s, h, y, comp, f)`` returns ``(y_new, comp_new,
-    f_new, e5, e3, K)``: the state, its Kahan carry and the field at the end
-    of the step, the E5 and E3 error sums, and ``K[k][i]``, component k of
-    stage i for i = 0..12.  ``point`` maps s to the path point named in a
-    :class:`NonFinite` message.
+    ``line`` selects the form for a :class:`Line` segment.
+    ``attempt(field, seg, s, h, y, comp, f, rtol, atol)`` steps from s by h
+    and returns ``(y_new, comp_new, f_new, err_norm, max_scale, K)``: the
+    state, its Kahan carry and the chain-ruled field at the end of the step,
+    the mixed 5/3 error norm (accept below 1), the largest component of the
+    error scale, and ``K[k][i]``, component k of stage i for i = 0..12.
     """
-    scope = {"isfinite": cmath.isfinite, "NonFinite": NonFinite}
-    exec(compile(_attempt_source(n), f"<DOP853 attempt, n={n}>", "exec"),
-         scope)
+    scope = {"isfinite": cmath.isfinite, "sqrt": math.sqrt,
+             "NonFinite": NonFinite}
+    form = "line" if line else "segment"
+    exec(compile(_attempt_source(n, line),
+                 f"<DOP853 attempt, n={n}, {form}>", "exec"), scope)
     return scope["attempt"]
 
 
@@ -446,15 +487,17 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
 
     The state ``y``, the stage values and the Kahan carry are lists of
     Python scalars; each attempt is the straight-line code that
-    :func:`_attempt` generates for the length of ``y``.
+    :func:`_attempt` generates for the length of ``y`` and the kind of
+    segment, and calls ``field`` itself.
     """
     n = len(y)
     if n == 0:
         raise ValueError("the state needs at least one component")
-    attempt = _attempt(n)
+    attempt = _attempt(n, isinstance(seg, Line))
     point, derivative = seg.point, seg.derivative
 
     def fun(s, yy):
+        # the chain-ruled field for the starting step and the dense output
         d = derivative(s)
         return [d * v for v in field(point(s), yy)]
 
@@ -483,21 +526,12 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
             final = h >= remaining
             if final:
                 h = remaining
-            y_new, comp_new, f_new, e5, e3, K = attempt(
-                fun, point, s, h, y, comp, f)
-            scale = [atol + rtol * max(abs(yk), abs(yn))
-                     for yk, yn in zip(y, y_new)]
-            n5 = _sq_norm(e5, scale)
-            n3 = _sq_norm(e3, scale)
-            if n5 == 0.0 and n3 == 0.0:
-                err_norm = 0.0
-            else:
-                err_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * n)
-
+            y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
+                field, seg, s, h, y, comp, f, rtol, atol)
             if err_norm < 1.0:
                 s_old, s = s, (s_end if final else s + h)
                 step = OdeStep(fun, s_old, s, h, y, y_new, K, rejected,
-                               err_norm * max(scale))
+                               err_norm * max_scale)
                 y, comp, f = y_new, comp_new, f_new
                 rejected = 0
                 factor = _MAX_FACTOR if err_norm == 0.0 else min(

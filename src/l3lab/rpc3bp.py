@@ -169,9 +169,19 @@ def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
     scalars, and numpy scalars would slow every stage down.
     """
     q1, q2, p1, p2 = z
-    (dSx, dSy), rS, (dPx, dPy), rP = _primary_offsets(q1, q2, mu)
-    ax = -(1 - mu) * dSx / rS ** 3 - mu * dPx / rP ** 3
-    ay = -(1 - mu) * dSy / rS ** 3 - mu * dPy / rP ** 3
+    # _primary_offsets inline, to save two calls per field evaluation
+    dSx = q1 - mu
+    # compensated q1 + (1 - mu), as in _p_offset: the rounding of 1 - mu
+    # matters when the result is collision-small
+    s = 1.0 - mu
+    dPx = (q1 + s) + ((1.0 - s) - mu)
+    rS = math.hypot(dSx, q2)
+    rP = math.hypot(dPx, q2)
+    if rS < _COLLISION_EPS or rP < _COLLISION_EPS:
+        raise Collision(f"state within {_COLLISION_EPS} of a primary")
+    rS3, rP3 = rS ** 3, rP ** 3
+    ax = -s * dSx / rS3 - mu * dPx / rP3
+    ay = -s * q2 / rS3 - mu * q2 / rP3
     return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
 
 

@@ -369,8 +369,7 @@ def t_star(path_kind: str, detour: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 def _pend_field(t, y):
-    dl, dL = pend_rhs(y[0], y[1])
-    return (dl, dL)
+    return pend_rhs(y[0], y[1])
 
 
 def _state(y) -> PendulumState:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3lab import _dop853, numerics, separatrix
+from l3lab import _dop853, numerics, rpc3bp, separatrix
 from l3lab.numerics import (Arc, ComplexPath, L3labError, Line, NoBracket,
                             NoConvergence, NonFinite, StepUnderflow,
                             find_root, integrate_chain, integrate_ode,
@@ -275,10 +275,34 @@ def test_ode_linear_field_matches_exponential(a, b, start, moves):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def _reference_attempt(fun, s, h, y, comp, f):
+def _chain_rule(field, seg):
+    """y' = seg'(s) * field(seg(s), y) through the segment's own methods."""
+    point, derivative = seg.point, seg.derivative
+
+    def fun(s, yy):
+        d = derivative(s)
+        return [d * v for v in field(point(s), yy)]
+
+    return fun
+
+
+def _sq_norm(v, scale):
+    """sum_k |v_k / scale_k|^2, real parts and imaginary parts apart."""
+    re = im = 0.0
+    for x, sc in zip(v, scale):
+        x /= sc
+        re += x.real * x.real
+        im += x.imag * x.imag
+    return re + im
+
+
+def _reference_attempt(field, seg, s, h, y, comp, f, rtol, atol):
     """One DOP853 attempt as loops over the tableau: stage sums over the
     nonzero entries of each row, in row order from 0.0, component by
-    component.  Returns what the generated attempts return."""
+    component, the chain rule as a list comprehension and the error norm by
+    :func:`_sq_norm`.  Returns what the generated attempts return."""
+    fun = _chain_rule(field, seg)
+
     def combine(row, K):
         out = []
         for Kk in K:
@@ -302,8 +326,14 @@ def _reference_attempt(fun, s, h, y, comp, f):
     f_new = fun(s + h, y_new)
     for Kk, v in zip(K, f_new):
         Kk.append(v)
-    return (y_new, comp_new, f_new, combine(_dop853.E5, K),
-            combine(_dop853.E3, K), K)
+    scale = [atol + rtol * max(abs(yk), abs(yn)) for yk, yn in zip(y, y_new)]
+    n5 = _sq_norm(combine(_dop853.E5, K), scale)
+    n3 = _sq_norm(combine(_dop853.E3, K), scale)
+    if n5 == 0.0 and n3 == 0.0:
+        err_norm = 0.0
+    else:
+        err_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(y))
+    return [y_new, comp_new, f_new, err_norm, max(scale), K]
 
 
 def _bits(v):
@@ -311,6 +341,22 @@ def _bits(v):
     if isinstance(v, list):
         return [_bits(x) for x in v]
     return type(v), v.real.hex(), v.imag.hex()
+
+
+def _generated_attempt(field, seg, s, h, y, comp, f, rtol, atol):
+    attempt = numerics._attempt(len(y), isinstance(seg, Line))
+    return list(attempt(field, seg, s, h, y, comp, f, rtol, atol))
+
+
+# a Line from 0 or from a complex point, by +1, -1 or a complex d, or an Arc
+_SEGMENT = st.one_of(
+    st.builds(lambda a, d: Line(a, a + d),
+              st.just(0.0) | _COMPLEX,
+              st.sampled_from([1.0, -1.0]) | _COMPLEX.filter(
+                  lambda z: abs(z) > 1e-3)),
+    st.builds(Arc, _COMPLEX, st.floats(0.05, 0.5), st.floats(-3.0, 3.0),
+              st.floats(-3.0, 3.0)),
+)
 
 
 @st.composite
@@ -321,24 +367,26 @@ def _attempt_case(draw):
     tiny = st.floats(-1e-16, 1e-16)
     carry = tiny if real else st.builds(complex, tiny, tiny)
     m = draw(st.lists(st.tuples(num, num, num), min_size=n, max_size=n))
-    return (n, m, draw(st.floats(0.0, 1.0)), draw(st.floats(1e-3, 0.5)),
+    return (n, m, draw(_SEGMENT), draw(st.floats(0.0, 1.0)),
+            draw(st.floats(1e-3, 0.5)),
             draw(st.lists(num, min_size=n, max_size=n)),
-            draw(st.lists(carry, min_size=n, max_size=n)))
+            draw(st.lists(carry, min_size=n, max_size=n)),
+            draw(st.sampled_from([1e-12, 1e-6, 1e-3])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_attempt_case())
 def test_generated_attempt_matches_tableau_loop(case):
-    n, m, s, h, y, comp = case
+    n, m, seg, s, h, y, comp, tol = case
 
-    def fun(t, yy):
+    def field(t, yy):
         return [a * yy[(k + 1) % n] + b * yy[k] * yy[k] + c * t
                 for k, (a, b, c) in enumerate(m)]
 
-    f = fun(s, y)
-    got = numerics._attempt(n)(fun, lambda s: s, s, h, y, comp, f)
-    want = _reference_attempt(fun, s, h, y, comp, f)
-    assert _bits(list(got)) == _bits(list(want))
+    f = _chain_rule(field, seg)(s, y)
+    got = _generated_attempt(field, seg, s, h, y, comp, f, tol, tol)
+    want = _reference_attempt(field, seg, s, h, y, comp, f, tol, tol)
+    assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -346,16 +394,97 @@ def test_generated_attempt_matches_tableau_loop(case):
                          ids=["real", "complex"])
 def test_generated_attempt_keeps_signed_zeros(n, zero):
     # every stage sum starts from 0.0, so -0.0 + h * (0.0 + c * -0.0) is
-    # +0.0; on real states a sum without that start leaves -0.0 in the stages
-    def fun(t, yy):
+    # +0.0; on real states a sum without that start leaves -0.0 in the
+    # stages.  The chain rule must leave each zero with the sign that
+    # d * v in a list comprehension gives it, on a Line and on an Arc
+    def field(t, yy):
         return [yy[(k + 1) % n] for k in range(n)]
 
     y = [zero] * n
-    f = fun(0.0, y)
-    got = numerics._attempt(n)(fun, lambda s: s, 0.0, 0.125, y, [0 * zero] * n,
-                               f)
-    want = _reference_attempt(fun, 0.0, 0.125, y, [0 * zero] * n, f)
-    assert _bits(list(got)) == _bits(list(want))
+    for seg in (Line(0.0, 1.0), Line(0.0, -1.0), Arc(0.0, 1.0, 0.0, math.pi)):
+        f = _chain_rule(field, seg)(0.0, y)
+        args = (field, seg, 0.0, 0.125, y, [0 * zero] * n, f, 1e-10, 1e-12)
+        assert _bits(_generated_attempt(*args)) == \
+            _bits(_reference_attempt(*args))
+
+
+def _reference_steps(field, seg, y, rtol, atol, max_step, s_end):
+    """(s, y, err_est, rejected) of each accepted step: the step-size
+    controller of DOP853 around :func:`_reference_attempt`."""
+    fun = _chain_rule(field, seg)
+    comp = [0j if isinstance(v, complex) else 0.0 for v in y]
+    s = 0.0
+    f = fun(s, y)
+    h = numerics._initial_step(fun, y, f, rtol, atol, max_step, s_end)
+    rejected = 0
+    while True:
+        remaining = s_end - s
+        if remaining <= 1e-15 * s_end:
+            return
+        h = min(h, max_step)
+        final = h >= remaining
+        if final:
+            h = remaining
+        y_new, comp_new, f_new, err_norm, max_scale, _ = _reference_attempt(
+            field, seg, s, h, y, comp, f, rtol, atol)
+        if err_norm < 1.0:
+            s = s_end if final else s + h
+            y, comp, f = y_new, comp_new, f_new
+            yield s, y, err_norm * max_scale, rejected
+            rejected = 0
+            factor = numerics._MAX_FACTOR if err_norm == 0.0 else min(
+                numerics._MAX_FACTOR,
+                numerics._SAFETY * err_norm ** numerics._ERR_EXP)
+            h *= factor
+        else:
+            rejected += 1
+            h *= max(numerics._MIN_FACTOR,
+                     numerics._SAFETY * err_norm ** numerics._ERR_EXP)
+
+
+def _same_steps(field, seg, y0, **kw):
+    """Check that ode_steps takes the reference's steps on one segment;
+    returns the end state, the step count and the rejections."""
+    got = [(_bits([step.s_new, step.y_new, step.err_est]), step.rejected)
+           for step in ode_steps(field, seg, y0, **kw)]
+    ref = list(_reference_steps(field, seg, list(y0), kw["rtol"], kw["atol"],
+                                kw.get("max_step", math.inf),
+                                kw.get("s_end", 1.0)))
+    assert got == [(_bits([s, y, err_est]), rejected)
+                   for s, y, err_est, rejected in ref]
+    return ref[-1][1], len(got), sum(rejected for _, rejected in got)
+
+
+@pytest.mark.parametrize("path, field, y0", [
+    (ComplexPath.polyline([0.1, 0.4, 0.4 + 0.3j, -0.2 + 0.1j, 1.0]),
+     lambda t, y: (y[1], -cmath.sin(y[0]) + 0.1 * t), (0.5, 0.2j)),
+    (ComplexPath((Arc(0.0, 1.0, math.pi, 2.0 * math.pi),
+                  Arc(0.0, 1.0, 0.0, -0.5 * math.pi))),
+     lambda t, y: (1.0 / t, 1j * y[0] * y[2], -y[1] + t),
+     (0.0, 1.0 + 0.5j, -0.25j)),
+], ids=["polyline", "arc"])
+def test_integrate_ode_steps_match_reference_stepper(path, field, y0):
+    # every accepted step of every segment, then integrate_ode's own result
+    tols = {"rtol": 1e-11, "atol": 1e-13}
+    y, steps, rejected = [complex(v) for v in y0], 0, 0
+    for seg in path.segments:
+        y, n, r = _same_steps(field, seg, y, **tols)
+        steps, rejected = steps + n, rejected + r
+    res = integrate_ode(field, path, y0, **tols)
+    assert steps > 10
+    assert _bits(res.y_end.tolist()) == _bits(y)
+    assert (res.steps, res.rejected) == (steps, rejected)
+
+
+def test_ode_steps_on_real_state_match_reference_stepper():
+    # the manifold-tracing case: a real 4-vector near L3, stepped in
+    # backward time units
+    mu = 1e-3
+    y0 = [v + 1e-3 for v in rpc3bp.locate_L3(mu).cartesian.as_array().tolist()]
+    y_end, steps, _ = _same_steps(
+        lambda t, y: rpc3bp.cart_vector_field(y, mu), Line(0.0, -1.0), y0,
+        rtol=1e-12, atol=1e-12, s_end=20.0)
+    assert steps > 10 and all(type(v) is float for v in y_end)
 
 
 def test_quad_smooth():

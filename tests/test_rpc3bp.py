@@ -220,6 +220,50 @@ def test_hessian_matches_finite_differences():
             assert np.max(np.abs(col - jac[:, i]) / denom) <= 1e-6
 
 
+def _field_by_helper(z, mu):
+    """cart_vector_field written through the _primary_offsets helper."""
+    q1, q2, p1, p2 = z
+    (dSx, dSy), rS, (dPx, dPy), rP = r3._primary_offsets(q1, q2, mu)
+    ax = -(1 - mu) * dSx / rS ** 3 - mu * dPx / rP ** 3
+    ay = -(1 - mu) * dSy / rS ** 3 - mu * dPy / rP ** 3
+    return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
+
+
+def _field_or_collision(field, z, mu):
+    try:
+        return [v.hex() for v in field(z, mu)]
+    except r3.Collision:
+        return "Collision"
+
+
+def test_vector_field_matches_helper_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        mu = 10.0 ** rng.uniform(-4.0, -2.0)
+        z = [rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
+             rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
+        got = r3.cart_vector_field(z, mu)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == \
+            [v.hex() for v in _field_by_helper(z, mu)]
+
+
+@pytest.mark.parametrize("mu", [3e-4, 1e-3, 0.0123])
+def test_vector_field_collision_matches_helper_formula(mu):
+    # both fields raise Collision at the same points within 1e-12 of either
+    # primary, S at (mu, 0) and P at (mu - 1, 0), and agree bit for bit
+    # just outside
+    for center in (mu, -(1.0 - mu)):
+        outcomes = set()
+        for dq1 in (0.0, 3e-13, -7e-13, 9.9e-13, -1.01e-12, 2e-12, 1e-11):
+            for q2 in (0.0, 5e-13, -8e-13, 1.5e-12):
+                z = (center + dq1, q2, 0.1, -0.2)
+                got = _field_or_collision(r3.cart_vector_field, z, mu)
+                assert got == _field_or_collision(_field_by_helper, z, mu)
+                outcomes.add(got == "Collision")
+        assert outcomes == {True, False}
+
+
 def test_F_pend_cubic_order():
     assert r3.F_pend(0.0) == 0.0
     assert abs(r3.F_pend(1e-3) / 1e-9 - 2.0) < 0.01
