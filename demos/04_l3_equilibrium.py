@@ -7,8 +7,7 @@ That scale separation is what makes the manifold splitting exponentially
 small.
 """
 import math
-
-import numpy as np
+import random
 
 from l3lab import rpc3bp
 
@@ -27,7 +26,7 @@ for z in sorted(eq.eigenvalues, key=lambda z: (-abs(z.real), z.imag)):
     print(f"  {z.real:+.10f} {z.imag:+.10f} i")
 
 print("\nenergy agreement of the three charts at a random state:")
-rng = np.random.default_rng(1)
+rng = random.Random(1)
 pol = rpc3bp.PolarState(rng.uniform(0.9, 1.2), rng.uniform(-2, 2),
                         rng.uniform(-0.1, 0.1), rng.uniform(0.9, 1.1))
 cart = rpc3bp.cart_from_polar(pol)

@@ -8,9 +8,8 @@ against 1/sqrt(mu) recovers the analyticity constant A (acceptance check 13
 gates the slope at 10% of -A), tying the abstract strip half-width to
 concrete phase-space geometry.
 """
-import numpy as np
-
 from l3lab import separatrix, splitting
+from l3lab.numerics import geomspace
 
 A = separatrix.compute_A()
 
@@ -25,8 +24,8 @@ print(f"  stable  : r = {ps.r:.6f}, R = {ps.R:+.6f}, G = {ps.G:.6f} "
 
 print("\ngap versus the leading asymptotics (prefactor modulus 1.63):")
 print(" mu        measured     asymptotic   ratio")
-for m in np.geomspace(1e-3, 2e-3, 5):
-    s = splitting.section_gap(float(m), A=A)
+for m in geomspace(1e-3, 2e-3, 5):
+    s = splitting.section_gap(m, A=A)
     print(f"{m:.4e}  {s.dist_measured:.4e}  {s.dist_asymptotic:.4e}  "
           f"{s.dist_measured / s.dist_asymptotic:.3f}")
 

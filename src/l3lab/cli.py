@@ -18,10 +18,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, acceptance, inner, rpc3bp, separatrix, splitting
-from .numerics import L3labError
+from .numerics import L3labError, linspace
 
 __all__ = ["main", "ResultRecord"]
 
@@ -102,25 +100,34 @@ def _cmd_a(args) -> int:
     return 0
 
 
+# the most rows one stokes table may ask for; each row is two shootings
+_MAX_STOKES_ROWS = 1000
+
+
 def _cmd_stokes(args) -> int:
     lo, hi, step = args.rho_min, args.rho_max, args.rho_step
     # written so that a NaN fails it
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi
             and 0.0 < step < math.inf):
         raise ValueError(f"empty rho range: {lo} to {hi} in steps of {step}")
-    rhos = list(np.arange(lo, hi + step / 2, step))
+    if not (8.0 <= lo and hi <= 30.0):
+        raise ValueError(f"rho range {lo} to {hi} leaves [8, 30]")
+    # rows lo, lo + step, ... up to hi, counted before any list is built
+    count = (hi + step / 2 - lo) / step
+    if not count <= _MAX_STOKES_ROWS:
+        raise ValueError(f"rho step {step} asks for more than "
+                         f"{_MAX_STOKES_ROWS} rows")
+    rhos = [min(lo + k * step, hi) for k in range(math.ceil(count))]
     rows = []
     failed = False
     for rho in rhos:
         try:
-            rec = inner.theta(float(rho), re_start=args.re_start,
-                              rtol=args.tol)
+            rec = inner.theta(rho, re_start=args.re_start, rtol=args.tol)
             rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho),
                          rec.theta, rec.digits_lost])
         except inner.PrecisionLoss:
             failed = True
-            rows.append([float(rho), float("nan"), math.exp(float(rho)),
-                         float("nan"), float("inf")])
+            rows.append([rho, math.nan, math.exp(rho), math.nan, math.inf])
     text = _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"], rows)
     _write(text, args.out)
     return 1 if failed else 0
@@ -156,8 +163,8 @@ def _check_samples(args):
 
 def _cmd_separatrix(args) -> int:
     _check_samples(args)
-    ts = np.linspace(-args.t_max, args.t_max, args.n)
-    states = separatrix.sigma_sweep(list(ts))
+    ts = linspace(-args.t_max, args.t_max, args.n)
+    states = separatrix.sigma_sweep(ts)
     rows = []
     for t, st in zip(ts, states):
         lam = st.lam.real

@@ -1,6 +1,6 @@
 """Shared high-accuracy primitives.
 
-Five tools used everywhere else in the package:
+The tools used everywhere else in the package:
 
 * :func:`ode_steps` -- the package's one ODE stepper, an embedded
   Dormand--Prince 8(5,3) pair (Hairer's DOP853) with compensated (Kahan)
@@ -16,6 +16,8 @@ Five tools used everywhere else in the package:
   per-segment tanh-sinh (double exponential) rules, so integrable endpoint
   singularities |x|^alpha with alpha > -1 need no special casing.
 * :func:`find_root` -- safeguarded Newton iteration on a bracket.
+* :func:`fit_line` -- the least-squares line through sample points, and
+  :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
 
 All routines are pure functions of their inputs and safe to call
 concurrently.
@@ -26,8 +28,9 @@ Invalid arguments raise :class:`ValueError` instead.
 
 The same stepper serves the complex-time paths and the real-time manifold
 tracing of :mod:`l3lab.splitting`, which steps it in time units on real
-states and finds the section crossings on the dense output.  It works on
-Python scalars, not numpy arrays: the fields here have 2 to 4 components.
+states and finds the section crossings on the dense output.  States are
+lists of Python scalars, as everywhere in the package, which needs no array
+library: the fields here have 2 to 4 components.
 Each step attempt is straight-line code generated from the tableau for the
 length of the state and the kind of segment, with every stage in scalar
 locals.  It calls the field at each stage with the chain rule written out
@@ -49,8 +52,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _dop853 as _tab
 
 __all__ = [
@@ -65,6 +66,9 @@ __all__ = [
     "integrate_chain",
     "quad_path",
     "find_root",
+    "fit_line",
+    "linspace",
+    "geomspace",
     "L3labError",
     "StepUnderflow",
     "NonFinite",
@@ -206,7 +210,7 @@ class ComplexPath:
 
 @dataclass
 class OdeResult:
-    y_end: np.ndarray
+    y_end: list[complex]
     steps: int
     rejected: int
     max_err_est: float
@@ -232,19 +236,19 @@ _MIN_STEP = 1e-14  # as a fraction of the range of the segment parameter
 
 def _nonzero(coeffs):
     """(stage, coefficient) pairs of the nonzero entries of a tableau row."""
-    return tuple((j, float(c)) for j, c in enumerate(coeffs) if c != 0.0)
+    return tuple((j, c) for j, c in enumerate(coeffs) if c != 0.0)
 
 
 # (node, nonzero row of A) for stages 1..11; stage 0 is the field at the
 # start of the step
-_STAGES = tuple((float(_tab.C[i]), _nonzero(_tab.A[i, :i]))
+_STAGES = tuple((_tab.C[i], _nonzero(_tab.A[i][:i]))
                 for i in range(1, _tab.N_STAGES))
 _B = _nonzero(_tab.B)
 _E3 = _nonzero(_tab.E3)
 _E5 = _nonzero(_tab.E5)
 # (node, nonzero row of A) for the dense-output stages 13..15, and the rows
 # of D; both reach stage 12, the field at the end of the step
-_DENSE = tuple((float(c), _nonzero(row))
+_DENSE = tuple((c, _nonzero(row))
                for c, row in zip(_tab.C_EXTRA, _tab.A_EXTRA))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
@@ -263,10 +267,11 @@ def _attempt_source(n, line):
     end.  Every stage sum, the B update and each E5/E3 error sum is one
     expression over the nonzero tableau entries as ``repr`` literals, in row
     order from 0.0.  Each stage is checked for finiteness before the next
-    field call, and a field of the wrong length fails its unpacking with
-    ``ValueError``.  The error sums are divided by the scale
-    ``atol + rtol * max(|y_k|, |y_new_k|)`` and reduced to the mixed 5/3
-    error norm, real parts summed before imaginary parts.
+    field call, by one test of ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ...``, which
+    is not finite exactly when some component is not; a field of the wrong
+    length fails its unpacking with ``ValueError``.  The error sums are
+    divided by the scale ``atol + rtol * max(|y_k|, |y_new_k|)`` and reduced
+    to the mixed 5/3 error norm, real parts summed before imaginary parts.
     """
     comps = range(n)
 
@@ -283,8 +288,8 @@ def _attempt_source(n, line):
         return " + ".join(["0.0", *(f"{c!r} * k{j}_{k}" for j, c in terms)])
 
     def check(vs, what):
-        test = " and ".join(f"isfinite({v})" for v in vs)
-        return [f"    if not ({test}):",
+        test = " + ".join(f"0.0 * {v}" for v in vs)
+        return [f"    if not isfinite({test}):",
                 f"        raise NonFinite(f'{what} not finite near path point"
                 f" {{seg.point(s)}}')"]
 
@@ -468,7 +473,7 @@ class OdeStep:
 
 @contextlib.contextmanager
 def _scalar_errors():
-    # Python scalars raise where numpy arrays would give inf or nan
+    # Python scalars raise where IEEE arithmetic would give inf or nan
     try:
         yield
     except (OverflowError, ZeroDivisionError) as exc:
@@ -552,14 +557,14 @@ def ode_steps(field, seg: Segment, y0, rtol: float = 1e-10,
     Steps y' = seg'(s) * field(seg(s), y) from s = 0 to ``s_end``, which
     need not be 1: on ``Line(0, 1)`` or ``Line(0, -1)`` the parameter is
     time itself, so the step sequence does not depend on how far
-    ``s_end`` reaches.  Real (float) states step as floats, complex ones as
-    complex.  ``max_step`` is measured in the segment parameter.
+    ``s_end`` reaches.  ``y0`` is a sequence of Python floats, which step as
+    floats, or of complex numbers.  ``max_step`` is measured in the segment
+    parameter.
     """
     _check_tolerances(rtol, atol, max_step)
     if not (math.isfinite(s_end) and s_end > 0.0):
         raise ValueError("s_end must be finite and positive")
-    return _steps(field, seg, np.asarray(y0).tolist(), rtol, atol, max_step,
-                  s_end)
+    return _steps(field, seg, list(y0), rtol, atol, max_step, s_end)
 
 
 def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
@@ -572,7 +577,7 @@ def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
     measured in the segment parameter.
     """
     _check_tolerances(rtol, atol, max_step)
-    y = [complex(v) for v in np.asarray(y0, dtype=complex)]
+    y = [complex(v) for v in y0]
     steps = rejected = 0
     max_err_est = 0.0
     for seg in path.segments:
@@ -581,13 +586,13 @@ def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
             rejected += step.rejected
             max_err_est = max(max_err_est, step.err_est)
         y = step.y_new
-    return OdeResult(y_end=np.array(y), steps=steps, rejected=rejected,
+    return OdeResult(y_end=y, steps=steps, rejected=rejected,
                      max_err_est=max_err_est)
 
 
 def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
                     atol: float = 1e-12,
-                    max_step: float = math.inf) -> list[np.ndarray]:
+                    max_step: float = math.inf) -> list[list[complex]]:
     """States of y' = field(t, y) at a chain of checkpoints, one leg at a time.
 
     Starting from ``y0`` at ``start``, each leg to the next distinct point is
@@ -596,7 +601,7 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     """
     _check_tolerances(rtol, atol, max_step)
     out = []
-    y = np.asarray(y0, dtype=complex)
+    y = [complex(v) for v in y0]
     prev = complex(start)
     for t in points:
         t = complex(t)
@@ -706,7 +711,7 @@ def quad_path(f, path: ComplexPath, tol: float = 1e-12) -> QuadResult:
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# root finding, line fits and their sample grids
 # ---------------------------------------------------------------------------
 
 def find_root(g, bracket, tol: float = 1e-12) -> float:
@@ -739,3 +744,31 @@ def find_root(g, bracket, tol: float = 1e-12) -> float:
             x_new = 0.5 * (lo + hi)
         x = x_new
     return x
+
+
+def fit_line(x, y) -> tuple[float, float]:
+    """Least-squares line through the points (x_k, y_k): (slope, intercept)."""
+    x, y = list(x), list(y)
+    n = len(x)
+    if n < 2 or len(y) != n:
+        raise ValueError("a line fit needs two or more (x, y) pairs")
+    mx, my = sum(x) / n, sum(y) / n
+    sxx = sum((a - mx) * (a - mx) for a in x)
+    if not sxx > 0.0:
+        raise ValueError("a line fit needs two distinct x values")
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    return slope, my - slope * mx
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced points from a to b, both ends exact."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 points, got {n}")
+    step = (b - a) / (n - 1)
+    return [a + k * step for k in range(n - 1)] + [b]
+
+
+def geomspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 points from a > 0 to b > 0, evenly spaced in log10."""
+    exps = linspace(math.log10(a), math.log10(b), n)
+    return [a] + [10.0 ** e for e in exps[1:-1]] + [b]

@@ -5,7 +5,9 @@ the light primary P of mass mu at (mu - 1, 0).  The module provides the
 Hamiltonian in Cartesian, polar and Poincare variables, the Kepler/anomaly
 formulas connecting them, the singularly-scaled Hamiltonian used for the
 slow-fast splitting analysis, and the collinear equilibrium beyond S together
-with its saddle-center spectrum.
+with its saddle-center spectrum, in closed form from the biquadratic
+characteristic polynomial of the planar linearization.  Everything works on
+Python scalars and tuples.
 
 The Poincare-variable evaluators are written so they stay analytic for
 complex arguments (needed when the Hamiltonian is continued near the complex
@@ -17,8 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .numerics import L3labError, find_root
 
@@ -33,7 +33,6 @@ __all__ = [
     "h_cart",
     "hess_h_cart",
     "cart_vector_field",
-    "cart_jacobian",
     "polar_from_cart",
     "cart_from_polar",
     "h_polar",
@@ -73,8 +72,8 @@ class CartesianState:
     p1: float
     p2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.p1, self.p2], dtype=float)
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return self.q1, self.q2, self.p1, self.p2
 
     @classmethod
     def from_array(cls, z) -> "CartesianState":
@@ -102,16 +101,16 @@ class Equilibrium:
     d_mu: float
     polar: PolarState
     cartesian: CartesianState
-    eigenvalues: np.ndarray
+    eigenvalues: tuple[complex, ...]
     poincare: PoincareState = field(default=None)
 
     @property
     def hyperbolic_rate(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues.real)))
+        return max(abs(z.real) for z in self.eigenvalues)
 
     @property
     def elliptic_frequency(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues.imag)))
+        return max(abs(z.imag) for z in self.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -143,30 +142,25 @@ def h_cart(s: CartesianState, mu: float) -> float:
     return kinetic - coriolis - (1.0 - mu) / rS - mu / rP
 
 
-def hess_h_cart(s: CartesianState, mu: float) -> np.ndarray:
-    """Closed-form 4x4 Hessian of h_cart in the order (q1, q2, p1, p2)."""
+def hess_h_cart(s: CartesianState,
+                mu: float) -> tuple[tuple[float, ...], ...]:
+    """Closed-form 4x4 Hessian of h_cart in the order (q1, q2, p1, p2), as
+    a tuple of four rows."""
     (dSx, dSy), rS, (dPx, dPy), rP = _primary_offsets(s.q1, s.q2, mu)
-    H = np.zeros((4, 4))
+    h00 = h01 = h11 = 0.0
     for m, (dx, dy), r in (((1 - mu), (dSx, dSy), rS), (mu, (dPx, dPy), rP)):
         r3, r5 = r ** 3, r ** 5
-        H[0, 0] += m * (1.0 / r3 - 3.0 * dx * dx / r5)
-        H[0, 1] += m * (-3.0 * dx * dy / r5)
-        H[1, 1] += m * (1.0 / r3 - 3.0 * dy * dy / r5)
-    H[1, 0] = H[0, 1]
-    H[0, 3] = H[3, 0] = -1.0
-    H[1, 2] = H[2, 1] = 1.0
-    H[2, 2] = H[3, 3] = 1.0
-    return H
-
-
-_J_SYMPL = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+        h00 += m * (1.0 / r3 - 3.0 * dx * dx / r5)
+        h01 += m * (-3.0 * dx * dy / r5)
+        h11 += m * (1.0 / r3 - 3.0 * dy * dy / r5)
+    return ((h00, h01, 0.0, -1.0), (h01, h11, 1.0, 0.0),
+            (0.0, 1.0, 1.0, 0.0), (-1.0, 0.0, 0.0, 1.0))
 
 
 def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
     """The flow dz/dt at z = (q1, q2, p1, p2).
 
-    A tuple of Python floats, not an array: the ODE stepper runs on Python
-    scalars, and numpy scalars would slow every stage down.
+    A tuple of Python floats, the scalars the ODE stepper runs on.
     """
     q1, q2, p1, p2 = z
     # _primary_offsets inline, to save two calls per field evaluation
@@ -183,11 +177,6 @@ def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
     ax = -s * dSx / rS3 - mu * dPx / rP3
     ay = -s * q2 / rS3 - mu * q2 / rP3
     return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
-
-
-def cart_jacobian(s: CartesianState, mu: float) -> np.ndarray:
-    """Linearization of the Cartesian flow, J_sympl @ hess_h_cart."""
-    return _J_SYMPL @ hess_h_cart(s, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +409,25 @@ def _radial_balance(d, mu):
 def locate_L3(mu: float) -> Equilibrium:
     """Collinear equilibrium on the theta = 0 ray beyond the heavy primary.
 
-    The radius solves d = (1-mu)/(d-mu)^2 + mu/(d+1-mu)^2 on [1, 1+mu]; the
-    spectrum comes from the analytic 4x4 linearization.
+    The radius solves d = (1-mu)/(d-mu)^2 + mu/(d+1-mu)^2 on [1, 1+mu].  With
+    H01 = 0 on the axis, the spectrum solves l^4 + (H00 + H11 + 2) l^2
+    + (1 - H00)(1 - H11) = 0 (Szebehely, Theory of Orbits, 1967, ch. 5): a
+    large negative root in l^2 (the elliptic pair) and a small positive one
+    (the hyperbolic pair), taken as the constant term over the large root
+    so that it does not cancel.  Order: (-rate, rate, -i freq, i freq).
     """
     if not 0.0 < mu <= 0.05:
         raise ValueError("locate_L3 expects mu in (0, 0.05]")
     d = find_root(lambda x: _radial_balance(x, mu), (1.0, 1.0 + mu), tol=1e-15)
     polar = PolarState(d, 0.0, 0.0, d * d)
     cart = cart_from_polar(polar)
-    ev = np.linalg.eigvals(cart_jacobian(cart, mu))
+    H = hess_h_cart(cart, mu)
+    b = H[0][0] + H[1][1] + 2.0
+    c = (1.0 - H[0][0]) * (1.0 - H[1][1])
+    large = -0.5 * (b + math.sqrt(b * b - 4.0 * c))
+    rate, freq = math.sqrt(c / large), math.sqrt(-large)
+    ev = (complex(-rate, 0.0), complex(rate, 0.0),
+          complex(0.0, -freq), complex(0.0, freq))
     poi = poincare_from_polar(polar)
     return Equilibrium(d_mu=d, polar=polar, cartesian=cart,
                        eigenvalues=ev, poincare=poi)

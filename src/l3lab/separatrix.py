@@ -26,10 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import (Arc, ComplexPath, L3labError, Line, QuadResult,
-                       integrate_chain, quad_path)
+                       fit_line, geomspace, integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -412,30 +410,30 @@ def fit_branch(t_offsets=None) -> SingularityReport:
     The Lambda blow-up exponent (-1/3) comes from the same samples.
     """
     if t_offsets is None:
-        t_offsets = np.geomspace(1e-4, 1e-3, 9)
-    s = np.sort(np.asarray(t_offsets, dtype=float))
+        t_offsets = geomspace(1e-4, 1e-3, 9)
+    s = sorted(float(v) for v in t_offsets)
     if s[0] < 1e-4 - 1e-15 or s[-1] > 1e-2 + 1e-15:
         raise ValueError("offsets must lie in [1e-4, 1e-2]")
     A = compute_A()
     heights = [1j * (A - v) for v in s[::-1]]
     states = sigma_sweep(heights)[::-1]
-    lam = np.array([st.lam for st in states])
-    Lam = np.array([st.Lam for st in states])
 
-    logs = np.log(s)
-    y_lam = np.log(np.abs(lam - math.pi))
-    exp_lam, b_lam = np.polyfit(logs, y_lam, 1)
-    resid = float(np.max(np.abs(y_lam - (exp_lam * logs + b_lam))))
+    logs = [math.log(v) for v in s]
+    y_lam = [math.log(abs(st.lam - math.pi)) for st in states]
+    exp_lam, b_lam = fit_line(logs, y_lam)
+    resid = max(abs(y - (exp_lam * x + b_lam)) for x, y in zip(logs, y_lam))
     if resid > 1e-2:
         raise FitRejected(f"lambda regression residual {resid:.2e} > 1e-2")
-    coef_mod = math.exp(float(np.mean(y_lam - (2.0 / 3.0) * logs)))
+    coef_mod = math.exp(
+        sum(y - (2.0 / 3.0) * x for x, y in zip(logs, y_lam)) / len(s))
     # phase from the closest sample: lambda - pi = c * (-i s)^(2/3)
     w = (-1j * s[0]) ** (2.0 / 3.0)
-    coef = coef_mod * cmath.exp(1j * cmath.phase((lam[0] - math.pi) / w))
-    exp_mom = float(np.polyfit(logs, np.log(np.abs(Lam)), 1)[0])
+    phase = cmath.phase((states[0].lam - math.pi) / w)
+    coef = coef_mod * cmath.exp(1j * phase)
+    exp_mom = fit_line(logs, [math.log(abs(st.Lam)) for st in states])[0]
     return SingularityReport(
         t_star=1j * A, kind="branch23",
-        fitted_exponent=float(exp_lam), fitted_coefficient=coef,
+        fitted_exponent=exp_lam, fitted_coefficient=coef,
         momentum_exponent=exp_mom, residual=resid,
     )
 
@@ -454,9 +452,9 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("re_range must be a finite increasing pair")
     A = compute_A()
-    ims = np.arange(spacing, A - 5e-3, spacing)
+    ims = _grid(spacing, A - 5e-3, spacing)
     best = math.inf
-    for x in np.arange(lo, hi + spacing / 2, spacing):
+    for x in _grid(lo, hi + spacing / 2, spacing):
         base = complex(x, 0.0)
         (y_base,) = integrate_chain(_pend_field, 0.0, [base],
                                     (lambda0(), 0.0), rtol=1e-10, atol=1e-14)
@@ -469,5 +467,10 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
         for t, y in zip(points, ys):
             if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < 0.05:
                 continue
-            best = min(best, abs(complex(y[1])))
+            best = min(best, abs(y[1]))
     return best
+
+
+def _grid(start, stop, step):
+    """start, start + step, ... short of stop."""
+    return [start + k * step for k in range(math.ceil((stop - start) / step))]

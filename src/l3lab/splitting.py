@@ -20,11 +20,9 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import (L3labError, Line, NonFinite, StepUnderflow, find_root,
-                       ode_steps)
-from .rpc3bp import (CartesianState, cart_jacobian, cart_vector_field,
+                       fit_line, geomspace, linspace, ode_steps)
+from .rpc3bp import (CartesianState, cart_vector_field, hess_h_cart,
                      locate_L3, polar_from_cart, poincare_from_polar)
 from .separatrix import compute_A
 
@@ -57,7 +55,7 @@ class SectionPoint:
     G: float
     theta: float
     t_hit: float
-    state: np.ndarray
+    state: tuple[float, float, float, float]
     mu: float
     branch: str
 
@@ -111,21 +109,23 @@ _EVENT_TOL = 1e-14
 
 def _seed(mu, branch, seed_eps):
     eq = locate_L3(mu)
-    M = cart_jacobian(eq.cartesian, mu)
-    evals, vecs = np.linalg.eig(M)
     stable = branch.startswith("stable")
-    idx = int(np.argmin(evals.real)) if stable else int(np.argmax(evals.real))
-    v = np.real(vecs[:, idx])
-    v /= np.linalg.norm(v)
+    lam = -eq.hyperbolic_rate if stable else eq.hyperbolic_rate
+    # the eigenvector of the linearization M = J @ hess_h_cart for lam: the
+    # kernel of M - lam I, with H01 = 0 on the axis
+    y = (lam * lam - 1.0 + hess_h_cart(eq.cartesian, mu)[0][0]) / (2.0 * lam)
+    v = (1.0, y, lam - y, 1.0 + lam * y)
+    norm = math.hypot(*v)
     # orient so the trajectory leaves toward positive q2 along the direction
     # in which it is actually integrated (forward for unstable, backward for
-    # stable); the minus branches take the mirror orientation.
+    # stable); the minus branches take the mirror orientation.  q2' along v
+    # is lam * v[1].
     want = 1.0 if branch.endswith("plus") else -1.0
     tdir = -1.0 if stable else 1.0
-    induced_q2dot = (M @ v)[1]
-    if want * tdir * induced_q2dot < 0.0:
-        v = -v
-    return eq.cartesian.as_array() + seed_eps * v, tdir
+    if want * tdir * lam * y < 0.0:
+        norm = -norm
+    return [q + seed_eps * (x / norm)
+            for q, x in zip(eq.cartesian.as_tuple(), v)], tdir
 
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
@@ -196,7 +196,7 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
                     f"{abs(pol.theta - section):.2e}"
                 )
             hit = SectionPoint(r=pol.r, R=pol.R, G=pol.G, theta=pol.theta,
-                               t_hit=tdir * s_ev, state=np.array(y_ev),
+                               t_hit=tdir * s_ev, state=tuple(y_ev),
                                mu=mu, branch=branch)
             return hit, kept if keep_steps else None
     except (StepUnderflow, NonFinite) as exc:
@@ -226,20 +226,17 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
                         t_max: float = 1000.0, n_points: int = 2000):
     """Sampled manifold trajectory up to its section hit, for plotting.
 
-    Returns ``(ts, states)`` with states of shape (n, 4) in Cartesian
-    coordinates, ending at the first crossing of theta = pi/2 with r > 1.
-    The samples come from the dense output of the steps that found the hit,
-    so the trajectory is integrated once.
+    Returns ``(ts, states)``: ``n_points`` times from 0 to the first crossing
+    of theta = pi/2 with r > 1, and the Cartesian state [q1, q2, p1, p2] at
+    each.  The samples come from the dense output of the steps that found
+    the hit, so the trajectory is integrated once.
     """
     hit, steps = _trace(mu, branch, _SEED_EPS, t_max, _RTOL, math.pi / 2, 0.0,
                         keep_steps=True)
-    ts = np.linspace(0.0, hit.t_hit, n_points)
+    ts = linspace(0.0, hit.t_hit, n_points)
     ends = [step.s_new for step in steps]
-    states = []
-    for t in ts:
-        s = abs(float(t))
-        states.append(steps[bisect.bisect_left(ends, s)](s))
-    return ts, np.array(states)
+    states = [steps[bisect.bisect_left(ends, abs(t))](abs(t)) for t in ts]
+    return ts, states
 
 
 def fit_splitting_exponent(mu_grid=None) -> SplittingFit:
@@ -251,17 +248,16 @@ def fit_splitting_exponent(mu_grid=None) -> SplittingFit:
     section hit leaves the single-round regime.
     """
     if mu_grid is None:
-        mu_grid = np.geomspace(1e-3, 2e-3, 12)
-    mu_grid = np.sort(np.asarray(mu_grid, dtype=float))
+        mu_grid = geomspace(1e-3, 2e-3, 12)
+    mu_grid = sorted(float(m) for m in mu_grid)
     if len(mu_grid) < 4:
         raise ValueError("need at least 4 grid points")
     if mu_grid[0] < 1e-3 - 1e-12 or mu_grid[-1] > 1e-2 + 1e-12:
         raise ValueError("grid must lie inside [1e-3, 1e-2]")
     A = compute_A()
     samples = [section_gap(m, A=A) for m in mu_grid]
-    x = 1.0 / np.sqrt(mu_grid)
-    y = np.log([s.dist_measured * m ** (-1.0 / 3.0)
-                for s, m in zip(samples, mu_grid)])
-    slope, intercept = np.polyfit(x, y, 1)
-    return SplittingFit(slope=float(slope), intercept=float(intercept),
-                        samples=samples)
+    slope, intercept = fit_line(
+        [1.0 / math.sqrt(m) for m in mu_grid],
+        [math.log(s.dist_measured * m ** (-1.0 / 3.0))
+         for s, m in zip(samples, mu_grid)])
+    return SplittingFit(slope=slope, intercept=intercept, samples=samples)

@@ -194,6 +194,53 @@ def run_cli_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rho-step", "1e-10"], "rows"),
+    (["--rho-step", "1e-6"], "rows"),
+    (["--rho-step", "5e-324"], "rows"),
+    (["--rho-min", "5"], "[8, 30]"),
+    (["--rho-max", "31"], "[8, 30]"),
+], ids=["step_1e-10", "step_1e-6", "step_denormal", "min_below_8",
+        "max_above_30"])
+def test_stokes_refuses_grid_before_any_work(flags, message):
+    # --rho-step 1e-10 used to end in a numpy allocation traceback, and
+    # 1e-6 to start about 7 million shootings
+    code, out, err = run_cli_process(["stokes", *flags])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+def _run_python(code, *args):
+    """Run ``python -c code args`` with the package on the path."""
+    src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = _run_python("import sys, l3lab.cli\n"
+                       "print(sorted(k for k in sys.modules"
+                       " if k.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["a", "l3", "singularities"])
+def test_commands_run_with_numpy_blocked(command):
+    # an entry of None in sys.modules makes every import of numpy fail
+    proc = _run_python("import sys\n"
+                       "sys.modules['numpy'] = None\n"
+                       "from l3lab.cli import main\n"
+                       "sys.exit(main(sys.argv[1:]))", command)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and "Traceback" not in proc.stderr
+
+
 def test_numerical_failure_exits_1_with_message():
     code, _, err = run_cli_process(["stokes", "--rho-min", "13",
                                     "--rho-max", "13", "--re-start", "10"])

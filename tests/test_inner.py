@@ -306,7 +306,7 @@ def test_verify_inner_limit():
 
 
 def test_verify_inner_limit_z_monotonicity():
-    samples = inner._default_limit_samples()
+    samples = inner._LIMIT_SAMPLES
     halved = [(U, tuple(0.5 * z for z in Z)) for U, Z in samples]
     full = inner.verify_inner_limit(deltas=(0.1,), samples=samples)
     half = inner.verify_inner_limit(deltas=(0.1,), samples=halved)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from l3lab import _dop853, numerics, rpc3bp, separatrix
 from l3lab.numerics import (Arc, ComplexPath, L3labError, Line, NoBracket,
                             NoConvergence, NonFinite, StepUnderflow,
-                            find_root, integrate_chain, integrate_ode,
-                            ode_steps, quad_path)
+                            find_root, fit_line, geomspace, integrate_chain,
+                            integrate_ode, linspace, ode_steps, quad_path)
 
 
 def test_path_validation():
@@ -91,7 +91,8 @@ def test_ode_step_counts_pinned():
                                                -0.2 + 0.1j, 1.0]),
                          (0.5, 0.2j), rtol=1e-11, atol=1e-13)
     assert (pend.steps, pend.rejected) == (18, 0)
-    assert isinstance(pend.y_end, np.ndarray) and pend.y_end.dtype == complex
+    assert isinstance(pend.y_end, list)
+    assert all(type(v) is complex for v in pend.y_end)
 
 
 @pytest.mark.parametrize("field", [
@@ -115,6 +116,30 @@ def test_ode_nan_at_interior_stage_is_nonfinite():
     with pytest.raises(NonFinite):
         integrate_ode(field, ComplexPath.line(0.0, 1.0), (1.0,))
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("first_bad, bad, raised_at", [
+    (5, math.nan, 5), (5, math.inf, 5), (3, 1e308, 13)],
+    ids=["stage_nan", "stage_inf", "state_overflow"])
+def test_one_bad_component_of_four_is_nonfinite(kind, first_bad, bad,
+                                                 raised_at):
+    # component 2 alone goes bad: nan or inf at stage 3 (call 5), or 1e308
+    # from stage 1 (call 3) on, whose B sum overflows the new state before
+    # the field call at the end of the step (call 14); a complex state
+    # carries it in the imaginary part
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        out = [0.5 * v for v in y]
+        if len(calls) >= first_bad:
+            out[2] = bad if kind is float else complex(0.0, bad)
+        return out
+
+    with pytest.raises(NonFinite):
+        next(ode_steps(field, Line(0.0, 1.0), [kind(1.0)] * 4))
+    assert len(calls) == raised_at
 
 
 @pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan])
@@ -200,8 +225,7 @@ def test_dense_output_on_linear_field(a, y0):
     # of every step and follows exp(a t) in between; a real state steps as
     # Python floats, a complex one as Python complex numbers
     steps = list(ode_steps(lambda t, y: (a * y[0],), Line(0.0, 1.0),
-                           np.array([y0]), rtol=1e-12, atol=1e-14,
-                           s_end=3.0))
+                           [y0], rtol=1e-12, atol=1e-14, s_end=3.0))
     assert len(steps) > 3 and steps[-1].s_new == 3.0
     for step in steps:
         assert type(step.y_new[0]) is type(y0)
@@ -315,7 +339,7 @@ def _reference_attempt(field, seg, s, h, y, comp, f, rtol, atol):
 
     K = [[v] for v in f]  # K[k][i]: component k of stage i
     for i in range(1, _dop853.N_STAGES):
-        dy = combine(_dop853.A[i, :i], K)
+        dy = combine(_dop853.A[i][:i], K)
         k_i = fun(s + float(_dop853.C[i]) * h,
                   [yk + h * d for yk, d in zip(y, dy)])
         for Kk, v in zip(K, k_i):
@@ -472,7 +496,7 @@ def test_integrate_ode_steps_match_reference_stepper(path, field, y0):
         steps, rejected = steps + n, rejected + r
     res = integrate_ode(field, path, y0, **tols)
     assert steps > 10
-    assert _bits(res.y_end.tolist()) == _bits(y)
+    assert _bits(res.y_end) == _bits(y)
     assert (res.steps, res.rejected) == (steps, rejected)
 
 
@@ -480,11 +504,38 @@ def test_ode_steps_on_real_state_match_reference_stepper():
     # the manifold-tracing case: a real 4-vector near L3, stepped in
     # backward time units
     mu = 1e-3
-    y0 = [v + 1e-3 for v in rpc3bp.locate_L3(mu).cartesian.as_array().tolist()]
+    y0 = [v + 1e-3 for v in rpc3bp.locate_L3(mu).cartesian.as_tuple()]
     y_end, steps, _ = _same_steps(
         lambda t, y: rpc3bp.cart_vector_field(y, mu), Line(0.0, -1.0), y0,
         rtol=1e-12, atol=1e-12, s_end=20.0)
     assert steps > 10 and all(type(v) is float for v in y_end)
+
+
+def test_fit_line_matches_polyfit():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-3.0, 5.0, 12)
+    y = 2.5 * x - 1.25 + 1e-3 * rng.standard_normal(12)
+    slope, intercept = fit_line(x.tolist(), y.tolist())
+    ref = np.polyfit(x, y, 1)
+    assert abs(slope - ref[0]) <= 1e-13 * abs(ref[0])
+    assert abs(intercept - ref[1]) <= 1e-13 * abs(ref[1])
+    assert fit_line([1.0, 2.0, 3.0], [3.0, 5.0, 7.0]) == (2.0, 1.0)
+    for x, y in (([1.0], [2.0]), ([1.0, 2.0], [3.0]),
+                 ([1.0, 1.0], [2.0, 3.0])):
+        with pytest.raises(ValueError):
+            fit_line(x, y)
+
+
+def test_grids_match_numpy():
+    for a, b, n in ((-10.0, 10.0, 401), (0.0, -660.123, 2000)):
+        assert linspace(a, b, n) == np.linspace(a, b, n).tolist()
+    for a, b, n in ((1e-4, 1e-3, 9), (1e-3, 2e-3, 12), (30.0, 100.0, 7)):
+        got, ref = geomspace(a, b, n), np.geomspace(a, b, n)
+        assert got[0] == a and got[-1] == b and len(got) == n
+        # numpy's vectorised power may round the other way
+        assert all(abs(u - v) <= 2 * math.ulp(v) for u, v in zip(got, ref))
+    with pytest.raises(ValueError):
+        linspace(0.0, 1.0, 1)
 
 
 def test_quad_smooth():

@@ -185,7 +185,7 @@ def test_locate_L3_expansion_and_residuals():
     balance = (eq.d_mu - (1 - 0.003) / (eq.d_mu - 0.003) ** 2
                - 0.003 / (eq.d_mu + 1 - 0.003) ** 2)
     assert abs(balance) <= 1e-12
-    vf = r3.cart_vector_field(eq.cartesian.as_array(), 0.003)
+    vf = r3.cart_vector_field(eq.cartesian.as_tuple(), 0.003)
     assert np.linalg.norm(vf) <= 1e-10
 
 
@@ -201,6 +201,15 @@ def test_locate_L3_spectrum():
     assert all(abs(z.real) < 1e-8 for z in imag_pair)
 
 
+_J_SYMPL = np.block([[np.zeros((2, 2)), np.eye(2)],
+                     [-np.eye(2), np.zeros((2, 2))]])
+
+
+def _jacobian(s, mu):
+    """The linearization of the Cartesian flow, J @ hess_h_cart."""
+    return _J_SYMPL @ np.array(r3.hess_h_cart(s, mu))
+
+
 def test_hessian_matches_finite_differences():
     # the flow is J @ grad h, so its central differences give J @ hess h
     rng = np.random.default_rng(2)
@@ -208,7 +217,7 @@ def test_hessian_matches_finite_differences():
     for _ in range(5):
         z = np.array([rng.uniform(0.7, 1.3), rng.uniform(-0.7, 0.7),
                       rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.3)])
-        jac = r3.cart_jacobian(r3.CartesianState.from_array(z), mu)
+        jac = _jacobian(r3.CartesianState.from_array(z), mu)
         for i in range(4):
             h = 1e-6
             zp, zm = z.copy(), z.copy()
@@ -218,6 +227,17 @@ def test_hessian_matches_finite_differences():
                               r3.cart_vector_field(zm, mu)) / (2 * h)
             denom = np.maximum(np.abs(jac[:, i]), 1.0)
             assert np.max(np.abs(col - jac[:, i]) / denom) <= 1e-6
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-4, 3e-3, 0.05])
+def test_closed_form_spectrum_matches_eigvals(mu):
+    eq = r3.locate_L3(mu)
+    rate, freq = eq.hyperbolic_rate, eq.elliptic_frequency
+    assert eq.eigenvalues == (complex(-rate, 0.0), complex(rate, 0.0),
+                              complex(0.0, -freq), complex(0.0, freq))
+    ref = np.linalg.eigvals(_jacobian(eq.cartesian, mu))
+    for z in eq.eigenvalues:
+        assert np.min(np.abs(ref - z)) <= 1e-12
 
 
 def _field_by_helper(z, mu):

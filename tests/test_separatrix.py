@@ -168,9 +168,11 @@ def test_zero_scan_matches_sweeps_from_origin():
     # punctures at 0 and +-iA
     re_range, spacing, puncture, rtol = (-0.3, 0.3), 0.02, 0.05, 1e-10
     A = sep.compute_A()
-    ims = np.arange(spacing, A - 5e-3, spacing)
+    lo, hi = re_range[0], re_range[1] + spacing / 2
+    ims = [spacing + k * spacing
+           for k in range(math.ceil((A - 5e-3 - spacing) / spacing))]
     best = math.inf
-    for x in np.arange(re_range[0], re_range[1] + spacing / 2, spacing):
+    for x in (lo + k * spacing for k in range(math.ceil((hi - lo) / spacing))):
         base = complex(x, 0.0)
         for sign in (0.0, 1.0, -1.0):
             chain = [base] + [complex(x, sign * v) for v in ims if sign]

@@ -67,6 +67,27 @@ def test_reversibility_through_symmetric_section():
     assert abs(pu.G - ps.G) <= 1e-8
 
 
+@pytest.mark.parametrize("branch", ["unstable_plus", "stable_plus",
+                                    "unstable_minus", "stable_minus"])
+def test_seed_on_hyperbolic_eigenvector(branch):
+    mu, eps = 1e-3, 1e-7
+    eq = rpc3bp.locate_L3(mu)
+    z0, tdir = splitting._seed(mu, branch, eps)
+    v = (np.array(z0) - np.array(eq.cartesian.as_tuple())) / eps
+    J = np.block([[np.zeros((2, 2)), np.eye(2)],
+                  [-np.eye(2), np.zeros((2, 2))]])
+    M = J @ np.array(rpc3bp.hess_h_cart(eq.cartesian, mu))
+    stable = branch.startswith("stable")
+    lam = -eq.hyperbolic_rate if stable else eq.hyperbolic_rate
+    assert tdir == (-1.0 if stable else 1.0)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-8
+    assert np.max(np.abs(M @ v - lam * v)) <= 1e-8
+    # the trajectory leaves toward +q2 on the plus branches, in the
+    # direction of integration
+    want = 1.0 if branch.endswith("plus") else -1.0
+    assert want * tdir * (M @ v)[1] > 0.0
+
+
 def _reference_section_point(mu, branch, t_max=1000.0):
     """The first r > 1 hit, from a scipy solve_ivp event run at rtol 1e-13."""
     z0, tdir = splitting._seed(mu, branch, 1e-7)
@@ -101,7 +122,7 @@ def test_hit_independent_of_time_budget():
     a = splitting.manifold_section_point(mu, "unstable_plus", t_max=1000.0)
     b = splitting.manifold_section_point(mu, "unstable_plus", t_max=1e6)
     assert a.t_hit == b.t_hit
-    assert np.array_equal(a.state, b.state)
+    assert a.state == b.state
 
 
 def test_default_budget_covers_lowest_mu():
@@ -151,8 +172,10 @@ def test_fit_grid_validation():
 
 def test_manifold_trajectory_shape():
     ts, states = splitting.manifold_trajectory(0.003, n_points=200)
-    assert states.shape == (200, 4)
-    r_end = math.hypot(states[-1, 0], states[-1, 1])
+    assert len(ts) == len(states) == 200
+    assert all(len(y) == 4 and all(type(v) is float for v in y)
+               for y in states)
+    r_end = math.hypot(states[-1][0], states[-1][1])
     assert r_end > 1.0
 
 
@@ -174,4 +197,4 @@ def test_manifold_trajectory_traces_once(monkeypatch):
         # twelve field calls; a second integration would double the count
         assert calls[0] <= 1.3 * hit_calls
         assert ts[-1] == hit.t_hit
-        assert np.max(np.abs(states[-1] - hit.state)) <= 1e-10
+        assert max(abs(a - b) for a, b in zip(states[-1], hit.state)) <= 1e-10
