@@ -139,7 +139,7 @@ def _cmd_singularities(args) -> int:
     t_dn = separatrix.t_star("zero_lower")
     t2_up = separatrix.t_star("infinity_upper")
     t2_dn = separatrix.t_star("infinity_lower")
-    ref2 = -0.086697 - 0.969516j
+    ref2 = acceptance._REF_T2
     lines = [
         f"t*_1,+ = {_fmt(t_up.real)} {_fmt(t_up.imag)}i"
         f"  [reference -iA, A = {_fmt(A)}]",
@@ -153,12 +153,20 @@ def _cmd_singularities(args) -> int:
     return 0
 
 
+# the most samples --n may ask for, 50 times the largest default
+_MAX_SAMPLES = 100_000
+
+
 def _check_samples(args):
-    """Refuse a sample grid other than n >= 2 points up to a finite t_max > 0."""
+    """Refuse a sample grid other than n >= 2 points up to a finite t_max > 0,
+    or of more than ``_MAX_SAMPLES`` points, before any list is built."""
     # written so that a NaN fails it
     if not (0.0 < args.t_max < math.inf and args.n >= 2):
         raise ValueError(f"need a finite --t-max > 0 and --n >= 2, got "
                          f"--t-max {args.t_max} and --n {args.n}")
+    if args.n > _MAX_SAMPLES:
+        raise ValueError(f"--n {args.n} asks for more than {_MAX_SAMPLES} "
+                         f"samples")
 
 
 def _cmd_separatrix(args) -> int:

@@ -4,17 +4,16 @@ The tools used everywhere else in the package:
 
 * :func:`ode_steps` -- the package's one ODE stepper, an embedded
   Dormand--Prince 8(5,3) pair (Hairer's DOP853) with compensated (Kahan)
-  accumulation of the solution, as a generator of accepted steps; each
-  step carries the method's seventh-order dense output.
-* :func:`integrate_ode` -- adaptive integration of a complex ODE along a
-  piecewise path in the complex plane of the independent variable, one
-  :func:`ode_steps` run per segment.
+  accumulation of the solution, as a generator of accepted steps along one
+  :class:`Line`; each step carries the method's seventh-order dense output.
+* :func:`integrate_ode` -- adaptive integration of a complex ODE along one
+  straight leg a -> b in the complex plane of the independent variable.
 * :func:`integrate_chain` -- the states of such an ODE at a chain of
-  checkpoints, one straight-line :func:`integrate_ode` leg per step of the
-  chain (separatrix sweeps, inner shooting and the zero scan).
-* :func:`quad_path` -- contour quadrature over the same path objects using
-  per-segment tanh-sinh (double exponential) rules, so integrable endpoint
-  singularities |x|^alpha with alpha > -1 need no special casing.
+  checkpoints, one :func:`integrate_ode` leg per step of the chain
+  (separatrix sweeps, inner shooting and the zero scan).
+* :func:`quad_path` -- tanh-sinh (double exponential) quadrature along one
+  :class:`Line` or :class:`Arc`, so integrable endpoint singularities
+  |x|^alpha with alpha > -1 need no special casing.
 * :func:`find_root` -- safeguarded Newton iteration on a bracket.
 * :func:`fit_line` -- the least-squares line through sample points, and
   :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
@@ -32,9 +31,9 @@ states and finds the section crossings on the dense output.  States are
 lists of Python scalars, as everywhere in the package, which needs no array
 library: the fields here have 2 to 4 components.
 Each step attempt is straight-line code generated from the tableau for the
-length of the state and the kind of segment, with every stage in scalar
-locals.  It calls the field at each stage with the chain rule written out
-(inline arithmetic on a :class:`Line`), and ends with the step's error norm
+length of the state, with every stage in scalar locals.  It calls the field
+at each stage with the chain rule written out (inline arithmetic on a
+:class:`Line`), and ends with the step's error norm
 and error scale, so the step loop around it only runs the step-size
 controller.  On a 2-component linear field stepped along ``Line(0, 1)`` an
 accepted step takes about 22 us on complex states and 10 us on real ones,
@@ -162,12 +161,18 @@ Segment = Line | Arc
 _JOIN_TOL = 1e-12
 
 
+def _check_segment(seg: Segment):
+    length = seg.length()
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError("segment length must be finite and positive")
+
+
 @dataclass(frozen=True)
 class ComplexPath:
     """Ordered chain of :class:`Line`/:class:`Arc` segments.
 
-    Consecutive segments must share endpoints to within 1e-12 and the total
-    length must be finite and positive.
+    Each segment's length must be finite and positive, and consecutive
+    segments must share endpoints to within 1e-12.
     """
 
     segments: tuple[Segment, ...]
@@ -175,37 +180,12 @@ class ComplexPath:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("path needs at least one segment")
-        total = 0.0
-        prev_end = None
         for seg in self.segments:
-            if prev_end is not None and abs(seg.start - prev_end) > _JOIN_TOL:
+            _check_segment(seg)
+        for prev, seg in zip(self.segments, self.segments[1:]):
+            if abs(seg.start - prev.end) > _JOIN_TOL:
                 raise ValueError(
-                    f"segments disconnected: {prev_end} -> {seg.start}"
-                )
-            prev_end = seg.end
-            total += seg.length()
-        if not math.isfinite(total) or total <= 0.0:
-            raise ValueError("path length must be finite and positive")
-
-    @classmethod
-    def line(cls, a: complex, b: complex) -> "ComplexPath":
-        return cls((Line(a, b),))
-
-    @classmethod
-    def polyline(cls, points) -> "ComplexPath":
-        pts = [complex(p) for p in points]
-        return cls(tuple(Line(a, b) for a, b in zip(pts[:-1], pts[1:])))
-
-    @property
-    def start(self) -> complex:
-        return self.segments[0].start
-
-    @property
-    def end(self) -> complex:
-        return self.segments[-1].end
-
-    def length(self) -> float:
-        return sum(seg.length() for seg in self.segments)
+                    f"segments disconnected: {prev.end} -> {seg.start}")
 
 
 @dataclass
@@ -253,18 +233,16 @@ _DENSE = tuple((c, _nonzero(row))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
 
-def _attempt_source(n, line):
+def _attempt_source(n):
     """Source of one straight-line DOP853 step attempt on states of length n.
 
-    The attempt steps y' = seg'(s) * field(seg(s), y).  Each stage calls
-    ``field`` itself and applies the chain rule inline: on a :class:`Line`
-    (``line`` true) the node is ``a + (s + c*h) * d`` and each component is
-    multiplied by ``d``, with ``a = seg.a`` and ``d = seg.b - seg.a``, the
-    operations of :meth:`Line.point` and :meth:`Line.derivative`; on any
-    other segment the stage calls ``seg.point`` and ``seg.derivative`` at the
-    node.  Component k of stage i is the local ``k<i>_<k>``; stage 0 is
-    ``f``, the field at the start of the step, and stage 12 the field at its
-    end.  Every stage sum, the B update and each E5/E3 error sum is one
+    The attempt steps y' = d * field(a + s*d, y) along the line ``a + s*d``.
+    Each stage calls ``field`` itself and applies the chain rule inline: the
+    node is ``a + (s + c*h) * d`` and each component is multiplied by ``d``,
+    the operations of :meth:`Line.point` and :meth:`Line.derivative` with
+    ``d = b - a``.  Component k of stage i is the local ``k<i>_<k>``; stage 0
+    is ``f``, the field at the start of the step, and stage 12 the field at
+    its end.  Every stage sum, the B update and each E5/E3 error sum is one
     expression over the nonzero tableau entries as ``repr`` literals, in row
     order from 0.0.  Each stage is checked for finiteness before the next
     field call, by one test of ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ...``, which
@@ -291,16 +269,12 @@ def _attempt_source(n, line):
         test = " + ".join(f"0.0 * {v}" for v in vs)
         return [f"    if not isfinite({test}):",
                 f"        raise NonFinite(f'{what} not finite near path point"
-                f" {{seg.point(s)}}')"]
+                f" {{a + s * d}}')"]
 
     def call(node, vs, args):
-        # the field at segment parameter `node`, times the segment's derivative
-        if line:
-            head = [f"    {target(vs)} = field(a + ({node}) * d, [{args}])"]
-        else:
-            head = [f"    d = derivative({node})",
-                    f"    {target(vs)} = field(point({node}), [{args}])"]
-        return head + [f"    {v} = d * {v}" for v in vs] + check(vs, "field")
+        # the field at line parameter `node`, times the line's derivative
+        return ([f"    {target(vs)} = field(a + ({node}) * d, [{args}])"]
+                + [f"    {v} = d * {v}" for v in vs] + check(vs, "field"))
 
     def sq_norm(v):
         # sum_k |v_k|^2 as the real parts' sum plus the imaginary parts' sum
@@ -308,10 +282,7 @@ def _attempt_source(n, line):
             f"({' + '.join(['0.0', *(f'{x}.{p} * {x}.{p}' for x in v)])})"
             for p in ("real", "imag"))
 
-    lines = ["def attempt(field, seg, s, h, y, comp, f, rtol, atol):",
-             "    a = seg.a" if line else "    point = seg.point",
-             "    d = seg.b - seg.a" if line
-             else "    derivative = seg.derivative",
+    lines = ["def attempt(field, a, d, s, h, y, comp, f, rtol, atol):",
              f"    {target(names('y'))} = y",
              f"    {target(names('comp'))} = comp",
              f"    {target(stage(0))} = f"]
@@ -347,21 +318,20 @@ def _attempt_source(n, line):
 
 
 @functools.cache
-def _attempt(n, line):
+def _attempt(n):
     """The compiled step attempt for states of length n, made at first use.
 
-    ``line`` selects the form for a :class:`Line` segment.
-    ``attempt(field, seg, s, h, y, comp, f, rtol, atol)`` steps from s by h
-    and returns ``(y_new, comp_new, f_new, err_norm, max_scale, K)``: the
-    state, its Kahan carry and the chain-ruled field at the end of the step,
+    ``attempt(field, a, d, s, h, y, comp, f, rtol, atol)`` steps the line
+    ``a + s*d`` from s by h and returns
+    ``(y_new, comp_new, f_new, err_norm, max_scale, K)``: the state, its
+    Kahan carry and the chain-ruled field at the end of the step,
     the mixed 5/3 error norm (accept below 1), the largest component of the
     error scale, and ``K[k][i]``, component k of stage i for i = 0..12.
     """
     scope = {"isfinite": cmath.isfinite, "sqrt": math.sqrt,
              "NonFinite": NonFinite}
-    form = "line" if line else "segment"
-    exec(compile(_attempt_source(n, line),
-                 f"<DOP853 attempt, n={n}, {form}>", "exec"), scope)
+    exec(compile(_attempt_source(n), f"<DOP853 attempt, n={n}>", "exec"),
+         scope)
     return scope["attempt"]
 
 
@@ -487,24 +457,22 @@ def _check_tolerances(rtol, atol, max_step):
         raise ValueError("max_step must be positive")
 
 
-def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
-    """Accepted steps of y' = seg'(s) * field(seg(s), y) over s in [0, s_end].
+def _steps(field, a, d, y, rtol, atol, max_step, s_end):
+    """Accepted steps of y' = d * field(a + s*d, y) over s in [0, s_end].
 
     The state ``y``, the stage values and the Kahan carry are lists of
     Python scalars; each attempt is the straight-line code that
-    :func:`_attempt` generates for the length of ``y`` and the kind of
-    segment, and calls ``field`` itself.
+    :func:`_attempt` generates for the length of ``y``, and calls ``field``
+    itself.
     """
     n = len(y)
     if n == 0:
         raise ValueError("the state needs at least one component")
-    attempt = _attempt(n, isinstance(seg, Line))
-    point, derivative = seg.point, seg.derivative
+    attempt = _attempt(n)
 
     def fun(s, yy):
         # the chain-ruled field for the starting step and the dense output
-        d = derivative(s)
-        return [d * v for v in field(point(s), yy)]
+        return [d * v for v in field(a + s * d, yy)]
 
     with _scalar_errors():
         # Kahan carry for the y accumulator, zero of the state's scalar type
@@ -525,14 +493,14 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
             if h < min_step:
                 raise StepUnderflow(
                     f"step {h:.3e} under {min_step:.0e} at s={s:.6f} "
-                    f"(path point {seg.point(s)})"
+                    f"(path point {a + s * d})"
                 )
             h = min(h, max_step)
             final = h >= remaining
             if final:
                 h = remaining
             y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
-                field, seg, s, h, y, comp, f, rtol, atol)
+                field, a, d, s, h, y, comp, f, rtol, atol)
             if err_norm < 1.0:
                 s_old, s = s, (s_end if final else s + h)
                 step = OdeStep(fun, s_old, s, h, y, y_new, K, rejected,
@@ -549,44 +517,47 @@ def _steps(field, seg: Segment, y, rtol, atol, max_step, s_end):
                 h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXP)
 
 
-def ode_steps(field, seg: Segment, y0, rtol: float = 1e-10,
+def ode_steps(field, seg: Line, y0, rtol: float = 1e-10,
               atol: float = 1e-12, max_step: float = math.inf,
               s_end: float = 1.0):
-    """Generator of the accepted :class:`OdeStep` of one segment.
+    """Generator of the accepted :class:`OdeStep` along one :class:`Line`.
 
-    Steps y' = seg'(s) * field(seg(s), y) from s = 0 to ``s_end``, which
-    need not be 1: on ``Line(0, 1)`` or ``Line(0, -1)`` the parameter is
-    time itself, so the step sequence does not depend on how far
+    Steps y' = (b - a) * field(a + s*(b - a), y) from s = 0 to ``s_end``,
+    which need not be 1: on ``Line(0, 1)`` or ``Line(0, -1)`` the parameter
+    is time itself, so the step sequence does not depend on how far
     ``s_end`` reaches.  ``y0`` is a sequence of Python floats, which step as
-    floats, or of complex numbers.  ``max_step`` is measured in the segment
-    parameter.
+    floats, or of complex numbers.  ``max_step`` is measured in the line
+    parameter.  A segment that is not a :class:`Line`, or whose length is
+    zero or not finite, raises :class:`ValueError`.
     """
+    if not isinstance(seg, Line):
+        raise ValueError(f"ode_steps steps along a Line, not {seg!r}")
+    _check_segment(seg)
     _check_tolerances(rtol, atol, max_step)
     if not (math.isfinite(s_end) and s_end > 0.0):
         raise ValueError("s_end must be finite and positive")
-    return _steps(field, seg, list(y0), rtol, atol, max_step, s_end)
+    return _steps(field, seg.a, seg.b - seg.a, list(y0), rtol, atol,
+                  max_step, s_end)
 
 
-def integrate_ode(field, path: ComplexPath, y0, rtol: float = 1e-10,
+def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
                   atol: float = 1e-12, max_step: float = math.inf) -> OdeResult:
-    """Analytic continuation of y' = field(t, y) along ``path``.
+    """Analytic continuation of y' = field(t, y) along the straight leg a -> b.
 
-    ``field(t, y)`` takes the complex path point and the complex state vector
-    and returns dy/dt; each segment is traversed in its parameter s in [0,1]
-    via the chain rule dy/ds = seg'(s) * field(seg(s), y).  ``max_step`` is
-    measured in the segment parameter.
+    ``field(t, y)`` takes the complex point t and the complex state vector
+    and returns dy/dt; the leg is traversed in its parameter s in [0, 1] via
+    the chain rule dy/ds = (b - a) * field(a + s*(b - a), y).  ``max_step``
+    is measured in s.  ``a == b`` or an end that is not finite raises
+    :class:`ValueError`.
     """
-    _check_tolerances(rtol, atol, max_step)
-    y = [complex(v) for v in y0]
     steps = rejected = 0
     max_err_est = 0.0
-    for seg in path.segments:
-        for step in _steps(field, seg, y, rtol, atol, max_step, 1.0):
-            steps += 1
-            rejected += step.rejected
-            max_err_est = max(max_err_est, step.err_est)
-        y = step.y_new
-    return OdeResult(y_end=y, steps=steps, rejected=rejected,
+    for step in ode_steps(field, Line(complex(a), complex(b)),
+                          [complex(v) for v in y0], rtol, atol, max_step):
+        steps += 1
+        rejected += step.rejected
+        max_err_est = max(max_err_est, step.err_est)
+    return OdeResult(y_end=step.y_new, steps=steps, rejected=rejected,
                      max_err_est=max_err_est)
 
 
@@ -596,8 +567,8 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     """States of y' = field(t, y) at a chain of checkpoints, one leg at a time.
 
     Starting from ``y0`` at ``start``, each leg to the next distinct point is
-    one straight-line :func:`integrate_ode` call; a point equal to its
-    predecessor reuses that state.  Returns one state per point.
+    one :func:`integrate_ode` call; a point equal to its predecessor reuses
+    that state.  Returns one state per point.
     """
     _check_tolerances(rtol, atol, max_step)
     out = []
@@ -606,8 +577,8 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     for t in points:
         t = complex(t)
         if t != prev:
-            y = integrate_ode(field, ComplexPath.line(prev, t), y, rtol=rtol,
-                              atol=atol, max_step=max_step).y_end
+            y = integrate_ode(field, prev, t, y, rtol=rtol, atol=atol,
+                              max_step=max_step).y_end
         out.append(y)
         prev = t
     return out
@@ -641,15 +612,21 @@ def _ts_nodes(h, only_odd):
         j += step
 
 
-def _quad_segment(f, seg: Segment, tol):
-    """tanh-sinh on one segment; returns (value, err, evals).
+def quad_path(f, seg: Segment, tol: float = 1e-12) -> QuadResult:
+    """Contour integral of ``f`` along one :class:`Line` or :class:`Arc`.
 
-    Nodes are laid out symmetrically as offsets from both segment endpoints,
-    computed in a cancellation-free form.  A node whose complex coordinate
-    rounds onto an endpoint (possible when the endpoint is far from the
-    origin) is skipped; the associated truncation is double-exponentially
-    small for any integrable singularity.
+    ``f`` must be continuous on the segment except possibly at its endpoints,
+    where an integrable |x|^alpha, alpha > -1 singularity is allowed.  The
+    tanh-sinh nodes are laid out symmetrically as offsets from both segment
+    endpoints, computed in a cancellation-free form.  A node whose complex
+    coordinate rounds onto an endpoint (possible when the endpoint is far
+    from the origin) is skipped; the associated truncation is
+    double-exponentially small for any integrable singularity.  A segment
+    whose length is zero or not finite raises :class:`ValueError`.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+    _check_segment(seg)
     evals = 0
 
     def sample(off):
@@ -688,26 +665,7 @@ def _quad_segment(f, seg: Segment, tol):
         raise NoConvergence(
             f"tanh-sinh stalled at err {err:.3e} (> 10 x tol {tol:.1e})"
         )
-    return est, err, evals
-
-
-def quad_path(f, path: ComplexPath, tol: float = 1e-12) -> QuadResult:
-    """Contour integral of ``f`` along ``path`` by per-segment tanh-sinh.
-
-    ``f`` must be continuous on the path except possibly at segment endpoints
-    where an integrable |x|^alpha, alpha > -1 singularity is allowed.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    for seg in path.segments:
-        v, e, n = _quad_segment(f, seg, tol)
-        total += v
-        err += e
-        evals += n
-    return QuadResult(value=total, err=err, evals=evals)
+    return QuadResult(value=est, err=err, evals=evals)
 
 
 # ---------------------------------------------------------------------------

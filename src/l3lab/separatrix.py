@@ -219,26 +219,20 @@ class _SegmentTracker:
         return f
 
 
-def _track_path(path: ComplexPath, start_args=(0.0, 0.0, 0.0, 0.0)):
-    trackers = []
-    args = start_args
-    for seg in path.segments:
-        tr = _SegmentTracker(seg, args)
-        trackers.append(tr)
-        args = tr.end_args
-    return trackers
-
-
-def _integrate_fhat(path: ComplexPath, tol: float,
-                    start_args=(0.0, 0.0, 0.0, 0.0)) -> QuadResult:
+def _integrate_fhat(path: ComplexPath, tol: float) -> QuadResult:
+    # one quadrature per segment, each tracker starting from the factor
+    # arguments at the end of the previous segment
     total = 0.0 + 0.0j
     err = 0.0
     evals = 0
-    for tr in _track_path(path, start_args):
-        res = quad_path(tr.integrand(), ComplexPath((tr.seg,)), tol=tol)
+    args = (0.0, 0.0, 0.0, 0.0)
+    for seg in path.segments:
+        tr = _SegmentTracker(seg, args)
+        res = quad_path(tr.integrand(), seg, tol=tol)
         total += res.value
         err += res.err
         evals += res.evals
+        args = tr.end_args
     return QuadResult(value=total, err=err, evals=evals)
 
 
@@ -251,8 +245,7 @@ def _quad_shifted(g, tol: float) -> QuadResult:
     # endpoint x = a+ sits at coordinate zero and keeps full double precision
     if not tol >= 1e-13:
         raise ValueError("tol must be >= 1e-13")
-    res = quad_path(lambda z: g(z.real), ComplexPath.line(0.0, A_PLUS),
-                    tol=tol)
+    res = quad_path(lambda z: g(z.real), Line(0.0, A_PLUS), tol=tol)
     return QuadResult(value=res.value.real, err=res.err, evals=res.evals)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -183,14 +184,15 @@ def test_out_of_range_tolerance_exits_2():
     assert code == 2
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, preexec_fn=None):
     """Run ``l3lab`` in a fresh interpreter, so a traceback would reach stderr."""
     src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "l3lab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=300,
+                          preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -360,3 +362,23 @@ def test_bad_sample_grid_exits_2(argv):
     assert out == ""
     assert "error: need a finite --t-max > 0 and --n >= 2" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def _limit_address_space():
+    # 1.5 GB: a grid that got past the check fails at once with a
+    # MemoryError instead of filling the machine's memory
+    limit = 1536 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["separatrix", "manifolds"])
+@pytest.mark.parametrize("n", ["100001", "1000000000"])
+def test_oversized_sample_grid_exits_2(command, n):
+    # --n 1000000000 used to build the whole grid and end in a MemoryError
+    # traceback with exit 1
+    code, out, err = run_cli_process([command, "--n", n],
+                                     preexec_fn=_limit_address_space)
+    assert code == 2
+    assert out == ""
+    assert f"error: --n {n} asks for more than 100000 samples" in err
+    assert "Traceback" not in err

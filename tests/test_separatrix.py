@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3lab import separatrix as sep
-from l3lab.numerics import find_root
+from l3lab.numerics import Arc, Line, find_root
 
 A_REF = 0.177744  # published rounding of the strip half-width
 
@@ -85,6 +85,28 @@ def test_t_star_upper_and_lower_are_conjugate(detour):
     upper = sep.t_star("zero_upper", detour=detour)
     lower = sep.t_star("zero_lower", detour=detour)
     assert abs(upper - lower.conjugate()) <= 1e-12
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda: sep.t_star("zero_upper"), 3),
+    (lambda: sep.t_star("infinity_lower"), 3),
+    (sep.residue_pole_numeric, 1),
+    (sep.compute_A, 1),
+], ids=["t_star_zero", "t_star_infinity", "residue", "A"])
+def test_quadrature_is_one_call_per_segment(monkeypatch, run, calls):
+    # the per-layer benchmark counts quad_path calls under the name this
+    # module looks it up by, one per Line or Arc of the path
+    segs = []
+    plain = sep.quad_path
+
+    def counting(f, seg, tol):
+        segs.append(seg)
+        return plain(f, seg, tol=tol)
+
+    monkeypatch.setattr(sep, "quad_path", counting)
+    run()
+    assert len(segs) == calls
+    assert all(isinstance(seg, (Line, Arc)) for seg in segs)
 
 
 def test_branched_point_sign_flip():
