@@ -11,9 +11,8 @@ splitting.
 from l3lab import inner
 
 print("rho   |Delta Y|      theta_rho   digits lost")
-for rho in range(13, 21):
-    rec = inner.theta(float(rho))
-    print(f"{rho:3d}   {abs(rec.delta_y):.3e}   {rec.theta:.5f}     "
+for rec in inner.theta_table(range(13, 21)):
+    print(f"{rec.rho:3.0f}   {abs(rec.delta_y):.3e}   {rec.theta:.5f}     "
           f"{rec.digits_lost:.2f}")
 
 print("\nplateau flatness over a denser grid:")

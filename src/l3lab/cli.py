@@ -100,7 +100,8 @@ def _cmd_a(args) -> int:
     return 0
 
 
-# the most rows one stokes table may ask for; each row is two shootings
+# the most rows one stokes table may ask for; each row is two vertical
+# legs, and every 7 in rho two horizontal anchor shootings
 _MAX_STOKES_ROWS = 1000
 
 
@@ -120,14 +121,14 @@ def _cmd_stokes(args) -> int:
     rhos = [min(lo + k * step, hi) for k in range(math.ceil(count))]
     rows = []
     failed = False
-    for rho in rhos:
-        try:
-            rec = inner.theta(rho, re_start=args.re_start, rtol=args.tol)
-            rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho),
-                         rec.theta, rec.digits_lost])
-        except inner.PrecisionLoss:
+    for rho, rec in zip(rhos, inner.theta_table(rhos, re_start=args.re_start,
+                                                rtol=args.tol)):
+        if isinstance(rec, inner.PrecisionLoss):
             failed = True
             rows.append([rho, math.nan, math.exp(rho), math.nan, math.inf])
+        else:
+            rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho),
+                         rec.theta, rec.digits_lost])
     text = _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"], rows)
     _write(text, args.out)
     return 1 if failed else 0

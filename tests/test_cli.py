@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import l3lab
-from l3lab import cli, inner, numerics, rpc3bp, separatrix, splitting
+from l3lab import (acceptance, cli, inner, numerics, rpc3bp, separatrix,
+                   splitting)
 
 
 def run_cli(argv):
@@ -105,6 +106,32 @@ def test_stokes_flags_precision_starved_rows():
     assert code == 1
     row = out.strip().splitlines()[1].split(",")
     assert row[3] == "nan"
+
+
+def test_stokes_defaults_match_check_10():
+    code, out, _ = run_cli(["stokes"])
+    assert code == 0
+    csv = {float(row.split(",")[0]): row.split(",")[3]
+           for row in out.strip().splitlines()[1:]}
+    lines = acceptance.check_10_stokes_table().lines[:-1]
+    printed = {float(line.split(":")[0].split("=")[1]):
+               line.split("theta = ")[1].split()[0] for line in lines}
+    assert csv == printed
+
+
+def test_stokes_refuses_the_rows_theta_refuses():
+    code, out, _ = run_cli(["stokes", "--rho-min", "8", "--rho-max", "30"])
+    assert code == 1
+    refused = [float(row.split(",")[0])
+               for row in out.strip().splitlines()[1:]
+               if row.split(",")[3] == "nan"]
+    per_row = []
+    for rho in map(float, range(8, 31)):
+        try:
+            inner.theta(rho)
+        except inner.PrecisionLoss:
+            per_row.append(rho)
+    assert refused == per_row == [float(r) for r in range(23, 31)]
 
 
 def test_manifolds_csv(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from l3lab import inner
+from l3lab import inner, numerics
 
 
 def test_J_at_origin_of_Z():
@@ -266,6 +266,76 @@ def test_theta_refuses_precision_loss():
 def test_theta_plateau_off_integer_grid():
     vals = [inner.theta(r).theta for r in (14.0, 14.5, 19.5, 20.0)]
     assert max(vals) - min(vals) <= 1e-2
+
+
+@pytest.fixture(scope="module")
+def per_row_theta():
+    # theta shoots each row on its own: the table's one-row case
+    return {rho: inner.theta(rho) for rho in map(float, range(8, 23))}
+
+
+def test_theta_table_check_10_grid_matches_per_row_shootings(per_row_theta):
+    grid = [float(r) for r in range(13, 21)]
+    for rho, rec in zip(grid, inner.theta_table(grid)):
+        assert rec.rho == rho
+        assert abs(rec.theta - per_row_theta[rho].theta) <= 1e-7
+
+
+def test_theta_table_across_anchors_matches_per_row_shootings(per_row_theta):
+    grid = [float(r) for r in range(8, 23)]
+    recs = inner.theta_table(grid)
+    for rho, rec in zip(grid, recs):
+        assert abs(rec.theta - per_row_theta[rho].theta) <= 1e-6
+    # each anchor row is shot exactly as theta shoots it
+    for rec in (recs[0], recs[8]):
+        ref = per_row_theta[rec.rho]
+        assert (rec.y_unstable, rec.y_stable) == (ref.y_unstable, ref.y_stable)
+
+
+def test_theta_table_first_row_is_theta():
+    ref = inner.theta(13.0)
+    rec = inner.theta_table([13.0, 14.0, 20.0])[0]
+    assert rec == ref
+
+
+def test_theta_table_keeps_input_order_and_duplicates():
+    ordered = inner.theta_table([13.0, 15.0, 20.0])
+    shuffled = inner.theta_table([20.0, 13.0, 15.0, 13.0, 20.0])
+    assert [r.rho for r in shuffled] == [20.0, 13.0, 15.0, 13.0, 20.0]
+    assert shuffled == [ordered[2], ordered[0], ordered[1], ordered[0],
+                        ordered[2]]
+
+
+def test_theta_table_empty():
+    assert inner.theta_table([]) == []
+
+
+@pytest.mark.parametrize("grid", [[13.0, 31.0], [7.9], [13.0, math.nan]])
+def test_theta_table_rejects_rho_before_integration(grid, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated before rejecting the grid")
+    monkeypatch.setattr(numerics, "integrate_ode", fail)
+    with pytest.raises(ValueError, match="rho"):
+        inner.theta_table(grid)
+
+
+def test_theta_table_legs(monkeypatch):
+    legs = []
+    real = numerics.integrate_ode
+
+    def record(field, a, b, *args, **kwargs):
+        legs.append((a, b))
+        return real(field, a, b, *args, **kwargs)
+    monkeypatch.setattr(numerics, "integrate_ode", record)
+    # 15 is the deepest row the anchor at 8 carries; 16 starts a new anchor
+    inner.theta_table([8.0, 9.0, 15.0, 16.0, 17.0])
+    down = [(-8j, -9j), (-9j, -15j)]
+    assert legs == [
+        (complex(-inner.RE_START, -8.0), -8j), *down,
+        (complex(inner.RE_START, -8.0), -8j), *down,
+        (complex(-inner.RE_START, -16.0), -16j), (-16j, -17j),
+        (complex(inner.RE_START, -16.0), -16j), (-16j, -17j),
+    ]
 
 
 def test_shoot_validation():
