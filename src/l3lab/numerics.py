@@ -10,7 +10,9 @@ The tools used everywhere else in the package:
   straight leg a -> b in the complex plane of the independent variable.
 * :func:`integrate_chain` -- the states of such an ODE at a chain of
   checkpoints, one :func:`integrate_ode` leg per step of the chain
-  (separatrix sweeps, inner shooting and the zero scan).
+  (separatrix sweeps, inner shooting and the zero scan); each leg after
+  the first starts from the step size the controller proposed at the end
+  of the previous leg instead of Hairer's starting-step heuristic.
 * :func:`quad_path` -- tanh-sinh (double exponential) quadrature along one
   :class:`Line` or :class:`Arc`, so integrable endpoint singularities
   |x|^alpha with alpha > -1 need no special casing.
@@ -190,10 +192,17 @@ class ComplexPath:
 
 @dataclass
 class OdeResult:
+    """End state and work of one leg.
+
+    ``next_step`` is the step the controller proposed after the last
+    accepted step, in units of the independent variable: |h| * |b - a|.
+    """
+
     y_end: list[complex]
     steps: int
     rejected: int
     max_err_est: float
+    next_step: float
 
 
 @dataclass
@@ -396,11 +405,12 @@ class OdeStep:
     """
 
     __slots__ = ("s_old", "s_new", "y_old", "y_new", "rejected", "err_est",
-                 "_fun", "_h", "_K", "_F")
+                 "_fun", "_h", "_h_next", "_K", "_F")
 
-    def __init__(self, fun, s_old, s_new, h, y_old, y_new, K, rejected,
-                 err_est):
-        self.s_old, self.s_new, self._h = s_old, s_new, h
+    def __init__(self, fun, s_old, s_new, h, h_next, y_old, y_new, K,
+                 rejected, err_est):
+        # h_next: the step the controller proposes after this one
+        self.s_old, self.s_new, self._h, self._h_next = s_old, s_new, h, h_next
         self.y_old, self.y_new = y_old, y_new
         self.rejected, self.err_est = rejected, err_est
         self._fun, self._K, self._F = fun, K, None
@@ -457,13 +467,16 @@ def _check_tolerances(rtol, atol, max_step):
         raise ValueError("max_step must be positive")
 
 
-def _steps(field, a, d, y, rtol, atol, max_step, s_end):
+def _steps(field, a, d, y, rtol, atol, max_step, s_end, h0=None):
     """Accepted steps of y' = d * field(a + s*d, y) over s in [0, s_end].
 
     The state ``y``, the stage values and the Kahan carry are lists of
     Python scalars; each attempt is the straight-line code that
     :func:`_attempt` generates for the length of ``y``, and calls ``field``
-    itself.
+    itself.  The first attempt takes the step ``h0``, clamped like every
+    step to ``max_step`` and to the end; Hairer's starting step replaces it
+    when ``h0`` is None or below the smallest step allowed here (a step
+    carried from a far shorter leg).
     """
     n = len(y)
     if n == 0:
@@ -482,8 +495,10 @@ def _steps(field, a, d, y, rtol, atol, max_step, s_end):
         _check_length(f, n)
         if not _finite(f):
             raise NonFinite("field not finite at the start of a segment")
-        h = _initial_step(fun, y, f, rtol, atol, max_step, s_end)
         min_step = _MIN_STEP * s_end
+        h = h0
+        if h is None or h < min_step:
+            h = _initial_step(fun, y, f, rtol, atol, max_step, s_end)
         rejected = 0
 
         while True:
@@ -502,14 +517,14 @@ def _steps(field, a, d, y, rtol, atol, max_step, s_end):
             y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
                 field, a, d, s, h, y, comp, f, rtol, atol)
             if err_norm < 1.0:
-                s_old, s = s, (s_end if final else s + h)
-                step = OdeStep(fun, s_old, s, h, y, y_new, K, rejected,
-                               err_norm * max_scale)
-                y, comp, f = y_new, comp_new, f_new
-                rejected = 0
                 factor = _MAX_FACTOR if err_norm == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err_norm ** _ERR_EXP
                 )
+                s_old, s = s, (s_end if final else s + h)
+                step = OdeStep(fun, s_old, s, h, h * factor, y, y_new, K,
+                               rejected, err_norm * max_scale)
+                y, comp, f = y_new, comp_new, f_new
+                rejected = 0
                 h *= factor
                 yield step
             else:
@@ -541,24 +556,34 @@ def ode_steps(field, seg: Line, y0, rtol: float = 1e-10,
 
 
 def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
-                  atol: float = 1e-12, max_step: float = math.inf) -> OdeResult:
+                  atol: float = 1e-12, max_step: float = math.inf, *,
+                  _first_step: float | None = None) -> OdeResult:
     """Analytic continuation of y' = field(t, y) along the straight leg a -> b.
 
     ``field(t, y)`` takes the complex point t and the complex state vector
     and returns dy/dt; the leg is traversed in its parameter s in [0, 1] via
     the chain rule dy/ds = (b - a) * field(a + s*(b - a), y).  ``max_step``
     is measured in s.  ``a == b`` or an end that is not finite raises
-    :class:`ValueError`.
+    :class:`ValueError`.  ``_first_step``, for :func:`integrate_chain`
+    only, replaces Hairer's starting step by a step of that size in units
+    of the independent variable, clamped to the leg and to ``max_step``.
     """
+    seg = Line(complex(a), complex(b))
+    _check_segment(seg)
+    _check_tolerances(rtol, atol, max_step)
+    length = seg.length()
+    h0 = None if _first_step is None else _first_step / length
     steps = rejected = 0
     max_err_est = 0.0
-    for step in ode_steps(field, Line(complex(a), complex(b)),
-                          [complex(v) for v in y0], rtol, atol, max_step):
+    for step in _steps(field, seg.a, seg.b - seg.a,
+                       [complex(v) for v in y0], rtol, atol, max_step, 1.0,
+                       h0):
         steps += 1
         rejected += step.rejected
         max_err_est = max(max_err_est, step.err_est)
     return OdeResult(y_end=step.y_new, steps=steps, rejected=rejected,
-                     max_err_est=max_err_est)
+                     max_err_est=max_err_est,
+                     next_step=step._h_next * length)
 
 
 def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
@@ -569,16 +594,25 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     Starting from ``y0`` at ``start``, each leg to the next distinct point is
     one :func:`integrate_ode` call; a point equal to its predecessor reuses
     that state.  Returns one state per point.
+
+    The first leg starts from Hairer's starting-step heuristic.  Every later
+    leg starts from the step the controller proposed at the end of the
+    previous leg, carried in units of the independent variable and clamped
+    to the new leg and to ``max_step``, as Hairer, Norsett and Wanner
+    (Solving ODEs I, II.4) advise when integration resumes on a smooth
+    solution: it spares each leg the ramp up from a cautious first step.
     """
     _check_tolerances(rtol, atol, max_step)
     out = []
     y = [complex(v) for v in y0]
     prev = complex(start)
+    h = None
     for t in points:
         t = complex(t)
         if t != prev:
-            y = integrate_ode(field, prev, t, y, rtol=rtol, atol=atol,
-                              max_step=max_step).y_end
+            res = integrate_ode(field, prev, t, y, rtol=rtol, atol=atol,
+                                max_step=max_step, _first_step=h)
+            y, h = res.y_end, res.next_step
         out.append(y)
         prev = t
     return out

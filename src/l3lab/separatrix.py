@@ -436,8 +436,11 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
 
     The disks have radius 0.05.  Supports the statement that t = 0 is the
     only zero of Lambda in the closed strip: the returned minimum stays well
-    away from zero.  Each grid column integrates 0 -> x once (rtol 1e-10)
-    and continues up and down from that state.
+    away from zero.  The base points of the grid columns on the real axis
+    are integrated (rtol 1e-10) as two chains out from t = 0, one through
+    the x >= 0 ascending and one through the x < 0 descending; each column
+    then continues up and down from its base state.  Every leg starts from
+    the step the previous leg of its chain ended with.
     """
     if not (math.isfinite(spacing) and 0.0 < spacing <= 0.02 + 1e-12):
         raise ValueError("grid spacing must lie in (0, 0.02]")
@@ -446,11 +449,17 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
         raise ValueError("re_range must be a finite increasing pair")
     A = compute_A()
     ims = _grid(spacing, A - 5e-3, spacing)
+    xs = _grid(lo, hi + spacing / 2, spacing)
+    right = [x for x in xs if x >= 0.0]
+    left = [x for x in reversed(xs) if x < 0.0]
+    bases = {}
+    for half in (right, left):
+        ys = integrate_chain(_pend_field, 0.0, half, (lambda0(), 0.0),
+                             rtol=1e-10, atol=1e-14)
+        bases.update(zip(half, ys))
     best = math.inf
-    for x in _grid(lo, hi + spacing / 2, spacing):
-        base = complex(x, 0.0)
-        (y_base,) = integrate_chain(_pend_field, 0.0, [base],
-                                    (lambda0(), 0.0), rtol=1e-10, atol=1e-14)
+    for x in xs:
+        base, y_base = complex(x, 0.0), bases[x]
         points, ys = [base], [y_base]
         for sign in (1.0, -1.0):
             column = [complex(x, sign * v) for v in ims]
