@@ -173,7 +173,11 @@ def _check_samples(args):
 def _cmd_separatrix(args) -> int:
     _check_samples(args)
     ts = linspace(-args.t_max, args.t_max, args.n)
-    states = separatrix.sigma_sweep(ts)
+    # two chains out from the turning point t = 0: a chain through it would
+    # carry the error it gathered toward the saddle into the other half
+    past = [t for t in reversed(ts) if t < 0.0]
+    states = (separatrix.sigma_sweep(past)[::-1]
+              + separatrix.sigma_sweep([t for t in ts if t >= 0.0]))
     rows = []
     for t, st in zip(ts, states):
         lam = st.lam.real

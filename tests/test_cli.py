@@ -177,9 +177,18 @@ def test_separatrix_csv():
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "t,lambda,Lambda,q"
-    qs = [float(line.split(",")[3]) for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    qs = [float(row[3]) for row in rows]
     a_plus = (-1.0 + math.sqrt(2.0)) / 2.0
     assert all(a_plus - 1e-9 <= q < 1.0 for q in qs)
+    # t = 0 is the turning point, and the two chains out from it mirror
+    # each other (bitwise on this grid, whose points are exact mirrors)
+    assert rows[10][0] == "0" and rows[10][2] == "0"
+    for k in range(10):
+        t, lam, Lam = (float(v) for v in rows[k][:3])
+        t_, lam_, Lam_ = (float(v) for v in rows[20 - k][:3])
+        assert t == -t_
+        assert abs(lam - lam_) <= 1e-12 and abs(Lam + Lam_) <= 1e-12
 
 
 def test_determinism_of_commands():
