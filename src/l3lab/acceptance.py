@@ -6,22 +6,20 @@ identical bytes.  The checks are shared between the ``l3lab verify`` command
 and the test suite.
 
 :func:`run_all` runs check 13 (manifold tracing, about half of a serial pass)
-in a forked child beside checks 1-12.  The split is fixed, with no option: no
-caller needs another, and the printed results do not depend on it.
+in a forked child beside checks 1-12.  The split is fixed, with no option, and
+the printed results do not depend on it.  Forks go one level deep, so check
+13's ``section_gap`` calls trace both branches in that child, one by one.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import os
-import pickle
 import random
-import signal
 import time
 from dataclasses import dataclass, field
 
 from . import inner, rpc3bp, separatrix, splitting
-from .numerics import L3labError, fit_line, geomspace
+from .numerics import _fork_pair, fit_line, geomspace
 
 __all__ = ["AcceptanceResult", "CHECKS", "run_all"]
 
@@ -245,43 +243,9 @@ def run_all() -> list[AcceptanceResult]:
     """Run every check; the results come back in check order.
 
     The last entry of ``CHECKS`` (read at call time, so a replaced tuple is
-    honoured) runs in an ``os.fork`` child, the others here in order.  The
-    child pickles ``(ok, result or exception)`` into a pipe and always
-    leaves by ``os._exit``, so it never returns into the caller or flushes
-    the buffers it inherited.  Its exception is raised after checks 1-12,
-    as the serial loop would; if a check here raises, KeyboardInterrupt
-    included, the child is killed and reaped first.  A child that ends
-    without a result raises :class:`L3labError` with its wait status.
+    honoured) runs in the child of :func:`~l3lab.numerics._fork_pair`, the
+    others here in order; exceptions come in check order.
     """
     *here, forked = CHECKS
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe_in, open(write_fd, "wb") as pipe_out:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                try:
-                    payload = (True, forked())
-                except BaseException as exc:  # raised again in the parent
-                    payload = (False, exc)
-                pipe_out.write(pickle.dumps(payload))
-                pipe_out.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        pipe_out.close()
-        try:
-            results = [fn() for fn in here]
-            data = pipe_in.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if not data:
-        raise L3labError(f"check {len(CHECKS)} ended in its child process "
-                         f"without a result (wait status {status})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return results + [value]
+    results, last = _fork_pair(lambda: [fn() for fn in here], forked)
+    return results + [last]

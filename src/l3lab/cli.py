@@ -172,12 +172,16 @@ def _check_samples(args):
 
 def _cmd_separatrix(args) -> int:
     _check_samples(args)
-    ts = linspace(-args.t_max, args.t_max, args.n)
+    n = args.n
+    half = linspace(-args.t_max, args.t_max, n)[(n + 1) // 2:]
+    zero = [0.0] if n % 2 else []
     # two chains out from the turning point t = 0: a chain through it would
-    # carry the error it gathered toward the saddle into the other half
-    past = [t for t in reversed(ts) if t < 0.0]
-    states = (separatrix.sigma_sweep(past)[::-1]
-              + separatrix.sigma_sweep([t for t in ts if t >= 0.0]))
+    # carry the error it gathered toward the saddle into the other half.
+    # The negative half is the positive one negated, so the two chains take
+    # mirrored legs and lambda(-t) = lambda(t) holds bit for bit.
+    ts = [-t for t in reversed(half)] + zero + half
+    states = (separatrix.sigma_sweep([-t for t in half])[::-1]
+              + separatrix.sigma_sweep(zero + half))
     rows = []
     for t, st in zip(ts, states):
         lam = st.lam.real

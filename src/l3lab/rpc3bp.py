@@ -32,6 +32,7 @@ __all__ = [
     "HyperbolicInput",
     "h_cart",
     "hess_h_cart",
+    "cart_flow",
     "cart_vector_field",
     "polar_from_cart",
     "cart_from_polar",
@@ -157,26 +158,36 @@ def hess_h_cart(s: CartesianState,
             (0.0, 1.0, 1.0, 0.0), (-1.0, 0.0, 0.0, 1.0))
 
 
-def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
-    """The flow dz/dt at z = (q1, q2, p1, p2).
+def cart_flow(mu: float):
+    """The field ``f(t, z)`` = dz/dt at z = (q1, q2, p1, p2) for mass ratio mu.
 
     A tuple of Python floats, the scalars the ODE stepper runs on.
     """
-    q1, q2, p1, p2 = z
-    # _primary_offsets inline, to save two calls per field evaluation
-    dSx = q1 - mu
+    s = 1.0 - mu
     # compensated q1 + (1 - mu), as in _p_offset: the rounding of 1 - mu
     # matters when the result is collision-small
-    s = 1.0 - mu
-    dPx = (q1 + s) + ((1.0 - s) - mu)
-    rS = math.hypot(dSx, q2)
-    rP = math.hypot(dPx, q2)
-    if rS < _COLLISION_EPS or rP < _COLLISION_EPS:
-        raise Collision(f"state within {_COLLISION_EPS} of a primary")
-    rS3, rP3 = rS ** 3, rP ** 3
-    ax = -s * dSx / rS3 - mu * dPx / rP3
-    ay = -s * q2 / rS3 - mu * q2 / rP3
-    return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
+    e = (1.0 - s) - mu
+
+    def field(t, z):
+        q1, q2, p1, p2 = z
+        # _primary_offsets inline, to save two calls per field evaluation
+        dSx = q1 - mu
+        dPx = (q1 + s) + e
+        rS = math.hypot(dSx, q2)
+        rP = math.hypot(dPx, q2)
+        if rS < _COLLISION_EPS or rP < _COLLISION_EPS:
+            raise Collision(f"state within {_COLLISION_EPS} of a primary")
+        rS3, rP3 = rS ** 3, rP ** 3
+        ax = -s * dSx / rS3 - mu * dPx / rP3
+        ay = -s * q2 / rS3 - mu * q2 / rP3
+        return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
+
+    return field
+
+
+def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
+    """The flow dz/dt at z = (q1, q2, p1, p2): ``cart_flow(mu)(0.0, z)``."""
+    return cart_flow(mu)(0.0, z)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,27 @@ def test_separatrix_csv():
         assert abs(lam - lam_) <= 1e-12 and abs(Lam + Lam_) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [[], ["--t-max", "3", "--n", "40"]],
+                         ids=["defaults", "even_n"])
+def test_separatrix_grid_is_mirror_symmetric(argv):
+    # on the default 401-point grid, linspace(-10, 10, 401) puts
+    # -0.049999999999998934 opposite 0.050000000000000711; the negative
+    # half is now the positive one negated, so lambda(t) = lambda(-t) and
+    # Lambda(t) = -Lambda(-t) hold bit for bit
+    code, out, _ = run_cli(["separatrix", *argv])
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.strip().splitlines()[1:]]
+    n = len(rows)
+    assert n == (401 if not argv else 40)
+    for k in range(n // 2):
+        (t, lam, Lam, q), (t_, lam_, Lam_, q_) = rows[k], rows[n - 1 - k]
+        assert t < 0.0 and t == -t_
+        assert lam.hex() == lam_.hex() and Lam == -Lam_ and q == q_
+    if n % 2:
+        assert rows[n // 2][:3] == [0.0, rows[n // 2][1], 0.0]
+
+
 def test_determinism_of_commands():
     for argv in (["a"], ["a", "--format", "json"],
                  ["stokes", "--rho-min", "13", "--rho-max", "13",

@@ -182,15 +182,20 @@ def test_manifold_trajectory_shape():
 def test_manifold_trajectory_traces_once(monkeypatch):
     calls = [0]
 
-    def counting(y, mu):
-        calls[0] += 1
-        return rpc3bp.cart_vector_field(y, mu)
+    def counting_flow(mu):
+        field = rpc3bp.cart_flow(mu)
 
-    monkeypatch.setattr(splitting, "cart_vector_field", counting)
+        def counting(t, y):
+            calls[0] += 1
+            return field(t, y)
+        return counting
+
+    monkeypatch.setattr(splitting, "cart_flow", counting_flow)
     for branch in ("unstable_plus", "stable_plus"):
         calls[0] = 0
         hit = splitting.manifold_section_point(0.003, branch)
         hit_calls = calls[0]
+        assert hit_calls > 0  # the trace steps the patched field
         calls[0] = 0
         ts, states = splitting.manifold_trajectory(0.003, branch, n_points=200)
         # one pass plus three dense-output stages per DOP853 step of about
