@@ -282,23 +282,15 @@ def series_residual(U) -> float:
 _BRANCHES = ("unstable", "stable")
 
 
-def shoot(branch: str, rho: float, re_start: float = RE_START,
-          rtol: float = 1e-12, max_step: float = math.inf) -> InnerState:
-    """March one decaying solution along Im U = -rho to U = -i rho."""
-    return _shoot(branch, rho, [complex(0.0, -rho)], re_start=re_start,
-                  rtol=rtol, max_step=max_step)[0]
+def shoot(branch: str, rho: float, points, re_start: float = RE_START,
+          rtol: float = 1e-12) -> list[InnerState]:
+    """One decaying solution at each U in ``points``, in order.
 
-
-def _shoot_record(branch, rho, xs):
-    """Shoot once along Im U = -rho, recording the state at each Re U in xs."""
-    order = sorted(xs, reverse=branch == "stable")
-    states = _shoot(branch, rho, [complex(x, -rho) for x in order])
-    return dict(zip(order, states))
-
-
-def _shoot(branch, rho, points, re_start=RE_START, rtol=1e-12,
-           max_step=math.inf):
-    """Seed one branch at -+re_start - i rho and chain it through points."""
+    The branch is seeded from its series at U = -+re_start - i rho and
+    carried through the points as one chain of straight legs, so they are
+    given in the order of travel: the unstable branch moves right along
+    Im U = -rho, the stable one left.
+    """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 8.0 <= rho <= 30.0:
@@ -309,7 +301,7 @@ def _shoot(branch, rho, points, re_start=RE_START, rtol=1e-12,
             f"re_start must be finite and positive, got {re_start}")
     U0 = complex(-re_start if branch == "unstable" else re_start, -rho)
     ys = integrate_chain(graph_rhs, U0, points, series_Z(U0).as_tuple(),
-                         rtol=rtol, atol=1e-14, max_step=max_step)
+                         rtol=rtol, atol=1e-14)
     return [InnerState(*map(complex, y)) for y in ys]
 
 
@@ -323,16 +315,14 @@ class StokesRecord:
     y_stable: complex
 
 
-def theta(rho: float, re_start: float = RE_START, rtol: float = 1e-12,
-          max_step: float = math.inf) -> StokesRecord:
+def theta(rho: float) -> StokesRecord:
     """Stokes-constant estimate theta_rho = |Y^u - Y^s|(-i rho) * e^rho.
 
     The one-row case of :func:`theta_table`: both branches are shot along
     Im U = -rho.  Raises :class:`PrecisionLoss` where the table refuses the
     row.
     """
-    rec = theta_table([rho], re_start=re_start, rtol=rtol,
-                      max_step=max_step)[0]
+    rec = theta_table([rho])[0]
     if isinstance(rec, PrecisionLoss):
         raise rec
     return rec
@@ -350,9 +340,8 @@ def theta(rho: float, re_start: float = RE_START, rtol: float = 1e-12,
 _MAX_DESCENT = 7.0
 
 
-def theta_table(rho_list, re_start: float = RE_START, rtol: float = 1e-12,
-                max_step: float = math.inf
-                ) -> list[StokesRecord | PrecisionLoss]:
+def theta_table(rho_list, re_start: float = RE_START,
+                rtol: float = 1e-12) -> list[StokesRecord | PrecisionLoss]:
     """Stokes records for a grid of rho values, in input order.
 
     Each branch is shot once along Im U = -rho_0 from Re U = -+re_start to
@@ -377,10 +366,8 @@ def theta_table(rho_list, re_start: float = RE_START, rtol: float = 1e-12,
         chain = [r for r in grid if r - grid[0] <= _MAX_DESCENT]
         grid = grid[len(chain):]
         points = [complex(0.0, -r) for r in chain]
-        zu = _shoot("unstable", chain[0], points, re_start=re_start,
-                    rtol=rtol, max_step=max_step)
-        zs = _shoot("stable", chain[0], points, re_start=re_start, rtol=rtol,
-                    max_step=max_step)
+        zu = shoot("unstable", chain[0], points, re_start=re_start, rtol=rtol)
+        zs = shoot("stable", chain[0], points, re_start=re_start, rtol=rtol)
         for r, u, s in zip(chain, zu, zs):
             rows[r] = _stokes_row(r, u.Y, s.Y, rtol)
     return [rows[r] for r in rhos]
@@ -422,15 +409,15 @@ def diff_structure(rho: float = 15.0) -> DiffStructure:
     extra powers of U.
     """
     xs = [float(x) for x in range(-5, 6)]
-    zu = _shoot_record("unstable", rho, xs)
-    zs = _shoot_record("stable", rho, xs)
+    points = [complex(x, -rho) for x in xs]
+    zu = shoot("unstable", rho, points)
+    zs = shoot("stable", rho, points[::-1])[::-1]
     ey, ex, ew = [], [], []
-    for x in xs:
-        U = complex(x, -rho)
+    for U, u, s in zip(points, zu, zs):
         fac = cmath.exp(1j * U)
-        ey.append(fac * (zu[x].Y - zs[x].Y))
-        ex.append(fac * (zu[x].X - zs[x].X))
-        ew.append(fac * (zu[x].W - zs[x].W))
+        ey.append(fac * (u.Y - s.Y))
+        ex.append(fac * (u.X - s.X))
+        ew.append(fac * (u.W - s.W))
     mags = [abs(z) for z in ey]
     spread = (max(mags) - min(mags)) / (sum(mags) / len(mags))
     # the argument of e^{iU} Delta Y, unwrapped along the samples
@@ -505,8 +492,8 @@ def _compose_inner_hamiltonian(U, Z, delta, A, l3_offsets):
     and the scaled Poincare Hamiltonian.  Lambda_h is continued from the real
     axis along a path that approaches iA from below; along that path family
     the square root of the near-collision factor D[mu-1] stays on its
-    principal sheet (verified by winding tracking), which is what
-    ``branch_P = +1`` selects.
+    principal sheet (verified by winding tracking), the sheet
+    :func:`~l3lab.rpc3bp.h_scaled` evaluates.
     """
     ap = separatrix.ALPHA_PLUS
     u = 1j * A + delta * delta * U
@@ -521,7 +508,7 @@ def _compose_inner_hamiltonian(U, Z, delta, A, l3_offsets):
     lam_hat, x_hat, y_hat = l3_offsets
     Lam = Lam_h - w / (3.0 * Lam_h) + delta * delta * lam_hat
     h = rpc3bp.h_scaled(lam_h, Lam, x + delta ** 3 * x_hat,
-                        y + delta ** 3 * y_hat, delta, branch_P=1.0)
+                        y + delta ** 3 * y_hat, delta)
     return delta ** (4.0 / 3.0) / (2.0 * ap * ap) * h
 
 

@@ -20,8 +20,9 @@ The tools used everywhere else in the package:
 * :func:`fit_line` -- the least-squares line through sample points, and
   :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
 
-All routines are pure functions of their inputs and safe to call
-concurrently.
+The routines above are pure functions of their inputs and safe to call
+concurrently.  ``_fork_pair``, the package's one fan-out, is not: it forks
+the calling process and reaps the child.
 
 :class:`L3labError` is the base of every exception the package raises for a
 numerical failure; each module's concrete classes subclass it directly.
@@ -84,7 +85,7 @@ class L3labError(Exception):
 
 
 class StepUnderflow(L3labError):
-    """Adaptive step fell below 1e-14 of the range of the segment parameter.
+    """Adaptive step fell below 1e-14 in the segment parameter.
 
     Usually means a singularity of the field sits on or very near the path.
     """
@@ -275,7 +276,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERR_EXP = -1.0 / (_tab.ERROR_ESTIMATOR_ORDER + 1)
-_MIN_STEP = 1e-14  # as a fraction of the range of the segment parameter
+_MIN_STEP = 1e-14  # in the segment parameter: 1e-14 of an integrate_ode leg
 
 
 def _nonzero(coeffs):
@@ -430,14 +431,14 @@ def _check_length(k, n):
             f"field returned {len(k)} components for a state of {n}")
 
 
-def _initial_step(fun, y0, f0, rtol, atol, max_step, s_end):
+def _initial_step(fun, y0, f0, rtol, atol, s_end):
     # Hairer's starting-step heuristic on the segment parameter.
     root_n = math.sqrt(len(y0))
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = math.sqrt(_sq_norm(y0, scale)) / root_n
     d1 = math.sqrt(_sq_norm(f0, scale)) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, max_step, s_end)
+    h0 = min(h0, s_end)
     f1 = fun(h0, [v + h0 * df for v, df in zip(y0, f0)])
     _check_length(f1, len(y0))
     diff = [a - b for a, b in zip(f1, f0)]
@@ -446,7 +447,7 @@ def _initial_step(fun, y0, f0, rtol, atol, max_step, s_end):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / (_tab.ERROR_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, max_step, s_end)
+    return min(100 * h0, h1, s_end)
 
 
 class OdeStep:
@@ -515,23 +516,21 @@ def _scalar_errors():
         raise NonFinite(f"overflow or division by zero: {exc}") from exc
 
 
-def _check_tolerances(rtol, atol, max_step):
+def _check_tolerances(rtol, atol):
     if not (1e-14 <= rtol <= 1e-2) or not (1e-14 <= atol <= 1e-2):
         raise ValueError("rtol and atol must lie in [1e-14, 1e-2]")
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
 
 
-def _steps(field, a, d, y, rtol, atol, max_step, s_end, h0=None):
+def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
     """Accepted steps of y' = d * field(a + s*d, y) over s in [0, s_end].
 
     The state ``y``, the stage values and the Kahan carry are lists of
     Python scalars; each attempt is the straight-line code that
     :func:`_attempt` generates for the length of ``y``, and calls ``field``
     itself.  The first attempt takes the step ``h0``, clamped like every
-    step to ``max_step`` and to the end; Hairer's starting step replaces it
-    when ``h0`` is None or below the smallest step allowed here (a step
-    carried from a far shorter leg).
+    step to the end; Hairer's starting step replaces it when ``h0`` is None
+    or below the smallest step allowed, ``_MIN_STEP`` in s whatever
+    ``s_end`` is (a step carried from a far shorter leg).
     """
     n = len(y)
     if n == 0:
@@ -550,22 +549,20 @@ def _steps(field, a, d, y, rtol, atol, max_step, s_end, h0=None):
         _check_length(f, n)
         if not _finite(f):
             raise NonFinite("field not finite at the start of a segment")
-        min_step = _MIN_STEP * s_end
         h = h0
-        if h is None or h < min_step:
-            h = _initial_step(fun, y, f, rtol, atol, max_step, s_end)
+        if h is None or h < _MIN_STEP:
+            h = _initial_step(fun, y, f, rtol, atol, s_end)
         rejected = 0
 
         while True:
             remaining = s_end - s
             if remaining <= 1e-15 * s_end:
                 return
-            if h < min_step:
+            if h < _MIN_STEP:
                 raise StepUnderflow(
-                    f"step {h:.3e} under {min_step:.0e} at s={s:.6f} "
+                    f"step {h:.3e} under {_MIN_STEP:.0e} at s={s:.6f} "
                     f"(path point {a + s * d})"
                 )
-            h = min(h, max_step)
             final = h >= remaining
             if final:
                 h = remaining
@@ -588,51 +585,47 @@ def _steps(field, a, d, y, rtol, atol, max_step, s_end, h0=None):
 
 
 def ode_steps(field, seg: Line, y0, rtol: float = 1e-10,
-              atol: float = 1e-12, max_step: float = math.inf,
-              s_end: float = 1.0):
+              atol: float = 1e-12, s_end: float = 1.0):
     """Generator of the accepted :class:`OdeStep` along one :class:`Line`.
 
     Steps y' = (b - a) * field(a + s*(b - a), y) from s = 0 to ``s_end``,
     which need not be 1: on ``Line(0, 1)`` or ``Line(0, -1)`` the parameter
     is time itself, so the step sequence does not depend on how far
     ``s_end`` reaches.  ``y0`` is a sequence of Python floats, which step as
-    floats, or of complex numbers.  ``max_step`` is measured in the line
-    parameter.  A segment that is not a :class:`Line`, or whose length is
-    zero or not finite, raises :class:`ValueError`.
+    floats, or of complex numbers.  A segment that is not a :class:`Line`,
+    or whose length is zero or not finite, raises :class:`ValueError`.
     """
     if not isinstance(seg, Line):
         raise ValueError(f"ode_steps steps along a Line, not {seg!r}")
     _check_segment(seg)
-    _check_tolerances(rtol, atol, max_step)
+    _check_tolerances(rtol, atol)
     if not (math.isfinite(s_end) and s_end > 0.0):
         raise ValueError("s_end must be finite and positive")
-    return _steps(field, seg.a, seg.b - seg.a, list(y0), rtol, atol,
-                  max_step, s_end)
+    return _steps(field, seg.a, seg.b - seg.a, list(y0), rtol, atol, s_end)
 
 
 def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
-                  atol: float = 1e-12, max_step: float = math.inf, *,
+                  atol: float = 1e-12, *,
                   _first_step: float | None = None) -> OdeResult:
     """Analytic continuation of y' = field(t, y) along the straight leg a -> b.
 
     ``field(t, y)`` takes the complex point t and the complex state vector
     and returns dy/dt; the leg is traversed in its parameter s in [0, 1] via
-    the chain rule dy/ds = (b - a) * field(a + s*(b - a), y).  ``max_step``
-    is measured in s.  ``a == b`` or an end that is not finite raises
-    :class:`ValueError`.  ``_first_step``, for :func:`integrate_chain`
-    only, replaces Hairer's starting step by a step of that size in units
-    of the independent variable, clamped to the leg and to ``max_step``.
+    the chain rule dy/ds = (b - a) * field(a + s*(b - a), y).  ``a == b``
+    or an end that is not finite raises :class:`ValueError`.
+    ``_first_step``, for :func:`integrate_chain` only, replaces Hairer's
+    starting step by a step of that size in units of the independent
+    variable, clamped to the leg.
     """
     seg = Line(complex(a), complex(b))
     _check_segment(seg)
-    _check_tolerances(rtol, atol, max_step)
+    _check_tolerances(rtol, atol)
     length = seg.length()
     h0 = None if _first_step is None else _first_step / length
     steps = rejected = 0
     max_err_est = 0.0
     for step in _steps(field, seg.a, seg.b - seg.a,
-                       [complex(v) for v in y0], rtol, atol, max_step, 1.0,
-                       h0):
+                       [complex(v) for v in y0], rtol, atol, 1.0, h0):
         steps += 1
         rejected += step.rejected
         max_err_est = max(max_err_est, step.err_est)
@@ -642,8 +635,7 @@ def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
 
 
 def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
-                    atol: float = 1e-12,
-                    max_step: float = math.inf) -> list[list[complex]]:
+                    atol: float = 1e-12) -> list[list[complex]]:
     """States of y' = field(t, y) at a chain of checkpoints, one leg at a time.
 
     Starting from ``y0`` at ``start``, each leg to the next distinct point is
@@ -653,11 +645,11 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
     The first leg starts from Hairer's starting-step heuristic.  Every later
     leg starts from the step the controller proposed at the end of the
     previous leg, carried in units of the independent variable and clamped
-    to the new leg and to ``max_step``, as Hairer, Norsett and Wanner
-    (Solving ODEs I, II.4) advise when integration resumes on a smooth
-    solution: it spares each leg the ramp up from a cautious first step.
+    to the new leg, as Hairer, Norsett and Wanner (Solving ODEs I, II.4)
+    advise when integration resumes on a smooth solution: it spares each
+    leg the ramp up from a cautious first step.
     """
-    _check_tolerances(rtol, atol, max_step)
+    _check_tolerances(rtol, atol)
     out = []
     y = [complex(v) for v in y0]
     prev = complex(start)
@@ -666,7 +658,7 @@ def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,
         t = complex(t)
         if t != prev:
             res = integrate_ode(field, prev, t, y, rtol=rtol, atol=atol,
-                                max_step=max_step, _first_step=h)
+                                _first_step=h)
             y, h = res.y_end, res.next_step
         out.append(y)
         prev = t

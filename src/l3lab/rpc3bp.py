@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import L3labError, find_root
 
@@ -33,7 +33,6 @@ __all__ = [
     "h_cart",
     "hess_h_cart",
     "cart_flow",
-    "cart_vector_field",
     "polar_from_cart",
     "cart_from_polar",
     "h_polar",
@@ -103,7 +102,7 @@ class Equilibrium:
     polar: PolarState
     cartesian: CartesianState
     eigenvalues: tuple[complex, ...]
-    poincare: PoincareState = field(default=None)
+    poincare: PoincareState
 
     @property
     def hyperbolic_rate(self) -> float:
@@ -183,11 +182,6 @@ def cart_flow(mu: float):
         return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
 
     return field
-
-
-def cart_vector_field(z, mu: float) -> tuple[float, float, float, float]:
-    """The flow dz/dt at z = (q1, q2, p1, p2): ``cart_flow(mu)(0.0, z)``."""
-    return cart_flow(mu)(0.0, z)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +387,13 @@ def D_series(zeta: float, s: PoincareState):
     return _d_series(zeta, s.lam, s.L, s.eta, s.xi)
 
 
-def _mu_h1_poincare(lam, L, eta, xi, mu, branch_P=1.0):
+def _mu_h1_poincare(lam, L, eta, xi, mu):
     d0 = _d_exact(0.0, lam, L, eta, xi)
     dmu = _d_exact(mu, lam, L, eta, xi)
     dP = _d_exact(mu - 1.0, lam, L, eta, xi)
     return (1.0 / cmath.sqrt(d0)
             - (1.0 - mu) / cmath.sqrt(dmu)
-            - mu / (branch_P * cmath.sqrt(dP)))
+            - mu / cmath.sqrt(dP))
 
 
 def h_poincare(s: PoincareState, mu: float) -> float:
@@ -449,21 +443,20 @@ def F_pend(z):
     return (-1.0 / (2.0 * (1.0 + z) ** 2) - (1.0 + z)) + 1.5 + 1.5 * z * z
 
 
-def h_scaled(lam, Lam, x, y, delta, branch_P=1.0):
+def h_scaled(lam, Lam, x, y, delta):
     """Scaled slow-fast Hamiltonian, constants dropped.
 
     Composition of the Poincare Hamiltonian with L = 1 + delta^2 Lam,
     eta = delta x, xi = delta y and the delta^-4 energy scaling.  Complex
-    arguments are allowed; ``branch_P`` = -1 selects the other sheet of the
-    square root of the near-collision factor D[mu-1] (see
-    :func:`l3lab.inner.verify_inner_limit`).
+    arguments are allowed; every square root, that of the near-collision
+    factor D[mu-1] included, is the principal one (the sheet
+    :func:`l3lab.inner.verify_inner_limit` needs).
     """
     d2 = delta * delta
     mu = d2 * d2
     pend = -1.5 * Lam * Lam + F_pend(d2 * Lam) / mu
     osc = x * y / d2
-    pert = _mu_h1_poincare(lam, 1.0 + d2 * Lam, delta * x, delta * y, mu,
-                           branch_P=branch_P) / mu
+    pert = _mu_h1_poincare(lam, 1.0 + d2 * Lam, delta * x, delta * y, mu) / mu
     return pend + osc + pert
 
 

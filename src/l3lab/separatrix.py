@@ -5,8 +5,8 @@ V(lambda) = 1 - cos(lambda) - 1/sqrt(2 + 2 cos(lambda)) has a saddle at the
 origin and a homoclinic loop at energy -1/2.  This module provides
 
 * the time parametrization sigma(t) of that loop continued into complex
-  time along straight legs from t = 0 (:func:`sigma` for one point,
-  :func:`sigma_sweep` for a chain of points, each leg integrated once),
+  time along a polyline from t = 0 (:func:`sigma_sweep`, one state per
+  corner, each leg integrated once),
 * the half-width A of its maximal analyticity strip as an explicit integral
   (:func:`compute_A`) together with the equivalent rescaled form,
 * the location of the singularities of the continuation reachable through
@@ -45,7 +45,6 @@ __all__ = [
     "residue_pole",
     "residue_pole_numeric",
     "t_star",
-    "sigma",
     "sigma_sweep",
     "fit_branch",
     "SingularityReport",
@@ -340,9 +339,16 @@ def t_star(path_kind: str, detour: float = 1e-3,
     ``infinity_upper``/``infinity_lower``: q from a+ past the pole at q = 1
     to infinity; the integral is truncated at q = R = 1e4 and finished with
     the analytic tail 1/(sqrt(3) R) of fhat = 1/(sqrt(3) q^2) + O(q^-3).
+    ``detour`` is the radius of the arc around a+ (paths to zero) or q = 1
+    (paths to infinity).  It must lie in (0, a+), where both arcs stay clear
+    of the branch points and the pole they do not circle; from 1 - a+ on,
+    the arc around q = 1 encloses a+ and ends on another sheet.
     """
     if path_kind not in _T_STAR_KINDS:
         raise ValueError(f"path_kind must be one of {_T_STAR_KINDS}")
+    # written so that a NaN fails it
+    if not 0.0 < detour < A_PLUS:
+        raise ValueError(f"detour must lie in (0, {A_PLUS}), got {detour}")
     to_zero = path_kind.startswith("zero")
     upper = path_kind.endswith("upper")
     path = _zero_path(detour) if to_zero else _infinity_path(detour)
@@ -367,19 +373,16 @@ def _state(y) -> PendulumState:
     return PendulumState(lam=complex(y[0]), Lam=complex(y[1]))
 
 
-def sigma(t: complex) -> PendulumState:
-    """The separatrix continued from sigma(0) = (lambda0, 0) straight to t."""
-    return sigma_sweep([t])[0]
-
-
-def sigma_sweep(points, rtol: float = 1e-12) -> list[PendulumState]:
+def sigma_sweep(points) -> list[PendulumState]:
     """States at a chain of time points from t = 0, integrating each leg once.
 
-    The chain is a polyline 0 -> points[0] -> points[1] -> ..., so a path
-    that detours around a singularity is given by its corners.
+    The separatrix starts from sigma(0) = (lambda0, 0).  The chain is a
+    polyline 0 -> points[0] -> points[1] -> ..., so a path that detours
+    around a singularity is given by its corners.  Each leg runs at rtol
+    1e-12.
     """
     ys = integrate_chain(_pend_field, 0.0, points, (lambda0(), 0.0),
-                         rtol=rtol, atol=1e-14)
+                         rtol=1e-12, atol=1e-14)
     return [_state(y) for y in ys]
 
 
@@ -431,23 +434,23 @@ def fit_branch(t_offsets=None) -> SingularityReport:
     )
 
 
-def check_zero_of_Lambda(re_range=(-1.5, 1.5), spacing: float = 0.02) -> float:
+def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     """min |Lambda| on a strip grid with disks around 0 and +-iA removed.
 
-    The disks have radius 0.05.  Supports the statement that t = 0 is the
-    only zero of Lambda in the closed strip: the returned minimum stays well
-    away from zero.  The base points of the grid columns on the real axis
-    are integrated (rtol 1e-10) as two chains out from t = 0, one through
-    the x >= 0 ascending and one through the x < 0 descending; each column
-    then continues up and down from its base state.  Every leg starts from
-    the step the previous leg of its chain ended with.
+    The grid spacing is 0.02 and the disks have radius 0.05.  Supports the
+    statement that t = 0 is the only zero of Lambda in the closed strip: the
+    returned minimum stays well away from zero.  The base points of the
+    grid columns on the real axis are integrated (rtol 1e-10) as two chains
+    out from t = 0, one through the x >= 0 ascending and one through the
+    x < 0 descending; each column then continues up and down from its base
+    state.  Every leg starts from the step the previous leg of its chain
+    ended with.
     """
-    if not (math.isfinite(spacing) and 0.0 < spacing <= 0.02 + 1e-12):
-        raise ValueError("grid spacing must lie in (0, 0.02]")
     lo, hi = re_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("re_range must be a finite increasing pair")
     A = compute_A()
+    spacing = 0.02
     ims = _grid(spacing, A - 5e-3, spacing)
     xs = _grid(lo, hi + spacing / 2, spacing)
     right = [x for x in xs if x >= 0.0]

@@ -135,7 +135,7 @@ def _seed(mu, branch, seed_eps):
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
                            seed_eps: float = _SEED_EPS, t_max: float = 1000.0,
-                           rtol: float = _RTOL, section: float = math.pi / 2,
+                           section: float = math.pi / 2,
                            skip_time: float = 0.0) -> SectionPoint:
     """First crossing of the section theta = ``section`` with r > 1.
 
@@ -146,11 +146,10 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
     stops at the first crossing that is kept, so ``t_max`` is only a time
     budget: :class:`NoCrossing` is raised if it runs out first.
     """
-    return _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time)[0]
+    return _trace(mu, branch, seed_eps, t_max, section, skip_time)[0]
 
 
-def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
-           keep_steps=False):
+def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
     """Step DOP853 from the seed to the first kept section crossing.
 
     Returns the :class:`SectionPoint` and, with ``keep_steps``, the list of
@@ -170,8 +169,8 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
 
     # the segment parameter is |t|, so the steps, and with them a hit, do not
     # depend on how far past it t_max reaches
-    steps = ode_steps(cart_flow(mu), Line(0.0, tdir), z0, rtol=rtol,
-                      atol=rtol, s_end=t_max)
+    steps = ode_steps(cart_flow(mu), Line(0.0, tdir), z0, rtol=_RTOL,
+                      atol=_RTOL, s_end=t_max)
     kept = []
     g_new = event(z0)
     try:
@@ -210,13 +209,11 @@ def _trace(mu, branch, seed_eps, t_max, rtol, section, skip_time,
                      f"t_max = {t_max} for mu = {mu}, branch = {branch}")
 
 
-def section_gap(mu: float, seed_eps: float = _SEED_EPS, t_max: float = 1000.0,
-                rtol: float = _RTOL, A: float | None = None,
+def section_gap(mu: float, t_max: float = 1000.0, A: float | None = None,
                 theta_abs: float = 1.63) -> SplittingSample:
     """Gap between the first section hits of the two plus branches."""
     def trace(branch):
-        return lambda: manifold_section_point(mu, branch, seed_eps, t_max,
-                                              rtol)
+        return lambda: manifold_section_point(mu, branch, t_max=t_max)
 
     pu, ps = _fork_pair(trace("unstable_plus"), trace("stable_plus"))
     gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
@@ -239,7 +236,7 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     each.  The samples come from the dense output of the steps that found
     the hit, so the trajectory is integrated once.
     """
-    hit, steps = _trace(mu, branch, _SEED_EPS, t_max, _RTOL, math.pi / 2, 0.0,
+    hit, steps = _trace(mu, branch, _SEED_EPS, t_max, math.pi / 2, 0.0,
                         keep_steps=True)
     ts = linspace(0.0, hit.t_hit, n_points)
     ends = [step.s_new for step in steps]

@@ -206,10 +206,11 @@ def test_series_residual_at_seed_point():
 
 
 def test_theta_near_seed_matches_far_seed():
-    for rho in (13.0, 20.0):
-        near = inner.theta(rho).theta
-        far = inner.theta(rho, re_start=1000.0).theta
-        assert abs(near - far) <= 1e-6
+    grid = [13.0, 20.0]
+    near = inner.theta_table(grid)
+    far = inner.theta_table(grid, re_start=1000.0)
+    for a, b in zip(near, far):
+        assert abs(a.theta - b.theta) <= 1e-6
 
 
 def test_series_residual_order():
@@ -222,14 +223,12 @@ def test_series_residual_order():
 
 
 def test_shoot_bounds_and_cancellation():
-    xs = [-900.0, -500.0, -100.0, -30.0, 0.0]
-    rec = inner._shoot_record("unstable", 13.0, xs)
-    for x in xs:
-        U = complex(x, -13.0)
-        bound = abs(U ** (4.0 / 3.0) * rec[x].X)
+    points = [complex(x, -13.0) for x in (-900.0, -500.0, -100.0, -30.0, 0.0)]
+    for U, z in zip(points, inner.shoot("unstable", 13.0, points)):
+        bound = abs(U ** (4.0 / 3.0) * z.X)
         assert bound <= 1.0
-    zu = inner.shoot("unstable", 13.0)
-    zs = inner.shoot("stable", 13.0)
+    [zu] = inner.shoot("unstable", 13.0, [-13j])
+    [zs] = inner.shoot("stable", 13.0, [-13j])
     # leading digits of Y coincide before differencing (cancellation depth
     # log10 |Y|/|dY| ~ 3.3 at rho = 13, growing with rho)
     ratio = abs(zu.Y - zs.Y) / abs(zu.Y)
@@ -240,8 +239,8 @@ def test_shoot_bounds_and_cancellation():
 
 
 def test_shoot_tail_insensitive_to_seed_location():
-    y1 = inner.shoot("unstable", 13.0, re_start=1000.0).Y
-    y2 = inner.shoot("unstable", 13.0, re_start=2000.0).Y
+    y1 = inner.shoot("unstable", 13.0, [-13j], re_start=1000.0)[0].Y
+    y2 = inner.shoot("unstable", 13.0, [-13j], re_start=2000.0)[0].Y
     assert abs(y1 - y2) < 1e-13
 
 
@@ -253,14 +252,20 @@ def test_theta_reference_row():
 
 def test_theta_invariances():
     base = inner.theta(13.0).theta
-    assert abs(inner.theta(13.0, rtol=1e-13).theta - base) < 5e-3
-    assert abs(inner.theta(13.0, re_start=2000.0).theta - base) < 5e-3
-    assert abs(inner.theta(13.0, max_step=0.02).theta - base) < 5e-3
+    [tight] = inner.theta_table([13.0], rtol=1e-13)
+    [far] = inner.theta_table([13.0], re_start=2000.0)
+    assert abs(tight.theta - base) < 5e-3
+    assert abs(far.theta - base) < 5e-3
 
 
 def test_theta_refuses_precision_loss():
-    with pytest.raises(inner.PrecisionLoss):
-        inner.theta(13.0, rtol=1e-6)
+    [rec] = inner.theta_table([13.0], rtol=1e-6)
+    assert isinstance(rec, inner.PrecisionLoss)
+    # theta raises what the table returns for a refused row
+    [rec] = inner.theta_table([25.0])
+    assert isinstance(rec, inner.PrecisionLoss)
+    with pytest.raises(inner.PrecisionLoss, match="rho = 25.0"):
+        inner.theta(25.0)
 
 
 def test_theta_plateau_off_integer_grid():
@@ -340,9 +345,9 @@ def test_theta_table_legs(monkeypatch):
 
 def test_shoot_validation():
     with pytest.raises(ValueError):
-        inner.shoot("unstable", 5.0)
+        inner.shoot("unstable", 5.0, [-5j])
     with pytest.raises(ValueError):
-        inner.shoot("sideways", 13.0)
+        inner.shoot("sideways", 13.0, [-13j])
 
 
 @pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0])
@@ -350,7 +355,7 @@ def test_shoot_rejects_bad_re_start(re_start):
     # a negative start would seed each branch on the other's side
     for branch in ("unstable", "stable"):
         with pytest.raises(ValueError, match="re_start"):
-            inner.shoot(branch, 13.0, re_start=re_start)
+            inner.shoot(branch, 13.0, [-13j], re_start=re_start)
 
 
 def test_diff_structure():

@@ -181,18 +181,10 @@ def test_one_bad_component_of_four_is_nonfinite(kind, first_bad, bad,
     assert len(calls) == raised_at
 
 
-@pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan])
-def test_ode_rejects_bad_max_step(max_step):
-    with pytest.raises(ValueError):
-        integrate_ode(lambda t, y: (y[0],), 0.0, 1.0, (1.0,),
-                      max_step=max_step)
-
-
 def test_chain_and_steps_validate_before_any_leg():
     # no leg runs here, so only an up-front check can reject the arguments
     with pytest.raises(ValueError):
-        integrate_chain(lambda t, y: (y[0],), 0, [0, 0], (1,),
-                        max_step=math.nan, rtol=5.0)
+        integrate_chain(lambda t, y: (y[0],), 0, [0, 0], (1,), rtol=5.0)
     with pytest.raises(ValueError):
         ode_steps(lambda t, y: (y[0],), Line(0.0, 1.0), (1.0,), rtol=5.0)
     for s_end in (0.0, math.inf, math.nan):
@@ -275,12 +267,28 @@ def test_dense_output_on_linear_field(a, y0):
             assert abs(step(t)[0] - cmath.exp(a * t)) <= 1e-10
 
 
-def test_kahan_carry_keeps_small_increments():
+def test_kahan_carry_keeps_small_increments(monkeypatch):
     # 10^4 increments of 1e-4 on a state of 1e6: a plain sum rounds each one
     # to a multiple of ulp(1e6) ~ 1.2e-10 and drifts by about 5e-7; the
-    # carry keeps the total within a few ulp
-    res = integrate_ode(lambda t, y: (1.0,), 0.0, 1.0, (1e6,), max_step=1e-4)
+    # carry keeps the total within a few ulp.  The field is constant, so
+    # every step is exact and, without growth, keeps the first step's size
+    monkeypatch.setattr(numerics, "_MAX_FACTOR", 1.0)
+    res = integrate_ode(lambda t, y: (1.0,), 0.0, 1.0, (1e6,),
+                        _first_step=1e-4)
+    assert res.steps >= 10 ** 4
     assert abs(res.y_end[0] - (1e6 + 1.0)) <= 4 * math.ulp(1e6)
+
+
+def test_ode_steps_do_not_depend_on_s_end():
+    # stepping in time units, the smallest step is 1e-14 time units however
+    # far s_end reaches, so a long budget neither underflows nor moves a step
+    field = lambda t, y: (-0.5 * y[0] + cmath.sin(t),)
+    got = [(step.s_new, step.y_new) for step, _ in
+           zip(ode_steps(field, Line(0.0, 1.0), (1.0,), s_end=1e15),
+               range(30))]
+    ref = [(step.s_new, step.y_new) for step in
+           ode_steps(field, Line(0.0, 1.0), (1.0,), s_end=30.0)]
+    assert got == ref[:len(got)] and len(got) == 30
 
 
 def test_importing_the_package_loads_no_scipy():
@@ -447,20 +455,19 @@ def test_generated_attempt_keeps_signed_zeros(n, zero):
             _bits(_reference_attempt(*args))
 
 
-def _reference_steps(field, seg, y, rtol, atol, max_step, s_end):
+def _reference_steps(field, seg, y, rtol, atol, s_end):
     """(s, y, err_est, rejected) of each accepted step: the step-size
     controller of DOP853 around :func:`_reference_attempt`."""
     fun = _chain_rule(field, seg)
     comp = [0j if isinstance(v, complex) else 0.0 for v in y]
     s = 0.0
     f = fun(s, y)
-    h = numerics._initial_step(fun, y, f, rtol, atol, max_step, s_end)
+    h = numerics._initial_step(fun, y, f, rtol, atol, s_end)
     rejected = 0
     while True:
         remaining = s_end - s
         if remaining <= 1e-15 * s_end:
             return
-        h = min(h, max_step)
         final = h >= remaining
         if final:
             h = remaining
@@ -487,7 +494,6 @@ def _same_steps(field, seg, y0, **kw):
     got = [(_bits([step.s_new, step.y_new, step.err_est]), step.rejected)
            for step in ode_steps(field, seg, y0, **kw)]
     ref = list(_reference_steps(field, seg, list(y0), kw["rtol"], kw["atol"],
-                                kw.get("max_step", math.inf),
                                 kw.get("s_end", 1.0)))
     assert got == [(_bits([s, y, err_est]), rejected)
                    for s, y, err_est, rejected in ref]
@@ -518,7 +524,7 @@ def test_ode_steps_on_real_state_match_reference_stepper():
     mu = 1e-3
     y0 = [v + 1e-3 for v in rpc3bp.locate_L3(mu).cartesian.as_tuple()]
     y_end, steps, _ = _same_steps(
-        lambda t, y: rpc3bp.cart_vector_field(y, mu), Line(0.0, -1.0), y0,
+        rpc3bp.cart_flow(mu), Line(0.0, -1.0), y0,
         rtol=1e-12, atol=1e-12, s_end=20.0)
     assert steps > 10 and all(type(v) is float for v in y_end)
 
@@ -711,9 +717,9 @@ def test_integrate_chain_reuses_repeated_points(monkeypatch):
     assert abs(states[-1][0] - cmath.exp(1j * 0.5j)) < 1e-9
 
 
-def test_carried_step_is_clamped_to_the_leg_and_max_step(monkeypatch):
+def test_carried_step_is_clamped_to_the_leg(monkeypatch):
     # the first step of a leg, in its parameter s, is the carried step in t
-    # over the leg's length, at most max_step and the whole leg
+    # over the leg's length, at most the whole leg
     firsts = []
     plain = numerics._steps
 
@@ -726,11 +732,9 @@ def test_carried_step_is_clamped_to_the_leg_and_max_step(monkeypatch):
 
     monkeypatch.setattr(numerics, "_steps", recording)
     field = lambda t, y: (1j * y[0],)
-    for a, b, max_step in [(0.1, 1.1, math.inf), (0.0, 2j, math.inf),
-                           (0.1, 0.105, math.inf), (0.1, 1.1, 1e-3)]:
-        integrate_ode(field, a, b, (1.0,), max_step=max_step,
-                      _first_step=0.01)
-    assert firsts == [0.01, 0.005, 1.0, 1e-3]
+    for a, b in [(0.1, 1.1), (0.0, 2j), (0.1, 0.105)]:
+        integrate_ode(field, a, b, (1.0,), _first_step=0.01)
+    assert firsts == [0.01, 0.005, 1.0]
     # a carried step under the leg's smallest step starts the leg cold
     cold = integrate_ode(field, 0.0, 1.0, (1.0,))
     assert integrate_ode(field, 0.0, 1.0, (1.0,), _first_step=1e-20) == cold

@@ -185,7 +185,7 @@ def test_locate_L3_expansion_and_residuals():
     balance = (eq.d_mu - (1 - 0.003) / (eq.d_mu - 0.003) ** 2
                - 0.003 / (eq.d_mu + 1 - 0.003) ** 2)
     assert abs(balance) <= 1e-12
-    vf = r3.cart_vector_field(eq.cartesian.as_tuple(), 0.003)
+    vf = r3.cart_flow(0.003)(0.0, eq.cartesian.as_tuple())
     assert np.linalg.norm(vf) <= 1e-10
 
 
@@ -214,6 +214,7 @@ def test_hessian_matches_finite_differences():
     # the flow is J @ grad h, so its central differences give J @ hess h
     rng = np.random.default_rng(2)
     mu = 0.004
+    flow = r3.cart_flow(mu)
     for _ in range(5):
         z = np.array([rng.uniform(0.7, 1.3), rng.uniform(-0.7, 0.7),
                       rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.3)])
@@ -223,8 +224,7 @@ def test_hessian_matches_finite_differences():
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            col = np.subtract(r3.cart_vector_field(zp, mu),
-                              r3.cart_vector_field(zm, mu)) / (2 * h)
+            col = np.subtract(flow(0.0, zp), flow(0.0, zm)) / (2 * h)
             denom = np.maximum(np.abs(jac[:, i]), 1.0)
             assert np.max(np.abs(col - jac[:, i]) / denom) <= 1e-6
 
@@ -241,12 +241,16 @@ def test_closed_form_spectrum_matches_eigvals(mu):
 
 
 def _field_by_helper(z, mu):
-    """cart_vector_field written through the _primary_offsets helper."""
+    """cart_flow's field written through the _primary_offsets helper."""
     q1, q2, p1, p2 = z
     (dSx, dSy), rS, (dPx, dPy), rP = r3._primary_offsets(q1, q2, mu)
     ax = -(1 - mu) * dSx / rS ** 3 - mu * dPx / rP ** 3
     ay = -(1 - mu) * dSy / rS ** 3 - mu * dPy / rP ** 3
     return (p1 + q2, p2 - q1, p2 + ax, -p1 + ay)
+
+
+def _flow_at(z, mu):
+    return r3.cart_flow(mu)(0.0, z)
 
 
 def _field_or_collision(field, z, mu):
@@ -262,7 +266,7 @@ def test_vector_field_matches_helper_formula():
         mu = 10.0 ** rng.uniform(-4.0, -2.0)
         z = [rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
              rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
-        got = r3.cart_vector_field(z, mu)
+        got = r3.cart_flow(mu)(0.0, z)
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == \
             [v.hex() for v in _field_by_helper(z, mu)]
@@ -278,7 +282,7 @@ def test_vector_field_collision_matches_helper_formula(mu):
         for dq1 in (0.0, 3e-13, -7e-13, 9.9e-13, -1.01e-12, 2e-12, 1e-11):
             for q2 in (0.0, 5e-13, -8e-13, 1.5e-12):
                 z = (center + dq1, q2, 0.1, -0.2)
-                got = _field_or_collision(r3.cart_vector_field, z, mu)
+                got = _field_or_collision(_flow_at, z, mu)
                 assert got == _field_or_collision(_field_by_helper, z, mu)
                 outcomes.add(got == "Collision")
         assert outcomes == {True, False}

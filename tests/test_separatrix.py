@@ -74,10 +74,26 @@ def test_t_star_infinity():
 
 
 def test_t_star_homotopy_invariance():
+    # up to just under a+ = 0.2071, the largest detour t_star accepts
     tol = 1e-9
-    t_a = sep.t_star("zero_upper", detour=1e-3, tol=tol)
-    t_b = sep.t_star("zero_upper", detour=5e-3, tol=tol)
-    assert abs(t_a - t_b) <= 10 * tol
+    for kind in ("zero_upper", "infinity_upper"):
+        t_a = sep.t_star(kind, detour=1e-3, tol=tol)
+        for detour in (5e-3, 0.2):
+            t_b = sep.t_star(kind, detour=detour, tol=tol)
+            assert abs(t_a - t_b) <= 10 * tol
+
+
+@pytest.mark.parametrize("detour", [0.8, 1.0, sep.A_PLUS, 0.0, -1e-3,
+                                    math.nan],
+                         ids=["0.8", "1.0", "a_plus", "zero", "negative",
+                              "nan"])
+@pytest.mark.parametrize("kind", ["zero_upper", "infinity_upper",
+                                  "infinity_lower"])
+def test_t_star_rejects_detour_outside_its_path_family(kind, detour):
+    # at 0.8 the arc around q = 1 encloses a+ and would land the paths to
+    # infinity at 0.9696 - 0.0868i, not at -0.0867 - 0.9695i
+    with pytest.raises(ValueError, match="detour"):
+        sep.t_star(kind, detour=detour)
 
 
 @settings(max_examples=5, deadline=None)
@@ -122,25 +138,25 @@ def test_branched_point_sign_flip():
 
 def test_sigma_real_axis():
     for t in (-10.0, -3.0, 0.5, 3.0, 10.0):
-        st = sep.sigma(float(t))
+        st = sep.sigma_sweep([float(t)])[0]
         q = cmath.cos(st.lam / 2.0)
         assert abs(q.imag) < 1e-10
         assert sep.A_PLUS - 1e-10 <= q.real < 1.0
-    st = sep.sigma(0.0 + 0.0j)
+    st = sep.sigma_sweep([0.0 + 0.0j])[0]
     assert abs(st.lam - sep.lambda0()) < 1e-14 and abs(st.Lam) < 1e-14
 
 
 def test_sigma_momentum_odd():
     for t in (0.7, 1.2, 2.5):
-        plus = sep.sigma(float(t))
-        minus = sep.sigma(float(-t))
+        plus = sep.sigma_sweep([float(t)])[0]
+        minus = sep.sigma_sweep([float(-t)])[0]
         assert abs(plus.Lam + minus.Lam) <= 1e-9
         assert abs(plus.lam - minus.lam) <= 1e-9
 
 
 def test_sigma_complex_energy():
     # inside the strip the continuation stays real on the imaginary axis
-    st = sep.sigma(0.12j)
+    st = sep.sigma_sweep([0.12j])[0]
     assert abs(sep.pend_energy(st.lam, st.Lam) + 0.5) <= 1e-9
     assert abs(st.lam.imag) < 1e-10
     assert abs(st.Lam.real) < 1e-10
@@ -154,7 +170,7 @@ def test_sigma_complex_energy():
 def test_q_equation_along_real_orbit():
     a_p, a_m = sep.A_PLUS, sep.A_MINUS
     for t in (0.4, 1.1, 2.2, 4.0):
-        st = sep.sigma(float(t))
+        st = sep.sigma_sweep([float(t)])[0]
         lam, Lam = st.lam, st.Lam
         q = cmath.cos(lam / 2.0)
         qdot = 1.5 * Lam * cmath.sin(lam / 2.0)
@@ -181,7 +197,7 @@ def test_fit_branch():
 def test_zero_scan_of_momentum():
     min_abs = sep.check_zero_of_Lambda()
     assert min_abs > 0.05
-    st = sep.sigma(0.0 + 0.0j)
+    st = sep.sigma_sweep([0.0 + 0.0j])[0]
     assert abs(st.Lam) < 1e-10
 
 
@@ -272,25 +288,20 @@ def test_zero_scan_work_pinned(monkeypatch):
     assert counts == (526, 776, 42, 10406)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"spacing": -0.01},
-    {"spacing": 0.0},
-    {"spacing": math.nan},
-    {"re_range": (1.5, -1.5)},
-    {"re_range": (0.2, 0.2)},
-    {"re_range": (-1.5, math.inf)},
-], ids=["negative_spacing", "zero_spacing", "nan_spacing", "reversed_range",
-        "empty_range", "infinite_range"])
-def test_zero_scan_rejects_empty_grid(kwargs):
+@pytest.mark.parametrize("re_range", [(1.5, -1.5), (0.2, 0.2),
+                                      (-1.5, math.inf)],
+                         ids=["reversed_range", "empty_range",
+                              "infinite_range"])
+def test_zero_scan_rejects_empty_grid(re_range):
     with pytest.raises(ValueError):
-        sep.check_zero_of_Lambda(**kwargs)
+        sep.check_zero_of_Lambda(re_range=re_range)
 
 
 def test_alpha_plus_matches_continuation():
     # Lambda_h(i(A - s)) ~ -(2 alpha_+/3) (-i s)^(-1/3)
     a = sep.compute_A(tol=1e-12)
     s = 1e-3
-    st = sep.sigma(1j * (a - s))
+    st = sep.sigma_sweep([1j * (a - s)])[0]
     w = (-1j * s) ** (-1.0 / 3.0)
     alpha_est = st.Lam / (-2.0 / 3.0 * w)
     assert abs(alpha_est - sep.ALPHA_PLUS) < 0.02

@@ -95,7 +95,7 @@ def _reference_section_point(mu, branch, t_max=1000.0):
     def event(t, y):
         return math.atan2(y[1], y[0]) - math.pi / 2
 
-    sol = solve_ivp(lambda t, y: rpc3bp.cart_vector_field(y, mu),
+    sol = solve_ivp(rpc3bp.cart_flow(mu),
                     (0.0, tdir * t_max), z0, method="DOP853", rtol=1e-13,
                     atol=1e-13, events=event)
     assert sol.success
@@ -120,9 +120,11 @@ def test_hit_matches_scipy_event_reference(branch):
 def test_hit_independent_of_time_budget():
     mu = 1.5e-3
     a = splitting.manifold_section_point(mu, "unstable_plus", t_max=1000.0)
-    b = splitting.manifold_section_point(mu, "unstable_plus", t_max=1e6)
-    assert a.t_hit == b.t_hit
-    assert a.state == b.state
+    # the smallest step allowed does not grow with the budget either
+    for t_max in (1e6, 1e15):
+        b = splitting.manifold_section_point(mu, "unstable_plus", t_max=t_max)
+        assert a.t_hit == b.t_hit
+        assert a.state == b.state
 
 
 def test_default_budget_covers_lowest_mu():
