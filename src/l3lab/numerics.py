@@ -60,7 +60,6 @@ from . import _dop853 as _tab
 __all__ = [
     "Line",
     "Arc",
-    "ComplexPath",
     "OdeResult",
     "OdeStep",
     "QuadResult",
@@ -216,34 +215,11 @@ class Arc:
 
 Segment = Line | Arc
 
-_JOIN_TOL = 1e-12
-
 
 def _check_segment(seg: Segment):
     length = seg.length()
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("segment length must be finite and positive")
-
-
-@dataclass(frozen=True)
-class ComplexPath:
-    """Ordered chain of :class:`Line`/:class:`Arc` segments.
-
-    Each segment's length must be finite and positive, and consecutive
-    segments must share endpoints to within 1e-12.
-    """
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("path needs at least one segment")
-        for seg in self.segments:
-            _check_segment(seg)
-        for prev, seg in zip(self.segments, self.segments[1:]):
-            if abs(seg.start - prev.end) > _JOIN_TOL:
-                raise ValueError(
-                    f"segments disconnected: {prev.end} -> {seg.start}")
 
 
 @dataclass
@@ -699,11 +675,15 @@ def quad_path(f, seg: Segment, tol: float = 1e-12) -> QuadResult:
     ``f`` must be continuous on the segment except possibly at its endpoints,
     where an integrable |x|^alpha, alpha > -1 singularity is allowed.  The
     tanh-sinh nodes are laid out symmetrically as offsets from both segment
-    endpoints, computed in a cancellation-free form.  A node whose complex
-    coordinate rounds onto an endpoint (possible when the endpoint is far
-    from the origin) is skipped; the associated truncation is
-    double-exponentially small for any integrable singularity.  A segment
-    whose length is zero or not finite raises :class:`ValueError`.
+    endpoints, but a node's coordinate is the segment's point, so a node at
+    distance e from an endpoint x carries a relative error of about
+    1e-16 |x| / e in that distance.  A singular endpoint must therefore sit
+    at the coordinate origin: callers shift the variable so that it does.
+    Near an endpoint far from the origin the lost digits reach well beyond
+    the nodes that round onto it; those are skipped, and the associated
+    truncation is double-exponentially small for any integrable
+    singularity.  A segment whose length is zero or not finite raises
+    :class:`ValueError`.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")

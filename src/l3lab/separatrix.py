@@ -18,7 +18,13 @@ origin and a homoclinic loop at energy -1/2.  This module provides
 
 Branch tracking never applies a fixed-branch square root to the product
 under fhat; instead the four linear factors q, q+1, q-a+, q-a- carry
-individually accumulated arguments along each path.
+individually accumulated arguments along each path.  A path is a tuple of
+:class:`Line`/:class:`Arc` segments joined end to start, and each segment is
+integrated in w = q - a from its start a, so a factor vanishing there is
+exactly w.  Along a segment a factor's argument is its value at a plus the
+principal phase of (q - c)/(a - c), exact because no segment subtends pi or
+more at a factor point c; the half-turn around a+ on the paths to zero adds
+its own signed angle at its end.
 """
 from __future__ import annotations
 
@@ -26,8 +32,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numerics import (Arc, ComplexPath, L3labError, Line, QuadResult,
-                       fit_line, geomspace, integrate_chain, quad_path)
+from .numerics import (Arc, L3labError, Line, QuadResult, fit_line,
+                       geomspace, integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -38,8 +44,6 @@ __all__ = [
     "pend_energy",
     "lambda0",
     "PendulumState",
-    "BranchedPoint",
-    "fhat_at",
     "compute_A",
     "compute_A_rescaled",
     "residue_pole",
@@ -115,123 +119,72 @@ def lambda0() -> float:
 # ---------------------------------------------------------------------------
 
 _FACTOR_POINTS = (0.0, -1.0, A_PLUS, A_MINUS)
-_N_SUB = 64
 
 
-@dataclass(frozen=True)
-class BranchedPoint:
-    """A point of the q-plane with the continuously tracked factor arguments.
+def _fhat(w, offsets, args) -> complex:
+    """fhat = sqrt(q/(3(q+1)(q-a+)(q-a-)))/(q-1) at q = a + w.
 
-    ``accumulated_args`` are the arguments of q, q+1, q-a+, q-a- carried
-    along the path from the base point (a+, first sheet).
+    ``offsets`` are a - c for the factor points c = 0, -1, a+, a- and then
+    a - 1 for the pole; ``args`` are the arguments of the four factors
+    q - c at q = a.  Each factor is w + (a - c), exact when a = c, and its
+    argument moves by the principal phase of (q - c)/(a - c): exact while the
+    segment from a subtends less than pi at c.  A factor that vanishes at a
+    keeps its argument, which is right on a Line leaving c.
     """
-
-    q: complex
-    accumulated_args: tuple[float, float, float, float]
-
-
-def fhat_at(bp: BranchedPoint) -> complex:
-    """Value of fhat = sqrt(q/(3(q+1)(q-a+)(q-a-)))/(q-1) at a branched point."""
-    q = bp.q
-    a0, a1, a2, a3 = bp.accumulated_args
-    mod = math.sqrt(
-        abs(q) / (3.0 * abs(q + 1.0) * abs(q - A_PLUS) * abs(q - A_MINUS))
-    )
-    phase = 0.5 * (a0 - a1 - a2 - a3)
-    return mod * cmath.exp(1j * phase) / (q - 1.0)
+    z = [w + d for d in offsets]
+    turns = [g + (cmath.phase(f / d) if d else 0.0)
+             for f, d, g in zip(z, offsets, args)]
+    mod = math.sqrt(abs(z[0]) / (3.0 * abs(z[1]) * abs(z[2]) * abs(z[3])))
+    phase = 0.5 * (turns[0] - turns[1] - turns[2] - turns[3])
+    return mod * cmath.exp(1j * phase) / z[4]
 
 
-def _dphase(num, den):
-    return cmath.phase(num / den)
+def _shifted(seg):
+    """The segment in w = q - a, where a is its start."""
+    a = seg.start
+    if isinstance(seg, Line):
+        return Line(0.0, seg.b - a)
+    return Arc(seg.center - a, seg.radius, seg.phi_start, seg.phi_end)
 
 
-class _SegmentTracker:
-    """Continuous factor arguments along one segment.
+def _end_args(seg, offsets, args):
+    """The factor arguments at the end of ``seg`` from those at its start.
 
-    The segment is cut into sub-chords short enough that each factor turns by
-    less than pi within a chord, so the principal argument of the ratio to
-    the chord's reference point recovers the continuous argument.
+    The one arc centred on a factor point is the half-turn around a+ of the
+    paths to zero: that factor turns by the arc's own signed angle.  The
+    bounds on t_star's detour and residue_pole_numeric's radius keep the
+    factor points outside every other arc's disk.
     """
-
-    def __init__(self, seg, start_args):
-        self.seg = seg
-        refs = []
-        args = []
-        cur = list(start_args)
-        prev_w = None
-        for j in range(_N_SUB):
-            s = j / _N_SUB
-            if j == 0:
-                s_ref = 1e-12 if self._degenerate(seg.point(0.0)) else 0.0
-            else:
-                s_ref = s
-            z = seg.point(s_ref)
-            w = [z - c for c in _FACTOR_POINTS]
-            if prev_w is not None:
-                for k in range(4):
-                    cur[k] += _dphase(w[k], prev_w[k])
-            refs.append((z, w))
-            args.append(tuple(cur))
-            prev_w = w
-        self._refs = refs
-        self._args = args
-        # arguments at the segment end, for chaining into the next segment
-        z_end = seg.point(1.0)
-        end = list(self._args[-1])
-        wr = self._refs[-1][1]
-        for k in range(4):
-            w_end = z_end - _FACTOR_POINTS[k]
-            end[k] += _dphase(w_end, wr[k]) if w_end != 0 else 0.0
-        self.end_args = tuple(end)
-
-    @staticmethod
-    def _degenerate(z):
-        return any(z == c for c in _FACTOR_POINTS)
-
-    def _param(self, z) -> float:
-        seg = self.seg
-        if isinstance(seg, Line):
-            s = ((z - seg.a) / (seg.b - seg.a)).real
-        else:
-            phi = cmath.phase(z - seg.center)
-            dphi = seg.phi_end - seg.phi_start
-            s = (phi - seg.phi_start) / dphi
-            for k in (-1.0, 1.0):
-                alt = (phi - seg.phi_start + 2.0 * math.pi * k) / dphi
-                if abs(alt - 0.5) < abs(s - 0.5):
-                    s = alt
-        return min(max(s, 0.0), 1.0)
-
-    def branched_point(self, z) -> BranchedPoint:
-        s = self._param(z)
-        j = min(int(s * _N_SUB), _N_SUB - 1)
-        _, wr = self._refs[j]
-        base = self._args[j]
-        args = tuple(
-            base[k] + _dphase(z - _FACTOR_POINTS[k], wr[k]) for k in range(4)
-        )
-        return BranchedPoint(q=z, accumulated_args=args)
-
-    def integrand(self):
-        def f(z):
-            return fhat_at(self.branched_point(z))
-        return f
+    out = []
+    for c, d, arg in zip(_FACTOR_POINTS, offsets, args):
+        if isinstance(seg, Arc) and seg.center == c:
+            arg += seg.phi_end - seg.phi_start
+        elif d:
+            arg += cmath.phase((seg.end - c) / d)
+        out.append(arg)
+    return tuple(out)
 
 
-def _integrate_fhat(path: ComplexPath, tol: float) -> QuadResult:
-    # one quadrature per segment, each tracker starting from the factor
-    # arguments at the end of the previous segment
+def _integrate_fhat(path, tol: float) -> QuadResult:
+    """Integral of fhat along a chain of segments that join end to start.
+
+    The path starts on the real interval [a+, 1) of the first sheet, where
+    every factor argument is 0.  Each segment is one quadrature in
+    w = q - a from its start a.
+    """
     total = 0.0 + 0.0j
     err = 0.0
     evals = 0
     args = (0.0, 0.0, 0.0, 0.0)
-    for seg in path.segments:
-        tr = _SegmentTracker(seg, args)
-        res = quad_path(tr.integrand(), seg, tol=tol)
+    for seg in path:
+        a = seg.start
+        offsets = tuple(a - c for c in _FACTOR_POINTS) + (a - 1.0,)
+        res = quad_path(lambda w: _fhat(w, offsets, args), _shifted(seg),
+                        tol=tol)
         total += res.value
         err += res.err
         evals += res.evals
-        args = tr.end_args
+        args = _end_args(seg, offsets, args)
     return QuadResult(value=total, err=err, evals=evals)
 
 
@@ -287,8 +240,7 @@ def residue_pole_numeric(radius: float = 1e-3) -> complex:
     """(1/2 pi i) times the contour integral of fhat around q = 1."""
     if not 1e-6 < radius <= 0.2:
         raise ValueError("radius must lie in (1e-6, 0.2]")
-    circle = ComplexPath((Arc(1.0, radius, -math.pi, math.pi),))
-    res = _integrate_fhat(circle, 1e-12)
+    res = _integrate_fhat((Arc(1.0, radius, -math.pi, math.pi),), 1e-12)
     return res.value / (2j * math.pi)
 
 
@@ -296,35 +248,35 @@ def residue_pole_numeric(radius: float = 1e-3) -> complex:
 # singularities of the continued separatrix
 # ---------------------------------------------------------------------------
 
-def _conj_path(path: ComplexPath) -> ComplexPath:
+def _conj_path(path):
     segs = []
-    for seg in path.segments:
+    for seg in path:
         if isinstance(seg, Line):
             segs.append(Line(seg.a.conjugate(), seg.b.conjugate()))
         else:
             segs.append(Arc(seg.center.conjugate(), seg.radius,
                             -seg.phi_start, -seg.phi_end))
-    return ComplexPath(tuple(segs))
+    return tuple(segs)
 
 
-def _zero_path(detour: float) -> ComplexPath:
-    return ComplexPath((
+def _zero_path(detour: float):
+    return (
         Line(A_PLUS, A_PLUS + detour),
         Arc(A_PLUS, detour, 0.0, math.pi),
         Line(A_PLUS - detour, 0.0),
-    ))
+    )
 
 
 # where the paths to infinity are truncated
 _R_MAX = 1e4
 
 
-def _infinity_path(detour: float) -> ComplexPath:
-    return ComplexPath((
+def _infinity_path(detour: float):
+    return (
         Line(A_PLUS, 1.0 - detour),
         Arc(1.0, detour, math.pi, 0.0),
         Line(1.0 + detour, _R_MAX),
-    ))
+    )
 
 
 _T_STAR_KINDS = ("zero_upper", "zero_lower", "infinity_upper", "infinity_lower")

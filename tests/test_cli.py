@@ -301,8 +301,9 @@ def test_commands_run_with_numpy_blocked(command):
 
 
 def test_numerical_failure_exits_1_with_message():
-    code, _, err = run_cli_process(["stokes", "--rho-min", "13",
-                                    "--rho-max", "13", "--re-start", "10"])
+    # the manifold leaves the section uncrossed in one time unit: NoCrossing
+    code, _, err = run_cli_process(["distance", "--mu", "1e-3", "--t-max",
+                                    "1", "--theta-abs", "1.6"])
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
@@ -351,7 +352,7 @@ def test_distance_bad_theta_abs_exits_2(value):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-100"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-100", "10", "1e9"])
 def test_stokes_bad_re_start_exits_2(value):
     code, out, err = run_cli_process(
         ["stokes", "--rho-min", "13", "--rho-max", "13",

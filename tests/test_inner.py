@@ -350,7 +350,8 @@ def test_shoot_validation():
         inner.shoot("sideways", 13.0, [-13j])
 
 
-@pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0])
+@pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0,
+                                      10.0, 1e9])
 def test_shoot_rejects_bad_re_start(re_start):
     # a negative start would seed each branch on the other's side
     for branch in ("unstable", "stable"):

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3lab import _dop853, numerics, rpc3bp, separatrix
-from l3lab.numerics import (Arc, ComplexPath, L3labError, Line, NoBracket,
-                            NoConvergence, NonFinite, StepUnderflow,
-                            find_root, fit_line, geomspace, integrate_chain,
-                            integrate_ode, linspace, ode_steps, quad_path)
+from l3lab.numerics import (Arc, L3labError, Line, NoBracket, NoConvergence,
+                            NonFinite, StepUnderflow, find_root, fit_line,
+                            geomspace, integrate_chain, integrate_ode,
+                            linspace, ode_steps, quad_path)
 
 
 def _polyline_ode(field, points, y0, **tols):
@@ -26,17 +26,6 @@ def _polyline_ode(field, points, y0, **tols):
         y, steps, rejected = (res.y_end, steps + res.steps,
                               rejected + res.rejected)
     return y, steps, rejected
-
-
-def test_path_validation():
-    with pytest.raises(ValueError):
-        ComplexPath(())
-    with pytest.raises(ValueError):
-        ComplexPath((Line(0.0, 1.0), Line(2.0, 3.0)))  # disconnected
-    with pytest.raises(ValueError):
-        ComplexPath((Line(0.0, 1.0), Line(1.0, 1.0)))  # zero length
-    segs = (Line(0.0, 1.0), Arc(0.5, 0.5, 0.0, math.pi))
-    assert ComplexPath(segs).segments == segs
 
 
 def test_ode_exponential():

@@ -73,14 +73,27 @@ def test_t_star_infinity():
     assert abs(abs(t2.imag) - math.pi * sep.residue_pole()) < 1e-8
 
 
+def test_t_star_zero_is_minus_i_A_to_rounding():
+    # the detour starts at the branch point a+, where q - a+ is the
+    # integration variable itself
+    t1 = sep.t_star("zero_upper")
+    exact = -1j * sep.compute_A()
+    assert abs(t1.real - exact.real) <= 1e-14
+    assert abs(t1.imag - exact.imag) <= 1e-14
+
+
+def test_t_star_infinity_matches_reference():
+    # the same truncated path plus its tail term, to 30 digits in mpmath
+    ref = -0.086696609173862573 - 0.969516541330405693j
+    assert abs(sep.t_star("infinity_upper") - ref) <= 1e-12
+
+
 def test_t_star_homotopy_invariance():
     # up to just under a+ = 0.2071, the largest detour t_star accepts
-    tol = 1e-9
     for kind in ("zero_upper", "infinity_upper"):
-        t_a = sep.t_star(kind, detour=1e-3, tol=tol)
+        t_a = sep.t_star(kind, detour=1e-3)
         for detour in (5e-3, 0.2):
-            t_b = sep.t_star(kind, detour=detour, tol=tol)
-            assert abs(t_a - t_b) <= 10 * tol
+            assert abs(t_a - sep.t_star(kind, detour=detour)) <= 1e-12
 
 
 @pytest.mark.parametrize("detour", [0.8, 1.0, sep.A_PLUS, 0.0, -1e-3,
@@ -126,13 +139,55 @@ def test_quadrature_is_one_call_per_segment(monkeypatch, run, calls):
     assert all(isinstance(seg, (Line, Arc)) for seg in segs)
 
 
-def test_branched_point_sign_flip():
-    bp = sep.BranchedPoint(q=0.5 + 0.2j, accumulated_args=(0.1, 0.2, 0.3, 0.4))
-    base = sep.fhat_at(bp)
+@pytest.mark.parametrize("kind, budget", [
+    ("zero_upper", 600),
+    ("infinity_upper", 1200),
+])
+def test_t_star_evaluation_budget(monkeypatch, kind, budget):
+    # integrand evaluations at the default tol; the paths once cut into
+    # 64 sub-chords per segment took 12,593 and 3,785
+    evals = []
+    plain = sep.quad_path
+
+    def counting(f, seg, tol):
+        res = plain(f, seg, tol=tol)
+        evals.append(res.evals)
+        return res
+
+    monkeypatch.setattr(sep, "quad_path", counting)
+    sep.t_star(kind)
+    assert sum(evals) <= budget
+
+
+@pytest.mark.parametrize("path", [
+    sep._zero_path(1e-3), sep._zero_path(0.2),
+    sep._infinity_path(1e-3), sep._infinity_path(0.2),
+    sep._conj_path(sep._zero_path(5e-3)),
+    sep._conj_path(sep._infinity_path(5e-3)),
+], ids=["zero", "zero_wide", "infinity", "infinity_wide", "zero_conj",
+        "infinity_conj"])
+def test_path_segments_join(path):
+    # the factor arguments are chained from each segment's end to the next
+    # segment's start, and start from 0 at a+
+    assert path[0].start == sep.A_PLUS
+    for seg in path:
+        assert isinstance(seg, (Line, Arc))
+        assert 0.0 < seg.length() < math.inf
+    for prev, seg in zip(path, path[1:]):
+        assert abs(seg.start - prev.end) <= 1e-15
+
+
+def test_fhat_sign_flip():
+    # one more turn of any factor moves fhat to the other sheet
+    a = 0.5 + 0.2j
+    offsets = tuple(a - c for c in (0.0, -1.0, sep.A_PLUS, sep.A_MINUS, 1.0))
+    w = 0.01 - 0.03j
+    args = (0.1, 0.2, 0.3, 0.4)
+    base = sep._fhat(w, offsets, args)
     for k in range(4):
-        args = list(bp.accumulated_args)
-        args[k] += 2.0 * math.pi
-        flipped = sep.fhat_at(sep.BranchedPoint(bp.q, tuple(args)))
+        turned = list(args)
+        turned[k] += 2.0 * math.pi
+        flipped = sep._fhat(w, offsets, tuple(turned))
         assert abs(flipped + base) < 1e-15 * abs(base)
 
 
