@@ -15,7 +15,9 @@ A = separatrix.compute_A()
 print("singularities from q-plane path integrals:")
 for kind in ("zero_upper", "zero_lower", "infinity_upper", "infinity_lower"):
     t = separatrix.t_star(kind)
-    print(f"  {kind:15s}: {t.real:+.9f} {t.imag:+.9f} i")
+    # adding 0.0 turns a -0.0 from rounding into +0.0
+    re, im = (round(v, 9) + 0.0 for v in (t.real, t.imag))
+    print(f"  {kind:15s}: {re:+.9f} {im:+.9f} i")
 print(f"  (strip half-width A = {A:.9f})")
 
 res = separatrix.residue_pole()

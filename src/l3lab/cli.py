@@ -172,6 +172,10 @@ def _check_samples(args):
 
 def _cmd_separatrix(args) -> int:
     _check_samples(args)
+    if args.t_max > separatrix.RE_REACH:
+        raise ValueError(f"--t-max {args.t_max} reaches beyond "
+                         f"{separatrix.RE_REACH:g}, where the samples are "
+                         f"noise")
     n = args.n
     half = linspace(-args.t_max, args.t_max, n)[(n + 1) // 2:]
     zero = [0.0] if n % 2 else []

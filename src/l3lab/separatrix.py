@@ -14,7 +14,8 @@ origin and a homoclinic loop at energy -1/2.  This module provides
   q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`),
 * local structure fits at the strip-boundary singularity (:func:`fit_branch`)
   and a zero-free scan of Lambda over the strip
-  (:func:`check_zero_of_Lambda`).
+  (:func:`check_zero_of_Lambda`), integrated on its upper half only: the
+  lower half is the conjugate image, sigma(conj t) = conj sigma(t).
 
 Branch tracking never applies a fixed-branch square root to the product
 under fhat; instead the four linear factors q, q+1, q-a+, q-a- carry
@@ -53,6 +54,7 @@ __all__ = [
     "fit_branch",
     "SingularityReport",
     "check_zero_of_Lambda",
+    "RE_REACH",
     "CollisionSingularity",
     "FitRejected",
 ]
@@ -317,6 +319,14 @@ def t_star(path_kind: str, detour: float = 1e-3,
 # sigma: the separatrix in complex time
 # ---------------------------------------------------------------------------
 
+# the farthest |Re t| the separatrix is sampled at, the reach of the
+# command line's default grid: the saddle amplifies the integration error
+# as fast as lambda decays toward it, so from t ~ 9 the error is the size
+# of lambda, and farther out the samples are noise (lambda(12) comes out as
+# 2.7e-5, lambda(100) as 3.3e-3)
+RE_REACH = 10.0
+
+
 def _pend_field(t, y):
     return pend_rhs(y[0], y[1])
 
@@ -394,13 +404,27 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     returned minimum stays well away from zero.  The base points of the
     grid columns on the real axis are integrated (rtol 1e-10) as two chains
     out from t = 0, one through the x >= 0 ascending and one through the
-    x < 0 descending; each column then continues up and down from its base
-    state.  Every leg starts from the step the previous leg of its chain
-    ended with.
+    x < 0 descending; each column then continues up from its base state.
+    Every leg starts from the step the previous leg of its chain ended with.
+
+    Only the upper half of the strip is integrated.  The field is real
+    analytic and sigma(0) is real, so sigma(conj t) = conj sigma(t); the
+    lower column x - iv holds the conjugates of the upper one, and the
+    removed disks are mirror images, so the lower half adds no new value of
+    |Lambda|.  This holds in floating point too: every base state has
+    imaginary parts of exactly zero, IEEE complex arithmetic and cmath's
+    sin and cos commute with conjugation, and the step controller sees the
+    same error norms on both columns, so the lower legs take the mirrored
+    steps and land on the conjugate states bit for bit, up to the sign of
+    a zero part, which |Lambda| does not see.  ``re_range`` must lie
+    within |Re t| <= 10.
     """
     lo, hi = re_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("re_range must be a finite increasing pair")
+    if max(-lo, hi) > RE_REACH:
+        raise ValueError(f"re_range must lie within |Re t| <= {RE_REACH:g}, "
+                         f"got {re_range}")
     A = compute_A()
     spacing = 0.02
     ims = _grid(spacing, A - 5e-3, spacing)
@@ -414,15 +438,12 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
         bases.update(zip(half, ys))
     best = math.inf
     for x in xs:
-        base, y_base = complex(x, 0.0), bases[x]
-        points, ys = [base], [y_base]
-        for sign in (1.0, -1.0):
-            column = [complex(x, sign * v) for v in ims]
-            points += column
-            ys += integrate_chain(_pend_field, base, column, y_base,
-                                  rtol=1e-10, atol=1e-14)
+        base = complex(x, 0.0)
+        points = [base] + [complex(x, v) for v in ims]
+        ys = [bases[x]] + integrate_chain(_pend_field, base, points[1:],
+                                          bases[x], rtol=1e-10, atol=1e-14)
         for t, y in zip(points, ys):
-            if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < 0.05:
+            if min(abs(t), abs(t - 1j * A)) < 0.05:
                 continue
             best = min(best, abs(y[1]))
     return best

@@ -274,9 +274,10 @@ def _pend_legs(start, points, y0, rtol, carry=True):
 
 
 def _zero_scan_reference(re_range, carry):
-    """min |Lambda| of the scan from test-side legs: with ``carry``, the
-    base points as two chains out from t = 0 along the real axis; without
-    it, the former scan with one cold leg 0 -> x per column."""
+    """min |Lambda| of the scan over both halves of the strip, from
+    test-side legs: each column is integrated up and down from its base
+    point.  With ``carry``, the base points are two chains out from t = 0
+    along the real axis; without it, one cold leg 0 -> x per column."""
     spacing, puncture, rtol = 0.02, 0.05, 1e-10
     A = sep.compute_A()
     lo, hi = re_range[0], re_range[1] + spacing / 2
@@ -309,7 +310,8 @@ def _zero_scan_reference(re_range, carry):
 
 
 def test_zero_scan_matches_sweeps_from_origin():
-    # (-0.3, 0.3) covers the punctures at 0 and +-iA
+    # (-0.3, 0.3) covers the punctures at 0 and +-iA; the scan integrates
+    # only the upper half, the reference both
     re_range = (-0.3, 0.3)
     scan = sep.check_zero_of_Lambda(re_range=re_range)
     assert scan == _zero_scan_reference(re_range, carry=True)
@@ -320,9 +322,11 @@ def test_zero_scan_matches_sweeps_from_origin():
 
 
 def test_zero_scan_work_pinned(monkeypatch):
-    # warm-started legs and chained base points; with cold legs and one
-    # base leg from t = 0 per column the same scan takes 1,834 steps, 48
-    # rejections and 23,636 field calls
+    # warm-started legs, chained base points and the upper half only;
+    # integrating the lower half too took 526 legs, 776 steps, 42
+    # rejections and 10,406 field calls, and with cold legs and one base
+    # leg from t = 0 per column, 1,834 steps, 48 rejections and 23,636
+    # field calls
     legs, field_calls = [], []
     plain_leg, plain_rhs = numerics.integrate_ode, sep.pend_rhs
 
@@ -340,7 +344,59 @@ def test_zero_scan_work_pinned(monkeypatch):
     sep.check_zero_of_Lambda(re_range=(-0.3, 0.3))
     counts = (len(legs), sum(r.steps for r in legs),
               sum(r.rejected for r in legs), len(field_calls))
-    assert counts == (526, 776, 42, 10406)
+    assert counts == (278, 407, 21, 5447)
+
+
+def _bits(z):
+    # the bits of both parts, but for the sign of a zero: on the imaginary
+    # axis lambda is real, and its imaginary part comes out as +0.0 on
+    # both columns, which conjugation turns into -0.0 on one
+    return (z.real + 0.0).hex(), (z.imag + 0.0).hex()
+
+
+# (-0.3, 0.3) and the zero-scan ranges of seeds 1 and 3 of the
+# continuation benchmark
+@pytest.mark.parametrize("re_range", [
+    (-0.3, 0.3),
+    (-1.4881783752997433, 1.5118216247002567),
+    (-1.9143508328563756, 1.0856491671436244),
+], ids=["punctures", "seed_1", "seed_3"])
+def test_lower_column_is_conjugate_of_upper(re_range):
+    # sigma(conj t) = conj sigma(t) bit for bit on the scan's grid, which
+    # is what lets check_zero_of_Lambda integrate only the upper half
+    A = sep.compute_A()
+    xs = sep._grid(re_range[0], re_range[1] + 0.01, 0.02)
+    ims = sep._grid(0.02, A - 5e-3, 0.02)
+    bases = {}
+    for half in ([x for x in xs if x >= 0.0], [x for x in xs[::-1] if x < 0.0]):
+        bases.update(zip(half, numerics.integrate_chain(
+            sep._pend_field, 0.0, half, (sep.lambda0(), 0.0),
+            rtol=1e-10, atol=1e-14)))
+    compared = 0
+    for x in xs:
+        assert [v.imag for v in bases[x]] == [0.0, 0.0]
+        upper, lower = (numerics.integrate_chain(
+            sep._pend_field, complex(x, 0.0),
+            [complex(x, sign * v) for v in ims], bases[x],
+            rtol=1e-10, atol=1e-14) for sign in (1.0, -1.0))
+        for up, down in zip(upper, lower):
+            assert [_bits(v.conjugate()) for v in up] == [_bits(v) for v in down]
+            compared += 1
+    assert compared == len(xs) * len(ims)
+
+
+@pytest.mark.parametrize("re_range", [(-0.3, 11.0), (-11.0, 0.3),
+                                      (-1e9, 1e9)],
+                         ids=["right_11", "left_11", "both_1e9"])
+def test_zero_scan_refuses_reach_beyond_10(monkeypatch, re_range):
+    # refused before the grid is built: (-1e9, 1e9) would ask for 1e11
+    # points
+    def no_grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(sep, "_grid", no_grid)
+    with pytest.raises(ValueError, match="10"):
+        sep.check_zero_of_Lambda(re_range=re_range)
 
 
 @pytest.mark.parametrize("re_range", [(1.5, -1.5), (0.2, 0.2),
