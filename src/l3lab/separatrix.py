@@ -14,8 +14,9 @@ origin and a homoclinic loop at energy -1/2.  This module provides
   q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`),
 * local structure fits at the strip-boundary singularity (:func:`fit_branch`)
   and a zero-free scan of Lambda over the strip
-  (:func:`check_zero_of_Lambda`), integrated on its upper half only: the
-  lower half is the conjugate image, sigma(conj t) = conj sigma(t).
+  (:func:`check_zero_of_Lambda`), integrated on its upper half only, one
+  leg per grid column with the rows read from the dense output: the lower
+  half is the conjugate image, sigma(conj t) = conj sigma(t).
 
 Branch tracking never applies a fixed-branch square root to the product
 under fhat; instead the four linear factors q, q+1, q-a+, q-a- carry
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (Arc, L3labError, Line, QuadResult, fit_line,
-                       geomspace, integrate_chain, quad_path)
+                       geomspace, integrate_chain, integrate_ode, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -404,8 +405,13 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     returned minimum stays well away from zero.  The base points of the
     grid columns on the real axis are integrated (rtol 1e-10) as two chains
     out from t = 0, one through the x >= 0 ascending and one through the
-    x < 0 descending; each column then continues up from its base state.
-    Every leg starts from the step the previous leg of its chain ended with.
+    x < 0 descending; every leg of a chain starts from the step the leg
+    before it ended with.  Each column then climbs from its base state to
+    its top row as one leg, and reads its other rows from that leg's
+    seventh-order dense output; every column after the first starts from
+    the step the one before it ended with.  On (-1.49, 1.51) the dense
+    rows stay within 3.9e-10 (relative) of |Lambda| integrated at rtol
+    1e-13; for the default range the minimum sits on the base points.
 
     Only the upper half of the strip is integrated.  The field is real
     analytic and sigma(0) is real, so sigma(conj t) = conj sigma(t); the
@@ -414,10 +420,10 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     |Lambda|.  This holds in floating point too: every base state has
     imaginary parts of exactly zero, IEEE complex arithmetic and cmath's
     sin and cos commute with conjugation, and the step controller sees the
-    same error norms on both columns, so the lower legs take the mirrored
-    steps and land on the conjugate states bit for bit, up to the sign of
-    a zero part, which |Lambda| does not see.  ``re_range`` must lie
-    within |Re t| <= 10.
+    same error norms on both columns, so a lower leg takes the mirrored
+    steps, lands on the conjugate state and reads the conjugate rows from
+    its dense output bit for bit, up to the sign of a zero part, which
+    |Lambda| does not see.  ``re_range`` must lie within |Re t| <= 10.
     """
     lo, hi = re_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -436,12 +442,19 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
         ys = integrate_chain(_pend_field, 0.0, half, (lambda0(), 0.0),
                              rtol=1e-10, atol=1e-14)
         bases.update(zip(half, ys))
+    top = ims[-1]
+    # the parameters of the lower rows on a column's leg
+    rows = [v / top for v in ims[:-1]]
     best = math.inf
+    h = None
     for x in xs:
         base = complex(x, 0.0)
+        res = integrate_ode(_pend_field, base, complex(x, top), bases[x],
+                            rtol=1e-10, atol=1e-14, _first_step=h,
+                            _samples=rows)
+        h = res.next_step
         points = [base] + [complex(x, v) for v in ims]
-        ys = [bases[x]] + integrate_chain(_pend_field, base, points[1:],
-                                          bases[x], rtol=1e-10, atol=1e-14)
+        ys = [bases[x], *res.samples, res.y_end]
         for t, y in zip(points, ys):
             if min(abs(t), abs(t - 1j * A)) < 0.05:
                 continue

@@ -21,12 +21,12 @@ the two are traced one after the other, with the same bits.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 from .numerics import (L3labError, Line, NonFinite, StepUnderflow, _fork_pair,
-                       find_root, fit_line, geomspace, linspace, ode_steps)
+                       _sample_steps, find_root, fit_line, geomspace, linspace,
+                       ode_steps)
 from .rpc3bp import (CartesianState, cart_flow, hess_h_cart, locate_L3,
                      polar_from_cart, poincare_from_polar)
 from .separatrix import compute_A
@@ -239,9 +239,7 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     hit, steps = _trace(mu, branch, _SEED_EPS, t_max, math.pi / 2, 0.0,
                         keep_steps=True)
     ts = linspace(0.0, hit.t_hit, n_points)
-    ends = [step.s_new for step in steps]
-    states = [steps[bisect.bisect_left(ends, abs(t))](abs(t)) for t in ts]
-    return ts, states
+    return ts, _sample_steps(steps, [abs(t) for t in ts])
 
 
 def fit_splitting_exponent(mu_grid=None) -> SplittingFit:

@@ -256,6 +256,55 @@ def test_dense_output_on_linear_field(a, y0):
             assert abs(step(t)[0] - cmath.exp(a * t)) <= 1e-10
 
 
+@pytest.mark.parametrize("a", [-3.0, -1.5 + 6.0j])
+def test_dense_output_on_non_real_line(a):
+    # y' = a y up the vertical leg x -> x + 0.16i, as the zero scan climbs a
+    # column: interior samples go through the chain rule with a complex
+    # direction, and follow exp(a t) at t = x + 0.16i s
+    x = 0.7
+    seg = Line(complex(x), complex(x, 0.16))
+    field = lambda t, y: (a * y[0],)
+    y0 = [cmath.exp(a * x)]
+    steps = list(ode_steps(field, seg, y0, rtol=1e-12, atol=1e-14))
+    assert len(steps) > 3 and steps[-1].s_new == 1.0
+    for step in steps:
+        for f in (0.25, 0.5, 0.9):
+            s = step.s_old + f * (step.s_new - step.s_old)
+            assert abs(step(s)[0] - cmath.exp(a * seg.point(s))) <= 1e-10
+    # a sample at a step end is read from the step that ends there, and is
+    # that step's end state exactly
+    ends = [step.s_new for step in steps]
+    assert numerics._sample_steps(steps, ends) == [st.y_new for st in steps]
+    # integrate_ode reads the same bits and otherwise returns what it
+    # returns without samples
+    samples = [0.1, ends[1], 0.5, 0.9]
+    res = integrate_ode(field, seg.a, seg.b, y0, rtol=1e-12, atol=1e-14,
+                        _samples=samples)
+    plain = integrate_ode(field, seg.a, seg.b, y0, rtol=1e-12, atol=1e-14)
+    assert res.samples == numerics._sample_steps(steps, samples)
+    assert res.samples[1] == steps[1].y_new and plain.samples == []
+    assert ((res.y_end, res.steps, res.rejected, res.max_err_est,
+             res.next_step) == (plain.y_end, plain.steps, plain.rejected,
+                                plain.max_err_est, plain.next_step))
+
+
+def test_sample_steps_reads_no_step_past_the_last_sample():
+    taken = []
+
+    def steps():
+        for step in ode_steps(lambda t, y: (-y[0],), Line(0.0, 1.0), [1.0],
+                              s_end=5.0):
+            taken.append(step)
+            yield step
+
+    stepper = steps()
+    got = numerics._sample_steps(stepper, [0.0, 0.5])
+    last = taken[-1]
+    assert taken[-2].s_new < 0.5 <= last.s_new and got[1] == last(0.5)
+    # the caller goes on stepping from there
+    assert next(stepper).s_old == last.s_new
+
+
 def test_kahan_carry_keeps_small_increments(monkeypatch):
     # 10^4 increments of 1e-4 on a state of 1e6: a plain sum rounds each one
     # to a multiple of ulp(1e6) ~ 1.2e-10 and drifts by about 5e-7; the

@@ -309,24 +309,116 @@ def _zero_scan_reference(re_range, carry):
     return best
 
 
+def _scan_grid(re_range):
+    A = sep.compute_A()
+    return (A, sep._grid(re_range[0], re_range[1] + 0.01, 0.02),
+            sep._grid(0.02, A - 5e-3, 0.02))
+
+
+def _chained_bases(xs, rtol=1e-10):
+    """Base states on the real axis: two chains out from t = 0."""
+    bases = {}
+    for half in ([x for x in xs if x >= 0.0], [x for x in xs[::-1] if x < 0.0]):
+        bases.update(zip(half, numerics.integrate_chain(
+            sep._pend_field, 0.0, half, (sep.lambda0(), 0.0),
+            rtol=rtol, atol=1e-14)))
+    return bases
+
+
+def _dense_columns(xs, ims, bases, sign=1.0):
+    """Each column x + i*sign*v, v in ``ims``, from test-side steps.
+
+    One leg per column from x to its top row, stepped by ``numerics._steps``;
+    each lower row is read from the dense output of the first step that
+    reaches it, and the top row is the leg's end state.  Every leg after the
+    first starts from the step the leg before it proposed at its end.
+    """
+    top = ims[-1]
+    columns, h = {}, None
+    for x in xs:
+        a = complex(x, 0.0)
+        d = complex(x, sign * top) - a
+        length = abs(d)
+        steps = list(numerics._steps(sep._pend_field, a, d, list(bases[x]),
+                                     1e-10, 1e-14, 1.0,
+                                     None if h is None else h / length))
+        rows = []
+        for v in ims[:-1]:
+            s = v / top
+            rows.append(next(st for st in steps if st.s_new >= s)(s))
+        columns[x] = rows + [steps[-1].y_new]
+        h = steps[-1]._h_next * length
+    return columns
+
+
+def _dense_scan(re_range):
+    """min |Lambda| of the scan's upper half from :func:`_dense_columns`."""
+    A, xs, ims = _scan_grid(re_range)
+    bases = _chained_bases(xs)
+    columns = _dense_columns(xs, ims, bases)
+    best = math.inf
+    for x in xs:
+        points = [complex(x, v) for v in [0.0, *ims]]
+        for t, y in zip(points, [bases[x], *columns[x]]):
+            if abs(t) < 0.05 or abs(t - 1j * A) < 0.05:
+                continue
+            best = min(best, abs(y[1]))
+    return best
+
+
 def test_zero_scan_matches_sweeps_from_origin():
     # (-0.3, 0.3) covers the punctures at 0 and +-iA; the scan integrates
-    # only the upper half, the reference both
+    # one leg per upper column and reads its rows from the dense output
     re_range = (-0.3, 0.3)
     scan = sep.check_zero_of_Lambda(re_range=re_range)
-    assert scan == _zero_scan_reference(re_range, carry=True)
+    assert scan == _dense_scan(re_range)
+    # one leg per row, upper and lower, moved it by 2.0e-12 relative
+    legs = _zero_scan_reference(re_range, carry=True)
+    assert scan != legs
+    assert abs(scan - legs) <= 20 * 1e-10 * legs
     # the carried steps keep the minimum within 20 x rtol of cold legs
     cold = _zero_scan_reference(re_range, carry=False)
     assert scan != cold
     assert abs(scan - cold) <= 20 * 1e-10 * cold
 
 
+def test_dense_rows_match_fine_legs_on_seed_1_range(monkeypatch):
+    # every row the zero scan reads on the continuation benchmark's seed-1
+    # range, against one rtol-1e-13 leg per row: the dense rows reach
+    # 3.9e-10 relative, one rtol-1e-10 leg per row 9.4e-12
+    re_range = (-1.4881783752997433, 1.5118216247002567)
+    read, plain_leg = [], sep.integrate_ode
+
+    def leg(*args, **kwargs):
+        res = plain_leg(*args, **kwargs)
+        read.append([*res.samples, res.y_end])
+        return res
+
+    monkeypatch.setattr(sep, "integrate_ode", leg)
+    sep.check_zero_of_Lambda(re_range=re_range)
+    _, xs, ims = _scan_grid(re_range)
+    columns = _dense_columns(xs, ims, _chained_bases(xs))
+    assert read == [columns[x] for x in xs]
+    fine_bases = _chained_bases(xs, rtol=1e-13)
+    compared = 0
+    for x in xs:
+        fine = numerics.integrate_chain(
+            sep._pend_field, complex(x, 0.0), [complex(x, v) for v in ims],
+            fine_bases[x], rtol=1e-13, atol=1e-14)
+        for got, ref in zip(columns[x], fine):
+            assert abs(abs(got[1]) - abs(ref[1])) <= 20 * 1e-10 * abs(ref[1])
+            compared += 1
+    assert compared == len(xs) * len(ims)
+
+
 def test_zero_scan_work_pinned(monkeypatch):
-    # warm-started legs, chained base points and the upper half only;
-    # integrating the lower half too took 526 legs, 776 steps, 42
-    # rejections and 10,406 field calls, and with cold legs and one base
-    # leg from t = 0 per column, 1,834 steps, 48 rejections and 23,636
-    # field calls
+    # chained base points, then one warm-started leg per upper column with
+    # its lower rows read from the dense output; the field calls include
+    # the dense output's.  One leg per row took 278 legs, 407 steps, 21
+    # rejections and 5,447 field calls; integrating the lower half too,
+    # 526 legs, 776 steps, 42 rejections and 10,406 field calls; and with
+    # cold legs and one base leg from t = 0 per column on both halves,
+    # 1,834 steps, 48 rejections and 23,636 field calls
     legs, field_calls = [], []
     plain_leg, plain_rhs = numerics.integrate_ode, sep.pend_rhs
 
@@ -339,12 +431,15 @@ def test_zero_scan_work_pinned(monkeypatch):
         field_calls.append(lam)
         return plain_rhs(lam, Lam)
 
+    # the base chains call numerics.integrate_ode, the columns the name
+    # separatrix imports
     monkeypatch.setattr(numerics, "integrate_ode", leg)
+    monkeypatch.setattr(sep, "integrate_ode", leg)
     monkeypatch.setattr(sep, "pend_rhs", rhs)
     sep.check_zero_of_Lambda(re_range=(-0.3, 0.3))
     counts = (len(legs), sum(r.steps for r in legs),
               sum(r.rejected for r in legs), len(field_calls))
-    assert counts == (278, 407, 21, 5447)
+    assert counts == (61, 255, 73, 4465)
 
 
 def _bits(z):
@@ -363,15 +458,12 @@ def _bits(z):
 ], ids=["punctures", "seed_1", "seed_3"])
 def test_lower_column_is_conjugate_of_upper(re_range):
     # sigma(conj t) = conj sigma(t) bit for bit on the scan's grid, which
-    # is what lets check_zero_of_Lambda integrate only the upper half
-    A = sep.compute_A()
-    xs = sep._grid(re_range[0], re_range[1] + 0.01, 0.02)
-    ims = sep._grid(0.02, A - 5e-3, 0.02)
-    bases = {}
-    for half in ([x for x in xs if x >= 0.0], [x for x in xs[::-1] if x < 0.0]):
-        bases.update(zip(half, numerics.integrate_chain(
-            sep._pend_field, 0.0, half, (sep.lambda0(), 0.0),
-            rtol=1e-10, atol=1e-14)))
+    # is what lets check_zero_of_Lambda integrate only the upper half: on
+    # one leg per row, and on the rows the scan reads, one leg per column
+    # through the dense output
+    _, xs, ims = _scan_grid(re_range)
+    bases = _chained_bases(xs)
+    dense = [_dense_columns(xs, ims, bases, sign) for sign in (1.0, -1.0)]
     compared = 0
     for x in xs:
         assert [v.imag for v in bases[x]] == [0.0, 0.0]
@@ -379,10 +471,11 @@ def test_lower_column_is_conjugate_of_upper(re_range):
             sep._pend_field, complex(x, 0.0),
             [complex(x, sign * v) for v in ims], bases[x],
             rtol=1e-10, atol=1e-14) for sign in (1.0, -1.0))
-        for up, down in zip(upper, lower):
+        pairs = [*zip(upper, lower), *zip(dense[0][x], dense[1][x])]
+        for up, down in pairs:
             assert [_bits(v.conjugate()) for v in up] == [_bits(v) for v in down]
             compared += 1
-    assert compared == len(xs) * len(ims)
+    assert compared == 2 * len(xs) * len(ims)
 
 
 @pytest.mark.parametrize("re_range", [(-0.3, 11.0), (-11.0, 0.3),
