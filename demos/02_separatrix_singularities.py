@@ -38,6 +38,6 @@ resid = abs(separatrix.pend_energy(st.lam, st.Lam) + 0.5)
 print(f"  lambda = {st.lam:.6f}, Lambda = {st.Lam:.6f}")
 print(f"  |H_pend + 1/2| = {resid:.2e}")
 
-print("\nminimum of |Lambda_h| over the strip grid (zero only at t = 0):")
+print("\nminimum of |Lambda_h| from the boundary (zero only at t = 0):")
 m = separatrix.check_zero_of_Lambda()
 print(f"  min |Lambda_h| away from 0 and +-iA: {m:.4f}")

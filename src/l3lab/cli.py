@@ -226,13 +226,19 @@ def _cmd_manifolds(args) -> int:
 def _cmd_distance(args) -> int:
     t0 = time.perf_counter()
     theta_abs = args.theta_abs
-    # checked before any tracing; the ratio below also rules out 0
+    # checked before any tracing
     if theta_abs is not None and not 0.0 < theta_abs < math.inf:
         raise ValueError(
             f"theta_abs must be finite and positive, got {theta_abs}")
     A = separatrix.compute_A()
     if theta_abs is None:
         theta_abs = inner.theta(15.0).theta
+    # the ratio below divides by it, so a subnormal or zero one is refused
+    asymptotic = splitting.asymptotic_distance(args.mu, A, theta_abs)
+    if not asymptotic >= sys.float_info.min:
+        raise ValueError(
+            f"theta_abs = {theta_abs} gives the asymptotic distance "
+            f"{asymptotic!r}, not a positive normal float")
     sample = splitting.section_gap(args.mu, t_max=args.t_max, A=A,
                                    theta_abs=theta_abs)
     lines = [

@@ -7,12 +7,11 @@ The tools used everywhere else in the package:
   accumulation of the solution, as a generator of accepted steps along one
   :class:`Line`; each step carries the method's seventh-order dense output.
 * :func:`integrate_ode` -- adaptive integration of a complex ODE along one
-  straight leg a -> b in the complex plane of the independent variable
-  (the zero scan's grid columns, each one leg that reads its rows from the
-  dense output).
+  straight leg a -> b in the complex plane of the independent variable.
 * :func:`integrate_chain` -- the states of such an ODE at a chain of
   checkpoints, one :func:`integrate_ode` leg per step of the chain
-  (separatrix sweeps, inner shooting and the zero scan's base points);
+  (separatrix sweeps, inner shooting and the zero scan's walk around its
+  contour);
   each leg after the first starts from the step size the controller
   proposed at the end of the previous leg instead of Hairer's
   starting-step heuristic.
@@ -231,7 +230,6 @@ class OdeResult:
 
     ``next_step`` is the step the controller proposed after the last
     accepted step, in units of the independent variable: |h| * |b - a|.
-    ``samples`` holds the dense-output states the leg was asked for, if any.
     """
 
     y_end: list[complex]
@@ -239,7 +237,6 @@ class OdeResult:
     rejected: int
     max_err_est: float
     next_step: float
-    samples: list[list[complex]]
 
 
 @dataclass
@@ -603,19 +600,17 @@ def _sample_steps(steps, samples):
 
 
 def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
-                  atol: float = 1e-12, *, _first_step: float | None = None,
-                  _samples=()) -> OdeResult:
+                  atol: float = 1e-12, *,
+                  _first_step: float | None = None) -> OdeResult:
     """Analytic continuation of y' = field(t, y) along the straight leg a -> b.
 
     ``field(t, y)`` takes the complex point t and the complex state vector
     and returns dy/dt; the leg is traversed in its parameter s in [0, 1] via
     the chain rule dy/ds = (b - a) * field(a + s*(b - a), y).  ``a == b``
     or an end that is not finite raises :class:`ValueError`.
-    ``_first_step``, for :func:`integrate_chain` and the zero scan, replaces
-    Hairer's starting step by a step of that size in units of the
-    independent variable, clamped to the leg.  ``_samples``, for the zero
-    scan, are increasing parameters s in (0, 1] whose states the leg reads
-    from its dense output into ``OdeResult.samples``.
+    ``_first_step``, for :func:`integrate_chain` only, replaces Hairer's
+    starting step by a step of that size in units of the independent
+    variable, clamped to the leg.
     """
     seg = Line(complex(a), complex(b))
     _check_segment(seg)
@@ -624,24 +619,14 @@ def integrate_ode(field, a: complex, b: complex, y0, rtol: float = 1e-10,
     h0 = None if _first_step is None else _first_step / length
     steps = rejected = 0
     max_err_est = 0.0
-    step = None
-
-    def accepted():
-        nonlocal steps, rejected, max_err_est, step
-        for step in _steps(field, seg.a, seg.b - seg.a,
-                           [complex(v) for v in y0], rtol, atol, 1.0, h0):
-            steps += 1
-            rejected += step.rejected
-            max_err_est = max(max_err_est, step.err_est)
-            yield step
-
-    stepper = accepted()
-    samples = _sample_steps(stepper, _samples)
-    for _ in stepper:
-        pass
+    for step in _steps(field, seg.a, seg.b - seg.a,
+                       [complex(v) for v in y0], rtol, atol, 1.0, h0):
+        steps += 1
+        rejected += step.rejected
+        max_err_est = max(max_err_est, step.err_est)
     return OdeResult(y_end=step.y_new, steps=steps, rejected=rejected,
                      max_err_est=max_err_est,
-                     next_step=step._h_next * length, samples=samples)
+                     next_step=step._h_next * length)
 
 
 def integrate_chain(field, start: complex, points, y0, rtol: float = 1e-10,

@@ -13,10 +13,10 @@ origin and a homoclinic loop at energy -1/2.  This module provides
   integrals of the multivalued function fhat over paths in the q-plane,
   q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`),
 * local structure fits at the strip-boundary singularity (:func:`fit_branch`)
-  and a zero-free scan of Lambda over the strip
-  (:func:`check_zero_of_Lambda`), integrated on its upper half only, one
-  leg per grid column with the rows read from the dense output: the lower
-  half is the conjugate image, sigma(conj t) = conj sigma(t).
+  and a zero scan of Lambda from the boundary (:func:`check_zero_of_Lambda`):
+  one walk around the upper halves of a rectangle in the strip and a circle
+  around t = 0 counts the zeros inside each and gives min |Lambda| between
+  them; the lower halves are the image under sigma(conj t) = conj sigma(t).
 
 Branch tracking never applies a fixed-branch square root to the product
 under fhat; instead the four linear factors q, q+1, q-a+, q-a- carry
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (Arc, L3labError, Line, QuadResult, fit_line,
-                       geomspace, integrate_chain, integrate_ode, quad_path)
+                       geomspace, integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -58,6 +58,7 @@ __all__ = [
     "RE_REACH",
     "CollisionSingularity",
     "FitRejected",
+    "ZeroCountRejected",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -76,6 +77,10 @@ class CollisionSingularity(L3labError):
 
 class FitRejected(L3labError):
     """Singularity-structure regression residual exceeded its gate."""
+
+
+class ZeroCountRejected(L3labError):
+    """A zero-scan contour did not count exactly one zero of Lambda."""
 
 
 @dataclass(frozen=True)
@@ -327,6 +332,11 @@ def t_star(path_kind: str, detour: float = 1e-3,
 # 2.7e-5, lambda(100) as 3.3e-3)
 RE_REACH = 10.0
 
+# the radius of the zero scan's disk around t = 0, and the height of its
+# rectangle: the top row of the 0.02 grid it replaced, 0.018 below iA
+_SCAN_RADIUS = 0.05
+_SCAN_TOP = 0.16
+
 
 def _pend_field(t, y):
     return pend_rhs(y[0], y[1])
@@ -398,32 +408,22 @@ def fit_branch(t_offsets=None) -> SingularityReport:
 
 
 def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
-    """min |Lambda| on a strip grid with disks around 0 and +-iA removed.
+    """min |Lambda| on a strip rectangle minus a disk, from its boundary.
 
-    The grid spacing is 0.02 and the disks have radius 0.05.  Supports the
-    statement that t = 0 is the only zero of Lambda in the closed strip: the
-    returned minimum stays well away from zero.  The base points of the
-    grid columns on the real axis are integrated (rtol 1e-10) as two chains
-    out from t = 0, one through the x >= 0 ascending and one through the
-    x < 0 descending; every leg of a chain starts from the step the leg
-    before it ended with.  Each column then climbs from its base state to
-    its top row as one leg, and reads its other rows from that leg's
-    seventh-order dense output; every column after the first starts from
-    the step the one before it ended with.  On (-1.49, 1.51) the dense
-    rows stay within 3.9e-10 (relative) of |Lambda| integrated at rtol
-    1e-13; for the default range the minimum sits on the base points.
-
-    Only the upper half of the strip is integrated.  The field is real
-    analytic and sigma(0) is real, so sigma(conj t) = conj sigma(t); the
-    lower column x - iv holds the conjugates of the upper one, and the
-    removed disks are mirror images, so the lower half adds no new value of
-    |Lambda|.  This holds in floating point too: every base state has
-    imaginary parts of exactly zero, IEEE complex arithmetic and cmath's
-    sin and cos commute with conjugation, and the step controller sees the
-    same error norms on both columns, so a lower leg takes the mirrored
-    steps, lands on the conjugate state and reads the conjugate rows from
-    its dense output bit for bit, up to the sign of a zero part, which
-    |Lambda| does not see.  ``re_range`` must lie within |Re t| <= 10.
+    Supports the claim that t = 0 is the only zero of Lambda in the strip.
+    On the rectangle [lo, hi] x [-0.16, 0.16], ``re_range`` = (lo, hi), the
+    change of arg Lambda around a contour counts the zeros inside (Delves
+    and Lyness, Math. Comp. 21, 1967); once the rectangle minus the disk
+    |t| < 0.05 holds none, the smallest |Lambda| there is on its boundary.
+    As sigma(conj t) = conj sigma(t), one chain from t = 0 at rtol 1e-10
+    walks only the upper halves: out to 0.05, around the half circle to
+    -0.05 on 16 chords, along the real axis to lo, up to lo + 0.16i, across
+    to hi + 0.16i and down to hi, with samples at most 0.02 apart (or the
+    mirror image t -> -conj(t) if hi is the farther end).  Each part must
+    turn arg Lambda by pi, one zero inside, in steps of at most pi/4, or
+    :class:`ZeroCountRejected` is raised.  Returns the smallest |Lambda|
+    sampled on the two parts.  ``re_range`` must contain [-0.05, 0.05] and
+    lie within |Re t| <= 10.
     """
     lo, hi = re_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -431,37 +431,45 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     if max(-lo, hi) > RE_REACH:
         raise ValueError(f"re_range must lie within |Re t| <= {RE_REACH:g}, "
                          f"got {re_range}")
-    A = compute_A()
-    spacing = 0.02
-    ims = _grid(spacing, A - 5e-3, spacing)
-    xs = _grid(lo, hi + spacing / 2, spacing)
-    right = [x for x in xs if x >= 0.0]
-    left = [x for x in reversed(xs) if x < 0.0]
-    bases = {}
-    for half in (right, left):
-        ys = integrate_chain(_pend_field, 0.0, half, (lambda0(), 0.0),
-                             rtol=1e-10, atol=1e-14)
-        bases.update(zip(half, ys))
-    top = ims[-1]
-    # the parameters of the lower rows on a column's leg
-    rows = [v / top for v in ims[:-1]]
-    best = math.inf
-    h = None
-    for x in xs:
-        base = complex(x, 0.0)
-        res = integrate_ode(_pend_field, base, complex(x, top), bases[x],
-                            rtol=1e-10, atol=1e-14, _first_step=h,
-                            _samples=rows)
-        h = res.next_step
-        points = [base] + [complex(x, v) for v in ims]
-        ys = [bases[x], *res.samples, res.y_end]
-        for t, y in zip(points, ys):
-            if min(abs(t), abs(t - 1j * A)) < 0.05:
-                continue
-            best = min(best, abs(y[1]))
-    return best
+    if not (lo <= -_SCAN_RADIUS and _SCAN_RADIUS <= hi):
+        raise ValueError(f"re_range must contain [-0.05, 0.05], "
+                         f"got {re_range}")
+    points, circle, outer = _scan_walk(lo, hi)
+    ys = integrate_chain(_pend_field, 0.0, points, (lambda0(), 0.0),
+                         rtol=1e-10, atol=1e-14)
+    lams = [y[1] for y in ys]
+    # counterclockwise around t = 0 on the half circle, clockwise outside
+    for name, part, turn in (("half circle", circle, 1.0),
+                             ("outer sides", outer, -1.0)):
+        on = lams[part]
+        steps = [cmath.phase(b * a.conjugate()) for a, b in zip(on, on[1:])]
+        count = turn * math.fsum(steps) / math.pi
+        worst = max(map(abs, steps))
+        if worst > math.pi / 4 or round(count) != 1:
+            raise ZeroCountRejected(
+                f"the {name} of {re_range} count {count:.6f} zeros of Lambda"
+                f" in arg steps up to {worst:.3f} rad, not 1 within pi/4")
+    return min(map(abs, lams[circle] + lams[outer]))
 
 
-def _grid(start, stop, step):
-    """start, start + step, ... short of stop."""
-    return [start + k * step for k in range(math.ceil((stop - start) / step))]
+def _scan_walk(lo, hi):
+    """The walk from t = 0, and its half circle's and outer sides' slices."""
+    # |Lambda| is the same on the mirror image t -> -conj(t), lambda being
+    # even: walk the one whose farther end, lo, the real axis reaches, as
+    # the error from passing iA grows like |Lambda|^-2 on the way to hi
+    if hi > -lo:
+        lo, hi = -hi, -lo
+
+    def spaced(a, b):
+        # from a, excluded, to b, in equal steps of at most 0.02
+        n = max(1, math.ceil(abs(b - a) / 0.02 - 1e-9))
+        return [a + (b - a) * k / n for k in range(1, n)] + [b]
+
+    r = _SCAN_RADIUS
+    circle = [cmath.rect(r, math.pi * k / 16) for k in range(16)] + [-r]
+    corners = [lo, complex(lo, _SCAN_TOP), complex(hi, _SCAN_TOP), hi]
+    outer = [lo]
+    for a, b in zip(corners, corners[1:]):
+        outer += spaced(a, b)
+    points = circle + spaced(-r, lo)[:-1] + outer
+    return points, slice(len(circle)), slice(len(points) - len(outer), None)

@@ -341,7 +341,11 @@ def test_bad_config_exits_2(tmp_path, case):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+# 5e-324 made the asymptotic distance underflow to 0 and the ratio line
+# divide by zero, a traceback with exit 1; 1e-320 made it subnormal and
+# printed ratio = inf
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "5e-324",
+                                   "1e-320"])
 def test_distance_bad_theta_abs_exits_2(value):
     for fmt in ("text", "json"):
         code, out, err = run_cli_process(
@@ -449,3 +453,34 @@ def test_oversized_sample_grid_exits_2(command, n):
     assert out == ""
     assert f"error: --n {n} asks for more than 100000 samples" in err
     assert "Traceback" not in err
+
+
+# every numeric option, with the base flags each command runs under: one
+# stokes row, a short manifold sample, and distance without theta(15)
+_NUMERIC_OPTIONS = {
+    "a": ([], ["--tol"]),
+    "stokes": (["--rho-min=13", "--rho-max=13"],
+               ["--rho-min", "--rho-max", "--rho-step", "--tol",
+                "--re-start"]),
+    "separatrix": ([], ["--t-max", "--n"]),
+    "l3": ([], ["--mu"]),
+    "manifolds": (["--n=50"], ["--mu", "--t-max", "--n"]),
+    "distance": (["--theta-abs=1.6"], ["--mu", "--t-max", "--theta-abs"]),
+}
+_HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "5e-324",
+            "0.5", "3", "abc", ""]
+
+
+@pytest.mark.parametrize("value", _HOSTILE, ids=lambda v: v or "empty")
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, (_, options) in _NUMERIC_OPTIONS.items()
+    for option in options])
+def test_hostile_numeric_values_exit_cleanly(command, option, value):
+    # the flag after the base flags wins; a refusal or a numerical failure
+    # says why on stderr, and nothing escapes as a traceback
+    base = _NUMERIC_OPTIONS[command][0]
+    code, out, err = run_cli([command, *base, f"{option}={value}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code != 0:
+        assert "error:" in err

@@ -258,9 +258,9 @@ def test_dense_output_on_linear_field(a, y0):
 
 @pytest.mark.parametrize("a", [-3.0, -1.5 + 6.0j])
 def test_dense_output_on_non_real_line(a):
-    # y' = a y up the vertical leg x -> x + 0.16i, as the zero scan climbs a
-    # column: interior samples go through the chain rule with a complex
-    # direction, and follow exp(a t) at t = x + 0.16i s
+    # y' = a y up the vertical leg x -> x + 0.16i, as the zero scan's walk
+    # climbs a side of its rectangle: interior samples go through the chain
+    # rule with a complex direction, and follow exp(a t) at t = x + 0.16i s
     x = 0.7
     seg = Line(complex(x), complex(x, 0.16))
     field = lambda t, y: (a * y[0],)
@@ -275,17 +275,6 @@ def test_dense_output_on_non_real_line(a):
     # that step's end state exactly
     ends = [step.s_new for step in steps]
     assert numerics._sample_steps(steps, ends) == [st.y_new for st in steps]
-    # integrate_ode reads the same bits and otherwise returns what it
-    # returns without samples
-    samples = [0.1, ends[1], 0.5, 0.9]
-    res = integrate_ode(field, seg.a, seg.b, y0, rtol=1e-12, atol=1e-14,
-                        _samples=samples)
-    plain = integrate_ode(field, seg.a, seg.b, y0, rtol=1e-12, atol=1e-14)
-    assert res.samples == numerics._sample_steps(steps, samples)
-    assert res.samples[1] == steps[1].y_new and plain.samples == []
-    assert ((res.y_end, res.steps, res.rejected, res.max_err_est,
-             res.next_step) == (plain.y_end, plain.steps, plain.rejected,
-                                plain.max_err_est, plain.next_step))
 
 
 def test_sample_steps_reads_no_step_past_the_last_sample():

@@ -256,63 +256,52 @@ def test_zero_scan_of_momentum():
     assert abs(st.Lam) < 1e-10
 
 
-def _pend_legs(start, points, y0, rtol, carry=True):
-    """The separatrix field through ``points``, one integrate_ode leg each.
-
-    With ``carry`` every leg after the first starts from the step the leg
-    before it proposed; without it every leg starts cold.
-    """
+def _pend_legs(start, points, y0):
+    """The separatrix field through ``points`` at rtol 1e-10, one
+    integrate_ode leg each; every leg after the first starts from the step
+    the leg before it proposed."""
     states, y, h, prev = [], y0, None, start
     for t in points:
         if t != prev:
             res = numerics.integrate_ode(sep._pend_field, prev, t, y,
-                                         rtol=rtol, atol=1e-14,
+                                         rtol=1e-10, atol=1e-14,
                                          _first_step=h)
-            y, h, prev = res.y_end, (res.next_step if carry else None), t
+            y, h, prev = res.y_end, res.next_step, t
         states.append(y)
     return states
 
 
-def _zero_scan_reference(re_range, carry):
-    """min |Lambda| of the scan over both halves of the strip, from
-    test-side legs: each column is integrated up and down from its base
-    point.  With ``carry``, the base points are two chains out from t = 0
-    along the real axis; without it, one cold leg 0 -> x per column."""
-    spacing, puncture, rtol = 0.02, 0.05, 1e-10
+def _scan_grid(re_range):
+    """The 0.02 grid of :func:`_zero_scan_reference`: columns and rows."""
     A = sep.compute_A()
-    lo, hi = re_range[0], re_range[1] + spacing / 2
-    xs = [lo + k * spacing for k in range(math.ceil((hi - lo) / spacing))]
-    ims = [spacing + k * spacing
-           for k in range(math.ceil((A - 5e-3 - spacing) / spacing))]
+    lo, hi = re_range[0], re_range[1] + 0.01
+    return ([lo + k * 0.02 for k in range(math.ceil((hi - lo) / 0.02))],
+            [0.02 + k * 0.02 for k in range(math.ceil((A - 0.025) / 0.02))])
+
+
+def _zero_scan_reference(re_range):
+    """min |Lambda| over the 0.02 grid on both halves of the strip, without
+    the disks of radius 0.05 around 0 and +-iA, from test-side legs: the
+    base points are two chains out from t = 0 along the real axis, and each
+    column is integrated up and down from its base point."""
+    A = sep.compute_A()
+    xs, ims = _scan_grid(re_range)
     y0 = [complex(sep.lambda0()), 0j]
-    if carry:
-        halves = ([x for x in xs if x >= 0.0], [x for x in xs[::-1] if x < 0.0])
-    else:
-        halves = [[x] for x in xs]
     bases = {}
-    for half in halves:
-        bases.update(zip(half, _pend_legs(0j, [complex(x) for x in half], y0,
-                                          rtol, carry)))
+    for half in ([x for x in xs if x >= 0.0], [x for x in xs[::-1] if x < 0.0]):
+        bases.update(zip(half, _pend_legs(0j, [complex(x) for x in half], y0)))
     best = math.inf
     for x in xs:
         base = complex(x, 0.0)
         samples = [(base, bases[x])]
         for sign in (1.0, -1.0):
             column = [complex(x, sign * v) for v in ims]
-            samples += zip(column, _pend_legs(base, column, bases[x], rtol,
-                                              carry))
+            samples += zip(column, _pend_legs(base, column, bases[x]))
         for t, y in samples:
-            if (abs(t) < puncture or abs(t - 1j * A) < puncture
-                    or abs(t + 1j * A) < puncture):
+            if min(abs(t), abs(t - 1j * A), abs(t + 1j * A)) < 0.05:
                 continue
             best = min(best, abs(y[1]))
     return best
-
-
-def _scan_grid(re_range):
-    A = sep.compute_A()
-    return (A, sep._grid(re_range[0], re_range[1] + 0.01, 0.02),
-            sep._grid(0.02, A - 5e-3, 0.02))
 
 
 def _chained_bases(xs, rtol=1e-10):
@@ -325,99 +314,80 @@ def _chained_bases(xs, rtol=1e-10):
     return bases
 
 
-def _dense_columns(xs, ims, bases, sign=1.0):
-    """Each column x + i*sign*v, v in ``ims``, from test-side steps.
-
-    One leg per column from x to its top row, stepped by ``numerics._steps``;
-    each lower row is read from the dense output of the first step that
-    reaches it, and the top row is the leg's end state.  Every leg after the
-    first starts from the step the leg before it proposed at its end.
-    """
-    top = ims[-1]
-    columns, h = {}, None
-    for x in xs:
-        a = complex(x, 0.0)
-        d = complex(x, sign * top) - a
-        length = abs(d)
-        steps = list(numerics._steps(sep._pend_field, a, d, list(bases[x]),
-                                     1e-10, 1e-14, 1.0,
-                                     None if h is None else h / length))
-        rows = []
-        for v in ims[:-1]:
-            s = v / top
-            rows.append(next(st for st in steps if st.s_new >= s)(s))
-        columns[x] = rows + [steps[-1].y_new]
-        h = steps[-1]._h_next * length
-    return columns
-
-
-def _dense_scan(re_range):
-    """min |Lambda| of the scan's upper half from :func:`_dense_columns`."""
-    A, xs, ims = _scan_grid(re_range)
-    bases = _chained_bases(xs)
-    columns = _dense_columns(xs, ims, bases)
-    best = math.inf
-    for x in xs:
-        points = [complex(x, v) for v in [0.0, *ims]]
-        for t, y in zip(points, [bases[x], *columns[x]]):
-            if abs(t) < 0.05 or abs(t - 1j * A) < 0.05:
-                continue
-            best = min(best, abs(y[1]))
-    return best
+# the zero-scan ranges of seeds 1 and 3 of the continuation benchmark
+SEED_1 = (-1.4881783752997433, 1.5118216247002567)
+SEED_3 = (-1.9143508328563756, 1.0856491671436244)
 
 
 def test_zero_scan_matches_sweeps_from_origin():
-    # (-0.3, 0.3) covers the punctures at 0 and +-iA; the scan integrates
-    # one leg per upper column and reads its rows from the dense output
-    re_range = (-0.3, 0.3)
-    scan = sep.check_zero_of_Lambda(re_range=re_range)
-    assert scan == _dense_scan(re_range)
-    # one leg per row, upper and lower, moved it by 2.0e-12 relative
-    legs = _zero_scan_reference(re_range, carry=True)
-    assert scan != legs
-    assert abs(scan - legs) <= 20 * 1e-10 * legs
-    # the carried steps keep the minimum within 20 x rtol of cold legs
-    cold = _zero_scan_reference(re_range, carry=False)
-    assert scan != cold
-    assert abs(scan - cold) <= 20 * 1e-10 * cold
+    # on these ranges the grid's minimum sits on a real corner of the
+    # rectangle, which the walk samples too
+    for re_range in [(-1.5, 1.5), SEED_1, SEED_3]:
+        walk = sep.check_zero_of_Lambda(re_range=re_range)
+        grid = _zero_scan_reference(re_range)
+        assert abs(walk - grid) <= 20 * 1e-10 * grid
+    # the grid never sampled the half circle around t = 0, where |Lambda|
+    # is smallest on this range
+    walk = sep.check_zero_of_Lambda(re_range=(-0.3, 0.3))
+    assert walk < _zero_scan_reference((-0.3, 0.3))
+    assert abs(walk - 0.25588545114) < 1e-10
 
 
-def test_dense_rows_match_fine_legs_on_seed_1_range(monkeypatch):
-    # every row the zero scan reads on the continuation benchmark's seed-1
-    # range, against one rtol-1e-13 leg per row: the dense rows reach
-    # 3.9e-10 relative, one rtol-1e-10 leg per row 9.4e-12
-    re_range = (-1.4881783752997433, 1.5118216247002567)
-    read, plain_leg = [], sep.integrate_ode
+# widths that are multiples of 0.02, so that the grid's first and last
+# columns and its top row lie on the rectangle's boundary, at the walk's
+# samples.  Past |Re t| = 3 the grid itself drifts from rtol-1e-13 legs by
+# more than 20 x rtol (6.2e-9 at |Re t| = 4, as the saddle amplifies the
+# integration error like |Lambda|^-2), so the comparison stops there.
+@pytest.mark.parametrize("re_range", [
+    (-1.5, 1.5), (-2.0, 1.0), (-1.0, 2.0), (-0.3, 0.3), (-0.05, 0.05),
+    (-0.5, 2.5), (-3.0, 3.0),
+], ids=lambda r: f"{r[0]:g}_{r[1]:g}")
+def test_zero_scan_is_never_above_the_grid(re_range):
+    # minimum modulus: the grid samples the rectangle minus the disk, whose
+    # smallest |Lambda| lies on the boundary the walk samples
+    walk = sep.check_zero_of_Lambda(re_range=re_range)
+    grid = _zero_scan_reference(re_range)
+    assert walk <= grid * (1.0 + 20 * 1e-10)
 
-    def leg(*args, **kwargs):
-        res = plain_leg(*args, **kwargs)
-        read.append([*res.samples, res.y_end])
-        return res
 
-    monkeypatch.setattr(sep, "integrate_ode", leg)
-    sep.check_zero_of_Lambda(re_range=re_range)
-    _, xs, ims = _scan_grid(re_range)
-    columns = _dense_columns(xs, ims, _chained_bases(xs))
-    assert read == [columns[x] for x in xs]
-    fine_bases = _chained_bases(xs, rtol=1e-13)
-    compared = 0
-    for x in xs:
-        fine = numerics.integrate_chain(
-            sep._pend_field, complex(x, 0.0), [complex(x, v) for v in ims],
-            fine_bases[x], rtol=1e-13, atol=1e-14)
-        for got, ref in zip(columns[x], fine):
-            assert abs(abs(got[1]) - abs(ref[1])) <= 20 * 1e-10 * abs(ref[1])
-            compared += 1
-    assert compared == len(xs) * len(ims)
+def test_zero_scan_mirror_image_is_the_same_walk():
+    # |Lambda| is symmetric under t -> -conj(t); the scan walks the image
+    # whose farther end is on the left
+    assert (sep.check_zero_of_Lambda(re_range=(-1.0, 2.0))
+            == sep.check_zero_of_Lambda(re_range=(-2.0, 1.0)))
+
+
+@pytest.mark.parametrize("t0, match", [
+    (0.5 + 0.08j, "outer sides of .* count 3.0"),
+    (0.02 + 0.02j, "half circle of .* count 3.0"),
+    (0.5 + 0.157j, "outer sides of .* up to [1-3]"),
+], ids=["between", "inside_circle", "near_top"])
+def test_zero_scan_refuses_a_wrong_count(monkeypatch, t0, match):
+    # Lambda times (t - t0)(t - conj t0), real on the real axis, has a pair
+    # of zeros more: one in the upper half of the rectangle minus the disk,
+    # or of the disk; one 0.003 under the top side turns arg Lambda by
+    # nearly pi between two samples
+    plain_chain = numerics.integrate_chain
+
+    def chain(field, start, points, y0, **kwargs):
+        ys = plain_chain(field, start, points, y0, **kwargs)
+        return [[y[0], y[1] * (t - t0) * (t - t0.conjugate())]
+                for t, y in zip(points, ys)]
+
+    monkeypatch.setattr(sep, "integrate_chain", chain)
+    with pytest.raises(sep.ZeroCountRejected, match=match) as info:
+        sep.check_zero_of_Lambda(re_range=(-1.0, 1.0))
+    assert isinstance(info.value, numerics.L3labError)
 
 
 def test_zero_scan_work_pinned(monkeypatch):
-    # chained base points, then one warm-started leg per upper column with
-    # its lower rows read from the dense output; the field calls include
-    # the dense output's.  One leg per row took 278 legs, 407 steps, 21
-    # rejections and 5,447 field calls; integrating the lower half too,
-    # 526 legs, 776 steps, 42 rejections and 10,406 field calls; and with
-    # cold legs and one base leg from t = 0 per column on both halves,
+    # one chain of warm-started legs around the half circle and the upper
+    # outer sides.  The 0.02 grid took 61 legs, 255 steps, 73 rejections
+    # and 4,465 field calls with one leg per upper column and its rows
+    # read from the dense output; 278 legs, 407 steps, 21 rejections and
+    # 5,447 field calls with one leg per row; integrating the lower half
+    # too, 526 legs, 776 steps, 42 rejections and 10,406 field calls; and
+    # with cold legs and one base leg from t = 0 per column on both halves,
     # 1,834 steps, 48 rejections and 23,636 field calls
     legs, field_calls = [], []
     plain_leg, plain_rhs = numerics.integrate_ode, sep.pend_rhs
@@ -431,15 +401,12 @@ def test_zero_scan_work_pinned(monkeypatch):
         field_calls.append(lam)
         return plain_rhs(lam, Lam)
 
-    # the base chains call numerics.integrate_ode, the columns the name
-    # separatrix imports
     monkeypatch.setattr(numerics, "integrate_ode", leg)
-    monkeypatch.setattr(sep, "integrate_ode", leg)
     monkeypatch.setattr(sep, "pend_rhs", rhs)
     sep.check_zero_of_Lambda(re_range=(-0.3, 0.3))
     counts = (len(legs), sum(r.steps for r in legs),
               sum(r.rejected for r in legs), len(field_calls))
-    assert counts == (61, 255, 73, 4465)
+    assert counts == (76, 108, 7, 1457)
 
 
 def _bits(z):
@@ -451,51 +418,51 @@ def _bits(z):
 
 # (-0.3, 0.3) and the zero-scan ranges of seeds 1 and 3 of the
 # continuation benchmark
-@pytest.mark.parametrize("re_range", [
-    (-0.3, 0.3),
-    (-1.4881783752997433, 1.5118216247002567),
-    (-1.9143508328563756, 1.0856491671436244),
-], ids=["punctures", "seed_1", "seed_3"])
+@pytest.mark.parametrize("re_range", [(-0.3, 0.3), SEED_1, SEED_3],
+                         ids=["punctures", "seed_1", "seed_3"])
 def test_lower_column_is_conjugate_of_upper(re_range):
-    # sigma(conj t) = conj sigma(t) bit for bit on the scan's grid, which
-    # is what lets check_zero_of_Lambda integrate only the upper half: on
-    # one leg per row, and on the rows the scan reads, one leg per column
-    # through the dense output
-    _, xs, ims = _scan_grid(re_range)
+    # sigma(conj t) = conj sigma(t) bit for bit, which is what lets
+    # check_zero_of_Lambda walk only the upper half of its contours: on the
+    # columns of the 0.02 grid, one leg per row, and on the walk's chain
+    xs, ims = _scan_grid(re_range)
     bases = _chained_bases(xs)
-    dense = [_dense_columns(xs, ims, bases, sign) for sign in (1.0, -1.0)]
-    compared = 0
+    pairs = []
     for x in xs:
         assert [v.imag for v in bases[x]] == [0.0, 0.0]
         upper, lower = (numerics.integrate_chain(
             sep._pend_field, complex(x, 0.0),
             [complex(x, sign * v) for v in ims], bases[x],
             rtol=1e-10, atol=1e-14) for sign in (1.0, -1.0))
-        pairs = [*zip(upper, lower), *zip(dense[0][x], dense[1][x])]
-        for up, down in pairs:
-            assert [_bits(v.conjugate()) for v in up] == [_bits(v) for v in down]
-            compared += 1
-    assert compared == 2 * len(xs) * len(ims)
+        pairs += zip(upper, lower)
+    assert len(pairs) == len(xs) * len(ims)
+    points = sep._scan_walk(*re_range)[0]
+    upper, lower = (numerics.integrate_chain(
+        sep._pend_field, 0.0, path, (sep.lambda0(), 0.0), rtol=1e-10,
+        atol=1e-14) for path in (points, [t.conjugate() for t in points]))
+    pairs += zip(upper, lower)
+    for up, down in pairs:
+        assert [_bits(v.conjugate()) for v in up] == [_bits(v) for v in down]
 
 
 @pytest.mark.parametrize("re_range", [(-0.3, 11.0), (-11.0, 0.3),
                                       (-1e9, 1e9)],
                          ids=["right_11", "left_11", "both_1e9"])
 def test_zero_scan_refuses_reach_beyond_10(monkeypatch, re_range):
-    # refused before the grid is built: (-1e9, 1e9) would ask for 1e11
+    # refused before the walk is built: (-1e9, 1e9) would ask for 1e11
     # points
-    def no_grid(*args):
-        raise AssertionError("the grid was built")
+    def no_walk(*args):
+        raise AssertionError("the walk was built")
 
-    monkeypatch.setattr(sep, "_grid", no_grid)
+    monkeypatch.setattr(sep, "_scan_walk", no_walk)
     with pytest.raises(ValueError, match="10"):
         sep.check_zero_of_Lambda(re_range=re_range)
 
 
 @pytest.mark.parametrize("re_range", [(1.5, -1.5), (0.2, 0.2),
-                                      (-1.5, math.inf)],
+                                      (-1.5, math.inf), (-0.04, 1.0),
+                                      (-1.0, 0.04)],
                          ids=["reversed_range", "empty_range",
-                              "infinite_range"])
+                              "infinite_range", "disk_left", "disk_right"])
 def test_zero_scan_rejects_empty_grid(re_range):
     with pytest.raises(ValueError):
         sep.check_zero_of_Lambda(re_range=re_range)
