@@ -21,7 +21,7 @@ thetas = [r.theta for r in recs]
 print(f"  max - min over rho in [14, 20] = {max(thetas) - min(thetas):.2e}")
 
 print("\nstructure of the difference along Re U at rho = 15:")
-rep = inner.diff_structure(rho=15.0)
+rep = inner.diff_structure()
 mags = [abs(z) for z in rep.ey_values]
 print(f"  |e^(iU) dY| mean = {sum(mags) / len(mags):.4f}")
 print(f"  relative spread  = {rep.rel_spread_y:.2e}")

@@ -187,7 +187,7 @@ def check_10_stokes_table() -> AcceptanceResult:
 
 
 def check_11_difference_structure() -> AcceptanceResult:
-    rep = inner.diff_structure(rho=15.0)
+    rep = inner.diff_structure()
     ok = (rep.rel_spread_y <= 0.2 and rep.xy_suppression <= 0.1
           and rep.arg_spread_y <= 0.3)
     return AcceptanceResult(11, "difference structure at rho = 15", ok, [

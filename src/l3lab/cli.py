@@ -174,8 +174,8 @@ def _cmd_separatrix(args) -> int:
     _check_samples(args)
     if args.t_max > separatrix.RE_REACH:
         raise ValueError(f"--t-max {args.t_max} reaches beyond "
-                         f"{separatrix.RE_REACH:g}, where the samples are "
-                         f"noise")
+                         f"{separatrix.RE_REACH:g}, where the saddle "
+                         f"amplifies the integration error")
     n = args.n
     half = linspace(-args.t_max, args.t_max, n)[(n + 1) // 2:]
     zero = [0.0] if n % 2 else []
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("separatrix",
                        help="plot-ready samples of the real separatrix "
                             "(CSV columns: t, lambda, Lambda, q)")
-    q.add_argument("--t-max", type=float, default=10.0)
+    q.add_argument("--t-max", type=float, default=separatrix.RE_REACH)
     q.add_argument("--n", type=int, default=401)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_separatrix)

@@ -407,13 +407,18 @@ class DiffStructure:
     arg_spread_y: float
 
 
-def diff_structure(rho: float = 15.0) -> DiffStructure:
+# the depth Im U = -rho of diff_structure's samples
+_DIFF_RHO = 15.0
+
+
+def diff_structure() -> DiffStructure:
     """Shape of the two-solution difference across Re U in the overlap zone.
 
-    Samples Re U = -5, -4, ..., 5.  e^{iU} Delta Y should plateau (it tends
-    to the Stokes constant), while Delta X and Delta W are suppressed by
-    extra powers of U.
+    Samples Re U = -5, -4, ..., 5 at Im U = -15.  e^{iU} Delta Y should
+    plateau (it tends to the Stokes constant), while Delta X and Delta W are
+    suppressed by extra powers of U.
     """
+    rho = _DIFF_RHO
     xs = [float(x) for x in range(-5, 6)]
     points = [complex(x, -rho) for x in xs]
     zu = shoot("unstable", rho, points)
@@ -533,25 +538,25 @@ def _cal_h_limit(U, Z):
     return W + X * Y + Kc
 
 
-def verify_inner_limit(deltas=None, samples=None,
-                       seed: int | None = None) -> InnerLimitFit:
+# the deltas at which verify_inner_limit measures the residual
+_LIMIT_DELTAS = (0.05, 0.08, 0.12, 0.2)
+
+
+def verify_inner_limit(seed: int | None = None) -> InnerLimitFit:
     """Order of the error between the composed and the limit Hamiltonians.
 
     For each delta, evaluates the fully composed scaled Hamiltonian at fixed
     inner samples (U, Z), aligns the unrecoverable additive constant by
     subtracting the first sample, and measures the worst deviation from the
-    limit Hamiltonian.  The fitted decay order should be >= 1.2 (the
-    asymptotic claim is delta^(4/3)).  Without ``samples``, six fixed
-    default samples are used, or, with a ``seed``, six drawn from
-    ``random.Random(seed)``.
+    limit Hamiltonian at delta = 0.05, 0.08, 0.12 and 0.2.  The fitted
+    decay order should be >= 1.2 (the asymptotic claim is delta^(4/3)).
+    Without a ``seed`` the six fixed samples ``_LIMIT_SAMPLES`` are used;
+    with one, six drawn from ``random.Random(seed)``.
     """
-    if deltas is None:
-        deltas = (0.05, 0.08, 0.12, 0.2)
-    if samples is None:
-        samples = (_LIMIT_SAMPLES if seed is None
-                   else _random_limit_samples(seed))
+    deltas = _LIMIT_DELTAS
+    samples = (_LIMIT_SAMPLES if seed is None
+               else _random_limit_samples(seed))
     A = separatrix.compute_A()
-    deltas = tuple(float(d) for d in deltas)
     residuals = []
     for d in deltas:
         offsets = rpc3bp.L3_scaled(d)
@@ -560,10 +565,7 @@ def verify_inner_limit(deltas=None, samples=None,
             composed = _compose_inner_hamiltonian(U, Z, d, A, offsets)
             vals.append(composed - _cal_h_limit(U, Z))
         residuals.append(max(abs(v - vals[0]) for v in vals))
-    if len(deltas) >= 2:
-        expo = fit_line([math.log(d) for d in deltas],
-                        [math.log(r) for r in residuals])[0]
-    else:
-        expo = math.nan
+    expo = fit_line([math.log(d) for d in deltas],
+                    [math.log(r) for r in residuals])[0]
     return InnerLimitFit(deltas=deltas, residuals=tuple(residuals),
                          exponent=expo)

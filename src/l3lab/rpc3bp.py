@@ -3,11 +3,13 @@
 Mass ratio mu in (0, 1/2]; the heavy primary S of mass 1-mu sits at (mu, 0),
 the light primary P of mass mu at (mu - 1, 0).  The module provides the
 Hamiltonian in Cartesian, polar and Poincare variables, the Kepler/anomaly
-formulas connecting them, the singularly-scaled Hamiltonian used for the
-slow-fast splitting analysis, and the collinear equilibrium beyond S together
-with its saddle-center spectrum, in closed form from the biquadratic
-characteristic polynomial of the planar linearization.  Everything works on
-Python scalars and tuples.
+formulas connecting them (one Kepler solver: the Newton iteration for the
+shift s = e sin u, which gives r e^{i theta} at complex states and the polar
+variables, with R = L s / r, on the real slice), the singularly-scaled
+Hamiltonian used for the slow-fast splitting analysis, and the collinear
+equilibrium beyond S together with its saddle-center spectrum, in closed
+form from the biquadratic characteristic polynomial of the planar
+linearization.  Everything works on Python scalars and tuples.
 
 The Poincare-variable evaluators are written so they stay analytic for
 complex arguments (needed when the Hamiltonian is continued near the complex
@@ -37,7 +39,6 @@ __all__ = [
     "cart_from_polar",
     "h_polar",
     "mu_h1_polar",
-    "kepler_u",
     "polar_from_poincare",
     "poincare_from_polar",
     "re_itheta_pair",
@@ -245,24 +246,6 @@ def h_polar(s: PolarState, mu: float) -> tuple[float, float]:
 # Kepler equation and the Poincare chart
 # ---------------------------------------------------------------------------
 
-def kepler_u(ell: float, e: float) -> float:
-    """Eccentric anomaly from u - e sin(u) = ell, for 0 <= e < 1."""
-    if not 0.0 <= e < 1.0:
-        raise HyperbolicInput(f"eccentricity {e} outside [0, 1)")
-    if e == 0.0:
-        return ell
-    u = ell + e * math.sin(ell)  # first Picard iterate; safe start for e < 1
-    for _ in range(60):
-        f = u - e * math.sin(u) - ell
-        if abs(f) <= 1e-14:
-            break
-        u -= f / (1.0 - e * math.cos(u))
-    if abs(u - e * math.sin(u) - ell) > 1e-13:
-        u = find_root(lambda x: x - e * math.sin(x) - ell,
-                      (ell - e, ell + e), tol=1e-14)
-    return u
-
-
 def _e_tilde(L, eta, xi):
     # sqrt(2L - eta*xi)/(2L); analytic near (L, eta, xi) ~ (1, 0, 0)
     return cmath.sqrt(2.0 * L - eta * xi) / (2.0 * L)
@@ -271,27 +254,18 @@ def _e_tilde(L, eta, xi):
 def polar_from_poincare(s: PoincareState) -> PolarState:
     """Osculating-ellipse polar variables on the real slice xi = conj(eta).
 
-    The radial momentum is recovered from the two-body energy identity
-    -1/(2L^2) = (R^2 + G^2/r^2)/2 - 1/r with sign(R) = sign(sin u).
+    r and theta are the modulus and argument of r e^{i theta}, and the
+    radial momentum is R = L e sin(u) / r, both from the Kepler shift
+    s = e sin u that :func:`re_itheta_pair` solves.
     """
     L = float(s.L)
     exi = s.eta * s.xi
-    G = L - exi.real
-    et = abs(_e_tilde(L, s.eta, s.xi))
-    e = 2.0 * et * math.sqrt(max(exi.real, 0.0))
+    e = 2.0 * abs(_e_tilde(L, s.eta, s.xi)) * math.sqrt(max(exi.real, 0.0))
     if e >= 1.0:
         raise HyperbolicInput(f"eccentricity {e} >= 1")
-    if e < 1e-15:
-        return PolarState(L * L, float(s.lam), 0.0, G)
-    g = cmath.phase(s.eta)
-    ell = float(s.lam) - g
-    u = kepler_u(ell, e)
-    r = L * L * (1.0 - e * math.cos(u))
-    f = math.atan2(math.sqrt(1.0 - e * e) * math.sin(u), math.cos(u) - e)
-    theta = f + g
-    R2 = 2.0 / r - (G / r) ** 2 - 1.0 / L ** 2
-    R = math.copysign(math.sqrt(max(R2, 0.0)), math.sin(u))
-    return PolarState(r, theta, R, G)
+    wp, _, shift = re_itheta_pair(s.lam, L, s.eta, s.xi)
+    r = abs(wp)
+    return PolarState(r, cmath.phase(wp), L * shift.real / r, L - exi.real)
 
 
 def poincare_from_polar(s: PolarState) -> PoincareState:
@@ -331,7 +305,8 @@ def _kepler_shift(esl, ecl):
 
 
 def re_itheta_pair(lam, L, eta, xi):
-    """The pair (r e^{i theta}, r e^{-i theta}) as analytic functions.
+    """The pair (r e^{i theta}, r e^{-i theta}) as analytic functions, and
+    the shift s = e sin u they are built on.
 
     Every ingredient (the combinations e*cos(ell), e*sin(ell), the shift
     s = e sin u, and the grouped pericenter factors) is single-valued near the
@@ -354,11 +329,11 @@ def re_itheta_pair(lam, L, eta, xi):
     wm = L2 * (one_pc / (2.0 * expl * es)
                + 2.0 * et * et * xi * xi * expl * es / one_pc
                - 2.0 * et * xi)
-    return wp, wm
+    return wp, wm, s
 
 
 def _d_exact(zeta, lam, L, eta, xi):
-    wp, wm = re_itheta_pair(lam, L, eta, xi)
+    wp, wm, _ = re_itheta_pair(lam, L, eta, xi)
     return (wp - zeta) * (wm - zeta)
 
 

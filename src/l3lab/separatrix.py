@@ -11,12 +11,17 @@ origin and a homoclinic loop at energy -1/2.  This module provides
   (:func:`compute_A`) together with the equivalent rescaled form,
 * the location of the singularities of the continuation reachable through
   integrals of the multivalued function fhat over paths in the q-plane,
-  q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`),
+  q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`,
+  whose paths pass a+ or q = 1 on an arc of radius 1e-3),
 * local structure fits at the strip-boundary singularity (:func:`fit_branch`)
   and a zero scan of Lambda from the boundary (:func:`check_zero_of_Lambda`):
   one walk around the upper halves of a rectangle in the strip and a circle
   around t = 0 counts the zeros inside each and gives min |Lambda| between
   them; the lower halves are the image under sigma(conj t) = conj sigma(t).
+
+Along the real axis sigma(t) tends to the saddle, which amplifies the
+integration error as fast as lambda decays, so the command line's samples and
+the zero scan reach at most |Re t| = ``RE_REACH`` = 6.
 
 Branch tracking never applies a fixed-branch square root to the product
 under fhat; instead the four linear factors q, q+1, q-a+, q-a- carry
@@ -159,8 +164,8 @@ def _end_args(seg, offsets, args):
     """The factor arguments at the end of ``seg`` from those at its start.
 
     The one arc centred on a factor point is the half-turn around a+ of the
-    paths to zero: that factor turns by the arc's own signed angle.  The
-    bounds on t_star's detour and residue_pole_numeric's radius keep the
+    paths to zero: that factor turns by the arc's own signed angle.
+    t_star's detour and the bound on residue_pole_numeric's radius keep the
     factor points outside every other arc's disk.
     """
     out = []
@@ -288,10 +293,14 @@ def _infinity_path(detour: float):
 
 
 _T_STAR_KINDS = ("zero_upper", "zero_lower", "infinity_upper", "infinity_lower")
+# the radius of t_star's arc around a+ or q = 1, and its quadrature
+# tolerance; the arc must stay under a+, or from 1 - a+ on the arc around
+# q = 1 encloses a+ and ends on another sheet
+_DETOUR = 1e-3
+_T_STAR_TOL = 1e-11
 
 
-def t_star(path_kind: str, detour: float = 1e-3,
-           tol: float = 1e-11) -> complex:
+def t_star(path_kind: str) -> complex:
     """Singularity position reached by the chosen q-plane path family.
 
     ``zero_upper``/``zero_lower``: q from a+ to 0 with the branch-point
@@ -299,22 +308,17 @@ def t_star(path_kind: str, detour: float = 1e-3,
     ``infinity_upper``/``infinity_lower``: q from a+ past the pole at q = 1
     to infinity; the integral is truncated at q = R = 1e4 and finished with
     the analytic tail 1/(sqrt(3) R) of fhat = 1/(sqrt(3) q^2) + O(q^-3).
-    ``detour`` is the radius of the arc around a+ (paths to zero) or q = 1
-    (paths to infinity).  It must lie in (0, a+), where both arcs stay clear
-    of the branch points and the pole they do not circle; from 1 - a+ on,
-    the arc around q = 1 encloses a+ and ends on another sheet.
+    The detour is an arc of radius 1e-3 around a+ (paths to zero) or q = 1
+    (paths to infinity).
     """
     if path_kind not in _T_STAR_KINDS:
         raise ValueError(f"path_kind must be one of {_T_STAR_KINDS}")
-    # written so that a NaN fails it
-    if not 0.0 < detour < A_PLUS:
-        raise ValueError(f"detour must lie in (0, {A_PLUS}), got {detour}")
     to_zero = path_kind.startswith("zero")
     upper = path_kind.endswith("upper")
-    path = _zero_path(detour) if to_zero else _infinity_path(detour)
+    path = _zero_path(_DETOUR) if to_zero else _infinity_path(_DETOUR)
     if not upper:
         path = _conj_path(path)
-    res = _integrate_fhat(path, tol)
+    res = _integrate_fhat(path, _T_STAR_TOL)
     value = res.value
     if not to_zero:
         value += 1.0 / (math.sqrt(3.0) * _R_MAX)
@@ -326,11 +330,13 @@ def t_star(path_kind: str, detour: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 # the farthest |Re t| the separatrix is sampled at, the reach of the
-# command line's default grid: the saddle amplifies the integration error
-# as fast as lambda decays toward it, so from t ~ 9 the error is the size
-# of lambda, and farther out the samples are noise (lambda(12) comes out as
-# 2.7e-5, lambda(100) as 3.3e-3)
-RE_REACH = 10.0
+# command line's default grid and the bound of the zero scan: the saddle
+# amplifies the integration error as fast as lambda decays toward it.
+# Against rtol-1e-14 chains, rtol-1e-12 samples of lambda 0.05 apart are
+# off by 6.8e-6 relative at t = 6, 1.7e-4 at 7, 4.4e-3 at 8, 0.11 at 9 and
+# 2.6 at 10, and the zero scan's rtol-1e-10 minimum by 1.4e-5 on (-6, 6)
+# and a factor of 5 on (-10, 10)
+RE_REACH = 6.0
 
 # the radius of the zero scan's disk around t = 0, and the height of its
 # rectangle: the top row of the 0.02 grid it replaced, 0.018 below iA
@@ -369,20 +375,21 @@ class SingularityReport:
     residual: float
 
 
-def fit_branch(t_offsets=None) -> SingularityReport:
+# the offsets s of fit_branch's samples at t = i(A - s), ascending
+_BRANCH_OFFSETS = tuple(geomspace(1e-4, 1e-3, 9))
+
+
+def fit_branch() -> SingularityReport:
     """Local structure of the continuation at t = iA from inside the strip.
 
-    Samples sigma on the ray t = i(A - s); a log-log regression of
-    |lambda - pi| against s gives the branching exponent (2/3), and the
-    coefficient of the s^(2/3) law is extracted at the theoretical exponent
-    (the free-intercept estimate amplifies slope noise by |log s| ~ 8).
-    The Lambda blow-up exponent (-1/3) comes from the same samples.
+    Samples sigma on the ray t = i(A - s), s in [1e-4, 1e-3]; a log-log
+    regression of |lambda - pi| against s gives the branching exponent
+    (2/3), and the coefficient of the s^(2/3) law is extracted at the
+    theoretical exponent (the free-intercept estimate amplifies slope noise
+    by |log s| ~ 8).  The Lambda blow-up exponent (-1/3) comes from the same
+    samples.
     """
-    if t_offsets is None:
-        t_offsets = geomspace(1e-4, 1e-3, 9)
-    s = sorted(float(v) for v in t_offsets)
-    if s[0] < 1e-4 - 1e-15 or s[-1] > 1e-2 + 1e-15:
-        raise ValueError("offsets must lie in [1e-4, 1e-2]")
+    s = _BRANCH_OFFSETS
     A = compute_A()
     heights = [1j * (A - v) for v in s[::-1]]
     states = sigma_sweep(heights)[::-1]
@@ -423,7 +430,7 @@ def check_zero_of_Lambda(re_range=(-1.5, 1.5)) -> float:
     turn arg Lambda by pi, one zero inside, in steps of at most pi/4, or
     :class:`ZeroCountRejected` is raised.  Returns the smallest |Lambda|
     sampled on the two parts.  ``re_range`` must contain [-0.05, 0.05] and
-    lie within |Re t| <= 10.
+    lie within |Re t| <= RE_REACH = 6.
     """
     lo, hi = re_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

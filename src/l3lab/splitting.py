@@ -1,11 +1,13 @@
 """Full-model measurement of the manifold splitting at the quarter section.
 
 The one-dimensional stable/unstable manifolds of the collinear point beyond
-the heavy primary are grown from eigenvector seeds and followed to their
-first intersection with the section theta = pi/2, r > 1.  For small mass
-ratios the gap between the two intersection points shrinks like
+the heavy primary are grown from eigenvector seeds 1e-7 from it and followed
+to their first intersection with the section theta = pi/2, r > 1.  For small
+mass ratios the gap between the two intersection points shrinks like
 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) |Theta|, which cross-validates the
-analyticity constant A obtained from the separatrix integrals.
+analyticity constant A obtained from the separatrix integrals: the slope of
+log(gap mu^(-1/3)) against 1/sqrt(mu) over 12 mass ratios in [1e-3, 2e-3]
+estimates -A (:func:`fit_splitting_exponent`).
 
 Trajectories are integrated by stepping the package's DOP853
 (:func:`~l3lab.numerics.ode_steps`, rtol 1e-12) in time units on real
@@ -134,27 +136,27 @@ def _seed(mu, branch, seed_eps):
 
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
-                           seed_eps: float = _SEED_EPS, t_max: float = 1000.0,
-                           section: float = math.pi / 2,
-                           skip_time: float = 0.0) -> SectionPoint:
-    """First crossing of the section theta = ``section`` with r > 1.
+                           t_max: float = 1000.0) -> SectionPoint:
+    """First crossing of the section theta = pi/2 with r > 1.
 
-    The seed sits at ``seed_eps`` along the hyperbolic eigenvector of the
+    The seed sits at 1e-7 along the hyperbolic eigenvector of the
     equilibrium; unstable branches integrate forward, stable ones backward.
     Crossings with r <= 1 (the inner leg of the loop) are not on the section
-    and are skipped, as are crossings before ``skip_time``.  Integration
-    stops at the first crossing that is kept, so ``t_max`` is only a time
-    budget: :class:`NoCrossing` is raised if it runs out first.
+    and are skipped.  Integration stops at the first crossing that is kept,
+    so ``t_max`` is only a time budget: :class:`NoCrossing` is raised if it
+    runs out first.
     """
-    return _trace(mu, branch, seed_eps, t_max, section, skip_time)[0]
+    return _trace(mu, branch, _SEED_EPS, t_max, math.pi / 2, 0.0)[0]
 
 
 def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
     """Step DOP853 from the seed to the first kept section crossing.
 
-    Returns the :class:`SectionPoint` and, with ``keep_steps``, the list of
-    every :class:`~l3lab.numerics.OdeStep` up to the hit, whose dense output
-    gives the trajectory; otherwise ``None``.
+    The seed sits at ``seed_eps`` along the hyperbolic eigenvector, and the
+    crossings of theta = ``section`` at or before |t| = ``skip_time`` are
+    skipped too.  Returns the :class:`SectionPoint` and, with
+    ``keep_steps``, the list of every :class:`~l3lab.numerics.OdeStep` up to
+    the hit, whose dense output gives the trajectory; otherwise ``None``.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -242,21 +244,20 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     return ts, _sample_steps(steps, [abs(t) for t in ts])
 
 
-def fit_splitting_exponent(mu_grid=None) -> SplittingFit:
+# the mass ratios of fit_splitting_exponent, 12 log-spaced in [1e-3, 2e-3]
+_MU_GRID = tuple(geomspace(1e-3, 2e-3, 12))
+
+
+def fit_splitting_exponent() -> SplittingFit:
     """Linear fit of log(dist * mu^(-1/3)) against 1/sqrt(mu).
 
-    The slope estimates -A.  The default grid stays below mu ~ 2e-3: beyond
-    roughly mu = 4e-3 the manifolds overshoot the turning point of the
-    reduced pendulum and slingshot past the light primary, so the first
-    section hit leaves the single-round regime.
+    The slope estimates -A.  The grid, 12 mass ratios log-spaced in
+    [1e-3, 2e-3], stays below mu ~ 2e-3: beyond roughly mu = 4e-3 the
+    manifolds overshoot the turning point of the reduced pendulum and
+    slingshot past the light primary, so the first section hit leaves the
+    single-round regime.
     """
-    if mu_grid is None:
-        mu_grid = geomspace(1e-3, 2e-3, 12)
-    mu_grid = sorted(float(m) for m in mu_grid)
-    if len(mu_grid) < 4:
-        raise ValueError("need at least 4 grid points")
-    if mu_grid[0] < 1e-3 - 1e-12 or mu_grid[-1] > 1e-2 + 1e-12:
-        raise ValueError("grid must lie inside [1e-3, 1e-2]")
+    mu_grid = _MU_GRID
     A = compute_A()
     samples = [section_gap(m, A=A) for m in mu_grid]
     slope, intercept = fit_line(

@@ -360,7 +360,7 @@ def test_shoot_rejects_bad_re_start(re_start):
 
 
 def test_diff_structure():
-    rep = inner.diff_structure(rho=15.0)
+    rep = inner.diff_structure()
     assert rep.rel_spread_y <= 0.2
     assert rep.xy_suppression <= 0.1
     assert rep.arg_spread_y <= 0.3
@@ -381,9 +381,11 @@ def test_verify_inner_limit():
     assert fit.residuals[0] <= 10.0 * predicted
 
 
-def test_verify_inner_limit_z_monotonicity():
-    samples = inner._LIMIT_SAMPLES
-    halved = [(U, tuple(0.5 * z for z in Z)) for U, Z in samples]
-    full = inner.verify_inner_limit(deltas=(0.1,), samples=samples)
-    half = inner.verify_inner_limit(deltas=(0.1,), samples=halved)
+def test_verify_inner_limit_z_monotonicity(monkeypatch):
+    # the fit needs two deltas; the residuals compared are those at 0.1
+    monkeypatch.setattr(inner, "_LIMIT_DELTAS", (0.1, 0.2))
+    full = inner.verify_inner_limit()
+    halved = [(U, tuple(0.5 * z for z in Z)) for U, Z in inner._LIMIT_SAMPLES]
+    monkeypatch.setattr(inner, "_LIMIT_SAMPLES", halved)
+    half = inner.verify_inner_limit()
     assert half.residuals[0] <= full.residuals[0] * 1.05

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from l3lab import rpc3bp as r3
-from l3lab.numerics import find_root
 
 
 def random_polar_states(n, rng, r_range=(0.8, 1.3)):
@@ -78,20 +77,6 @@ def test_h1_zero_mass_limit_is_potential():
     assert abs(expected - 0.2928932188134524) < 1e-14
 
 
-@pytest.mark.parametrize("e, ell", [(0.0, 0.7), (0.3, math.pi), (0.5, 1.0)])
-def test_kepler(e, ell):
-    u = r3.kepler_u(ell, e)
-    assert abs(u - e * math.sin(u) - ell) <= 1e-13
-    if e == 0.0:
-        assert u == ell
-    if ell == math.pi:
-        assert abs(u - math.pi) < 1e-13
-    # bisection oracle on [ell - e, ell + e]
-    oracle = find_root(lambda x: x - e * math.sin(x) - ell,
-                       (ell - e - 1e-9, ell + e + 1e-9), tol=1e-14)
-    assert abs(u - oracle) < 1e-12
-
-
 def test_poincare_circular_case():
     s = r3.PoincareState(0.7, 1.1, 0.0, 0.0)
     pol = r3.polar_from_poincare(s)
@@ -119,7 +104,21 @@ def test_poincare_round_trip():
         dth = (back.theta - pol.theta + math.pi) % (2 * math.pi) - math.pi
         worst = max(worst, abs(back.r - pol.r), abs(dth),
                     abs(back.R - pol.R), abs(back.G - pol.G))
-    assert worst < 1e-10
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("e, u", [(0.1, 1e-6), (0.1, 1e-9), (0.3, 1e-7),
+                                  (0.05, 2e-8), (0.2, math.pi - 1e-7)])
+def test_poincare_radial_momentum_near_apsides(e, u):
+    # R = L e sin(u) / r is of the size of sin(u) here, where the two-body
+    # energy identity R^2 = 2/r - G^2/r^2 - 1/L^2 cancels to rounding
+    L = 1.05
+    r = L * L * (1.0 - e * math.cos(u))
+    R = L * e * math.sin(u) / r
+    f = math.atan2(math.sqrt(1.0 - e * e) * math.sin(u), math.cos(u) - e)
+    pol = r3.PolarState(r, f, R, L * math.sqrt(1.0 - e * e))
+    back = r3.polar_from_poincare(r3.poincare_from_polar(pol))
+    assert abs(back.R - R) <= 1e-15
 
 
 def test_D_collision_value():

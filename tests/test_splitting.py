@@ -46,8 +46,10 @@ def test_section_points_at_pilot_mu():
 
 def test_section_point_seed_insensitivity():
     mu = 0.003
-    a = splitting.manifold_section_point(mu, "unstable_plus", seed_eps=1e-7)
-    b = splitting.manifold_section_point(mu, "unstable_plus", seed_eps=5e-8)
+    a, _ = splitting._trace(mu, "unstable_plus", 1e-7, 1000.0, math.pi / 2,
+                            0.0)
+    b, _ = splitting._trace(mu, "unstable_plus", 5e-8, 1000.0, math.pi / 2,
+                            0.0)
     assert abs(a.r - b.r) <= 1e-6
     assert abs(a.R - b.R) <= 1e-6
     assert abs(a.G - b.G) <= 1e-6
@@ -58,10 +60,10 @@ def test_reversibility_through_symmetric_section():
     # trajectory onto the backward stable-minus one, so their crossings of
     # the symmetric section theta = 0 share r and |R| exactly
     mu = 0.003
-    pu = splitting.manifold_section_point(mu, "unstable_plus", section=0.0,
-                                          skip_time=1.0)
-    ps = splitting.manifold_section_point(mu, "stable_minus", section=0.0,
-                                          skip_time=1.0)
+    pu, _ = splitting._trace(mu, "unstable_plus", splitting._SEED_EPS,
+                             1000.0, 0.0, 1.0)
+    ps, _ = splitting._trace(mu, "stable_minus", splitting._SEED_EPS,
+                             1000.0, 0.0, 1.0)
     assert abs(pu.r - ps.r) <= 1e-8
     assert abs(abs(pu.R) - abs(ps.R)) <= 1e-8
     assert abs(pu.G - ps.G) <= 1e-8
@@ -150,26 +152,19 @@ def test_time_budget_validation(t_max):
         splitting.manifold_section_point(0.003, "unstable_plus", t_max=t_max)
 
 
-def test_fit_splitting_exponent():
+def test_fit_splitting_exponent(monkeypatch):
     fit = splitting.fit_splitting_exponent()
     A = separatrix.compute_A()
     assert abs(fit.slope + A) / A <= 0.10
     assert all(s.dist_measured > 0.0 for s in fit.samples)
     # dropping the largest mu barely moves the slope
-    reduced = splitting.fit_splitting_exponent(
-        mu_grid=np.geomspace(1e-3, 2e-3, 12)[:-1])
+    monkeypatch.setattr(splitting, "_MU_GRID", splitting._MU_GRID[:-1])
+    reduced = splitting.fit_splitting_exponent()
     assert abs(reduced.slope - fit.slope) / abs(fit.slope) <= 0.03
     # effective prefactor: order of the Stokes constant, inflated by
     # finite-mu corrections (pilot value 3.24 ~ 1.99 x 1.63; the 2.2 bound
     # carries platform headroom, see the decisions ledger)
     assert 1.63 / 2.0 <= fit.theta_effective <= 2.2 * 1.63
-
-
-def test_fit_grid_validation():
-    with pytest.raises(ValueError):
-        splitting.fit_splitting_exponent(mu_grid=[1e-3, 2e-3, 3e-3])
-    with pytest.raises(ValueError):
-        splitting.fit_splitting_exponent(mu_grid=[5e-4, 1e-3, 2e-3, 3e-3])
 
 
 def test_manifold_trajectory_shape():
