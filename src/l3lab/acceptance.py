@@ -6,9 +6,10 @@ identical bytes.  The checks are shared between the ``l3lab verify`` command
 and the test suite.
 
 :func:`run_all` runs check 13 (manifold tracing, about half of a serial pass)
-in a forked child beside checks 1-12.  The split is fixed, with no option, and
-the printed results do not depend on it.  Forks go one level deep, so check
-13's ``section_gap`` calls trace both branches in that child, one by one.
+in the fan-out worker, an ``os.fork`` child forked once per process, beside
+checks 1-12.  The split is fixed, with no option, and the printed results do
+not depend on it.  The fan-out is one level deep, so check 13's
+``section_gap`` calls trace both branches in that worker, one by one.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import inner, rpc3bp, separatrix, splitting
-from .numerics import _fork_pair, fit_line, geomspace
+from .numerics import fit_line, geomspace
 
 __all__ = ["AcceptanceResult", "CHECKS", "run_all"]
 
@@ -243,9 +244,11 @@ def run_all() -> list[AcceptanceResult]:
     """Run every check; the results come back in check order.
 
     The last entry of ``CHECKS`` (read at call time, so a replaced tuple is
-    honoured) runs in the child of :func:`~l3lab.numerics._fork_pair`, the
-    others here in order; exceptions come in check order.
+    honoured) runs in the worker of :func:`~l3lab._fanout._fork_pair`, so
+    it must be picklable by reference; the others run here in order.
+    Exceptions come in check order.
     """
+    from ._fanout import _fork_pair
     *here, forked = CHECKS
     results, last = _fork_pair(lambda: [fn() for fn in here], forked)
     return results + [last]

@@ -23,8 +23,10 @@ The tools used everywhere else in the package:
   :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
 
 The routines above are pure functions of their inputs and safe to call
-concurrently.  ``_fork_pair``, the package's one fan-out, is not: it forks
-the calling process and reaps the child.
+concurrently.  The package's one fan-out is not: ``l3lab._fanout`` runs one
+function in a worker, an ``os.fork`` child forked once per process at the
+first call, kept for the calls after it and reaped at interpreter exit.
+Jobs go to the worker pickled by reference.
 
 :class:`L3labError` is the base of every exception the package raises for a
 numerical failure; each module's concrete classes subclass it directly.
@@ -54,7 +56,6 @@ import cmath
 import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 from . import _dop853 as _tab
@@ -102,60 +103,6 @@ class NoConvergence(L3labError):
 
 class NoBracket(L3labError):
     """Root bracket endpoints do not straddle a sign change."""
-
-
-_in_fork_child = False
-
-
-def _fork_pair(here, there):
-    """``(here(), there())``, with ``there`` run in an ``os.fork`` child.
-
-    The child pickles ``(ok, result or exception)`` into a pipe and always
-    leaves by ``os._exit``, so it never returns into the caller or flushes
-    the buffers it inherited.  Exceptions come in the order of a serial
-    ``here(); there()``: one from ``here``, KeyboardInterrupt included, is
-    raised after the child has been killed and reaped, then one from
-    ``there``.  A child that ends without a result raises
-    :class:`L3labError` with its wait status.  Inside a child both run
-    here, so there is one fan-out level.
-    """
-    global _in_fork_child
-    if _in_fork_child:
-        return here(), there()
-    # imported here, as they add about 3 ms to ``import l3lab``
-    import pickle
-    import signal
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe_in, open(write_fd, "wb") as pipe_out:
-        pid = os.fork()
-        if pid == 0:
-            _in_fork_child = True
-            try:
-                try:
-                    payload = (True, there())
-                except BaseException as exc:  # raised again in the parent
-                    payload = (False, exc)
-                pipe_out.write(pickle.dumps(payload))
-                pipe_out.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        pipe_out.close()
-        try:
-            mine = here()
-            data = pipe_in.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if not data:
-        raise L3labError(f"a forked child ended without a result "
-                         f"(wait status {status})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return mine, value
 
 
 @dataclass(frozen=True)

@@ -363,9 +363,9 @@ def D_series(zeta: float, s: PoincareState):
 
 
 def _mu_h1_poincare(lam, L, eta, xi, mu):
-    d0 = _d_exact(0.0, lam, L, eta, xi)
-    dmu = _d_exact(mu, lam, L, eta, xi)
-    dP = _d_exact(mu - 1.0, lam, L, eta, xi)
+    # the three D factors of _d_exact on one Kepler solve
+    wp, wm, _ = re_itheta_pair(lam, L, eta, xi)
+    d0, dmu, dP = ((wp - zeta) * (wm - zeta) for zeta in (0.0, mu, mu - 1.0))
     return (1.0 / cmath.sqrt(d0)
             - (1.0 - mu) / cmath.sqrt(dmu)
             - mu / cmath.sqrt(dP))

@@ -16,17 +16,19 @@ states; each sign change of theta - section is refined by
 and integration stops at the first crossing with r > 1.  Plot samples of a
 trajectory come from the dense output of those same steps.
 
-:func:`section_gap` traces the stable branch in an ``os.fork`` child while
-the caller traces the unstable one, which takes about 1.4 times the steps.
-The fork is one level deep: in the child that runs check 13 of ``verify``
-the two are traced one after the other, with the same bits.
+:func:`section_gap` sends the stable branch to the fan-out worker of
+:func:`~l3lab._fanout._fork_pair`, an ``os.fork`` child forked once per
+process, while the caller traces the unstable one, which takes about 1.4
+times the steps.  The fan-out is one level deep: in the worker that runs
+check 13 of ``verify`` the two are traced one after the other, with the
+same bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .numerics import (L3labError, Line, NonFinite, StepUnderflow, _fork_pair,
+from .numerics import (L3labError, Line, NonFinite, StepUnderflow,
                        _sample_steps, find_root, fit_line, geomspace, linspace,
                        ode_steps)
 from .rpc3bp import (CartesianState, cart_flow, hess_h_cart, locate_L3,
@@ -214,10 +216,10 @@ def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
 def section_gap(mu: float, t_max: float = 1000.0, A: float | None = None,
                 theta_abs: float = 1.63) -> SplittingSample:
     """Gap between the first section hits of the two plus branches."""
-    def trace(branch):
-        return lambda: manifold_section_point(mu, branch, t_max=t_max)
-
-    pu, ps = _fork_pair(trace("unstable_plus"), trace("stable_plus"))
+    from ._fanout import _fork_pair
+    pu, ps = _fork_pair(
+        lambda: manifold_section_point(mu, "unstable_plus", t_max=t_max),
+        manifold_section_point, mu, "stable_plus", t_max)
     gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
     dist = math.sqrt(gr * gr + gR * gR + gG * gG)
     if A is None:

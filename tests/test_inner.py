@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from l3lab import inner, numerics
+from l3lab import inner, numerics, rpc3bp
 
 
 def test_J_at_origin_of_Z():
@@ -379,6 +379,21 @@ def test_verify_inner_limit():
     slope, intercept = np.polyfit(logd, logr, 1)
     predicted = math.exp(intercept + slope * logd[0])
     assert fit.residuals[0] <= 10.0 * predicted
+
+
+def test_verify_inner_limit_solves_kepler_once_per_evaluation(monkeypatch):
+    # 4 deltas x 6 samples, one Kepler shift for the three D factors of each
+    solve = rpc3bp._kepler_shift
+    calls = []
+
+    def counting(esl, ecl):
+        calls.append(1)
+        return solve(esl, ecl)
+
+    monkeypatch.setattr(rpc3bp, "_kepler_shift", counting)
+    inner.verify_inner_limit()
+    assert len(calls) == len(inner._LIMIT_DELTAS) * len(inner._LIMIT_SAMPLES)
+    assert len(calls) == 24
 
 
 def test_verify_inner_limit_z_monotonicity(monkeypatch):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -67,6 +68,23 @@ def test_mu_h1_closed_form_at_opposition():
     mu = 1e-6
     direct = r3.mu_h1_polar(1.0, math.pi, mu)
     assert abs(direct - (1.0 - (1.0 - mu) / (1.0 + mu) - 1.0)) < 1e-14
+
+
+def test_mu_h1_poincare_is_the_three_factor_form():
+    # one Kepler solve gives the bits of three D_exact evaluations
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 0.5))
+        L = complex(rng.uniform(0.9, 1.1), rng.uniform(-0.05, 0.05))
+        eta, xi = (complex(*rng.uniform(-0.2, 0.2, 2)) for _ in range(2))
+        mu = rng.uniform(1e-6, 1e-2)
+        d0, dmu, dP = (r3._d_exact(zeta, lam, L, eta, xi)
+                       for zeta in (0.0, mu, mu - 1.0))
+        three = (1.0 / cmath.sqrt(d0) - (1.0 - mu) / cmath.sqrt(dmu)
+                 - mu / cmath.sqrt(dP))
+        one = r3._mu_h1_poincare(lam, L, eta, xi, mu)
+        assert (one.real.hex(), one.imag.hex()) == (three.real.hex(),
+                                                    three.imag.hex())
 
 
 def test_h1_zero_mass_limit_is_potential():
