@@ -1,10 +1,13 @@
 """The Stokes constant of the inner equation.
 
 Two solutions of the parameter-free inner equation decay as Re U -> -+infty.
-Both are seeded from their asymptotic series, kept through U^(-40/3), at
-Re U = -+100 (inner.RE_START) on the line Im U = -rho and integrated to the
-imaginary axis; their Y-difference behaves like Theta e^{-iU}, so
-theta_rho = |Delta Y(-i rho)| e^rho estimates |Theta|.
+The unstable one is seeded from its asymptotic series, kept through
+U^(-40/3), at Re U = -100 (-inner.RE_START) on the line Im U = -rho and
+integrated to the imaginary axis.  The stable one is its mirror image under
+the symmetry S: (U, W, X, Y) -> (-conj U, w^2 conj W, w conj X, w conj Y),
+w = e^(i pi/3), of the inner equation (inner.mirror).  Their Y-difference
+behaves like Theta e^{-iU}, so theta_rho = |Delta Y(-i rho)| e^rho
+estimates |Theta|.
 The estimates plateau near 1.63 -- the prefactor of the exponentially small
 splitting.
 """

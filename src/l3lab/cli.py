@@ -100,8 +100,8 @@ def _cmd_a(args) -> int:
     return 0
 
 
-# the most rows one stokes table may ask for; each row is two vertical
-# legs, and every 7 in rho two horizontal anchor shootings
+# the most rows one stokes table may ask for; each row is one vertical
+# leg, and every 7 in rho one horizontal anchor shooting
 _MAX_STOKES_ROWS = 1000
 
 

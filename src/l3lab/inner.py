@@ -8,19 +8,20 @@ leading Hamiltonian becomes the parameter-free
 with K built from U^(2/3) and an algebraic function J quadratic in
 Z = (W, X, Y).  Two distinguished solutions of the associated graph-form
 equation dZ/dU = A Z + R[Z] decay as Re U -> -infinity (unstable-like) and
-Re U -> +infinity (stable-like).  Seeding both from their asymptotic series
-(kept through U^(-40/3)) at Re U = -+RE_START = -+100 and shooting along the
-horizontal line Im U = -rho to the imaginary axis, the difference
-Delta Y(-i rho) determines the Stokes constant estimate
-theta_rho = |Delta Y| e^rho, which plateaus near 1.63.  A table of rho
-shoots each branch once to its smallest rho and carries both solutions down
-the imaginary axis to the others, starting a fresh shooting after a descent
-of 7.
+Re U -> +infinity (stable-like).  The map S (:func:`mirror`) takes the first
+at U to the second at -conj U, so only the unstable one is integrated:
+seeded from its asymptotic series (kept through U^(-40/3)) at
+Re U = -RE_START = -100 and shot along Im U = -rho to the imaginary axis,
+where -i rho is its own mirror point.  The difference Delta Y(-i rho)
+determines the Stokes constant estimate theta_rho = |Delta Y| e^rho, which
+plateaus near 1.63.  A table of rho shoots once to its smallest rho and
+carries the solution down the imaginary axis to the others, starting a
+fresh shooting after a descent of 7.
 
 All fractional powers of U live on the branch cut along the positive
-imaginary axis, arg U in [-3pi/2, pi/2), so the shooting lines, the legs
+imaginary axis, arg U in [-3pi/2, pi/2), so the shooting line, the legs
 down the imaginary axis and the evaluation points -i rho stay on a single
-sheet.
+sheet, which S maps onto itself.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ __all__ = [
     "series_residual",
     "RE_START",
     "shoot",
+    "mirror",
     "theta",
     "theta_table",
     "diff_structure",
@@ -238,12 +240,11 @@ _X_SERIES = {
     40: -739272671402772352000 / 2541865828329 * 1j,
 }
 _Y_SERIES = {m: c.conjugate() for m, c in _X_SERIES.items()}
-# |Re U| at which both shooting lines are seeded from the series
+# -Re U at which the shooting line is seeded from the series
 RE_START = 100.0
 # the bounds shoot puts on re_start: below 30 the seed leaves the |U| >= 30
-# domain of series_Z; above 1e4 the two horizontal legs grow without
-# bound, a one-row table costing 1.7 s at 1e4 against 0.46 s at 1e3
-# (2-vCPU Xeon host)
+# domain of series_Z; above 1e4 the horizontal leg grows without bound, a
+# one-row table costing 1.0 s at 1e4 against 0.31 s at 1e3 (2-vCPU Xeon)
 _RE_START_MIN = 30.0
 _RE_START_MAX = 1e4
 
@@ -285,30 +286,39 @@ def series_residual(U) -> float:
     return max(abs(a - b) for a, b in zip(dz, rhs))
 
 
-_BRANCHES = ("unstable", "stable")
-
-
-def shoot(branch: str, rho: float, points, re_start: float = RE_START,
+def shoot(rho: float, points, re_start: float = RE_START,
           rtol: float = 1e-12) -> list[InnerState]:
-    """One decaying solution at each U in ``points``, in order.
+    """The unstable solution at each U in ``points``, in order.
 
-    The branch is seeded from its series at U = -+re_start - i rho and
-    carried through the points as one chain of straight legs, so they are
-    given in the order of travel: the unstable branch moves right along
-    Im U = -rho, the stable one left.  ``re_start`` must lie in [30, 1e4].
+    It is seeded from its series at U = -re_start - i rho and carried through
+    the points, given in the order of travel, as one chain of straight legs;
+    its :func:`mirror` is the stable one.  ``re_start`` must lie in [30, 1e4].
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 8.0 <= rho <= 30.0:
         raise ValueError("rho must lie in [8, 30]")
-    # the seed must sit on the side the branch decays toward; a NaN fails too
+    # a NaN fails too
     if not _RE_START_MIN <= re_start <= _RE_START_MAX:
         raise ValueError(f"re_start must lie in [{_RE_START_MIN:g}, "
                          f"{_RE_START_MAX:g}], got {re_start}")
-    U0 = complex(-re_start if branch == "unstable" else re_start, -rho)
+    U0 = complex(-re_start, -rho)
     ys = integrate_chain(graph_rhs, U0, points, series_Z(U0).as_tuple(),
                          rtol=rtol, atol=1e-14)
     return [InnerState(*map(complex, y)) for y in ys]
+
+
+_OMEGA = complex(0.5, 0.5 * math.sqrt(3.0))    # e^(i pi/3)
+
+
+def mirror(z: InnerState) -> InnerState:
+    """S, the stable solution at -conj U from the unstable one at U.
+
+    S: (U, W, X, Y) -> (-conj U, w^2 conj W, w conj X, w conj Y) with
+    w = e^(i pi/3) maps the graph-form equation and its series onto
+    themselves, and decay as Re U -> -infinity onto decay as Re U -> +infinity.
+    """
+    w = _OMEGA
+    return InnerState(w * w * z.W.conjugate(), w * z.X.conjugate(),
+                      w * z.Y.conjugate())
 
 
 @dataclass
@@ -318,15 +328,15 @@ class StokesRecord:
     theta: float
     digits_lost: float
     y_unstable: complex
-    y_stable: complex
+    y_stable: complex          # mirror of the unstable state at -i rho
 
 
 def theta(rho: float) -> StokesRecord:
     """Stokes-constant estimate theta_rho = |Y^u - Y^s|(-i rho) * e^rho.
 
-    The one-row case of :func:`theta_table`: both branches are shot along
-    Im U = -rho.  Raises :class:`PrecisionLoss` where the table refuses the
-    row.
+    The one-row case of :func:`theta_table`: the unstable solution is shot
+    along Im U = -rho.  Raises :class:`PrecisionLoss` where the table
+    refuses the row.
     """
     rec = theta_table([rho])[0]
     if isinstance(rec, PrecisionLoss):
@@ -350,16 +360,18 @@ def theta_table(rho_list, re_start: float = RE_START,
                 rtol: float = 1e-12) -> list[StokesRecord | PrecisionLoss]:
     """Stokes records for a grid of rho values, in input order.
 
-    Each branch is shot once along Im U = -rho_0 from Re U = -+re_start to
-    the anchor -i rho_0, rho_0 the smallest rho, and then carried down the
-    imaginary axis through the larger rho, one vertical leg per row.  A row
-    more than ``_MAX_DESCENT`` below its anchor starts a fresh anchor
-    shooting.  Delta Y is a single subtraction of the two full-precision
-    values; the base-10 digits lost to that cancellation are recorded, and
-    a row with fewer than 3 significant digits left is refused: its entry is
-    the :class:`PrecisionLoss` that says so, not a record (this caps usable
-    rho near 23 in binary64 at rtol 1e-12).  A rho outside [8, 30] or NaN
-    raises :class:`ValueError` before any integration.
+    The unstable solution is shot once along Im U = -rho_0 from
+    Re U = -re_start to the anchor -i rho_0, rho_0 the smallest rho, and
+    then carried down the imaginary axis through the larger rho, one
+    vertical leg per row.  A row more than ``_MAX_DESCENT`` below its anchor
+    starts a fresh anchor shooting.  Y^s at -i rho, its own mirror point, is
+    ``mirror(u).Y``.  Delta Y is a single subtraction of the two
+    full-precision values; the base-10 digits lost to that cancellation are
+    recorded, and a row with fewer than 3 significant digits left is
+    refused: its entry is the :class:`PrecisionLoss` that says so, not a
+    record (this caps usable rho near 23 in binary64 at rtol 1e-12).  A rho
+    outside [8, 30] or NaN raises :class:`ValueError` before any
+    integration.
     """
     rhos = [float(r) for r in rho_list]
     for r in rhos:
@@ -372,10 +384,9 @@ def theta_table(rho_list, re_start: float = RE_START,
         chain = [r for r in grid if r - grid[0] <= _MAX_DESCENT]
         grid = grid[len(chain):]
         points = [complex(0.0, -r) for r in chain]
-        zu = shoot("unstable", chain[0], points, re_start=re_start, rtol=rtol)
-        zs = shoot("stable", chain[0], points, re_start=re_start, rtol=rtol)
-        for r, u, s in zip(chain, zu, zs):
-            rows[r] = _stokes_row(r, u.Y, s.Y, rtol)
+        zu = shoot(chain[0], points, re_start=re_start, rtol=rtol)
+        for r, u in zip(chain, zu):
+            rows[r] = _stokes_row(r, u.Y, mirror(u).Y, rtol)
     return [rows[r] for r in rhos]
 
 
@@ -383,8 +394,8 @@ def _stokes_row(rho, y_u, y_s, rtol):
     """The record for one row, or the PrecisionLoss that refuses it."""
     dy = y_u - y_s
     digits_lost = math.log10(abs(y_u) / abs(dy)) if dy != 0 else math.inf
-    # the shoots carry a relative accuracy of roughly 100 x rtol, so this is
-    # what the cancellation eats into
+    # the shooting carries a relative accuracy of roughly 100 x rtol, so
+    # this is what the cancellation eats into
     digits_available = -math.log10(100.0 * rtol)
     if digits_available - digits_lost < 3.0:
         return PrecisionLoss(
@@ -416,13 +427,14 @@ def diff_structure() -> DiffStructure:
 
     Samples Re U = -5, -4, ..., 5 at Im U = -15.  e^{iU} Delta Y should
     plateau (it tends to the Stokes constant), while Delta X and Delta W are
-    suppressed by extra powers of U.
+    suppressed by extra powers of U.  The grid is symmetric, so the stable
+    state at x - 15i is the mirror of the unstable one at -x - 15i.
     """
     rho = _DIFF_RHO
     xs = [float(x) for x in range(-5, 6)]
     points = [complex(x, -rho) for x in xs]
-    zu = shoot("unstable", rho, points)
-    zs = shoot("stable", rho, points[::-1])[::-1]
+    zu = shoot(rho, points)
+    zs = [mirror(u) for u in reversed(zu)]
     ey, ex, ew = [], [], []
     for U, u, s in zip(points, zu, zs):
         fac = cmath.exp(1j * U)

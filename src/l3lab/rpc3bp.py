@@ -332,17 +332,15 @@ def re_itheta_pair(lam, L, eta, xi):
     return wp, wm, s
 
 
-def _d_exact(zeta, lam, L, eta, xi):
-    wp, wm, _ = re_itheta_pair(lam, L, eta, xi)
+def D_exact(zeta: float, s: PoincareState) -> complex:
+    """(r^2 - 2 zeta r cos(theta) + zeta^2) composed with the Poincare chart."""
+    wp, wm, _ = re_itheta_pair(s.lam, s.L, s.eta, s.xi)
     return (wp - zeta) * (wm - zeta)
 
 
-def D_exact(zeta: float, s: PoincareState) -> complex:
-    """(r^2 - 2 zeta r cos(theta) + zeta^2) composed with the Poincare chart."""
-    return _d_exact(zeta, s.lam, s.L, s.eta, s.xi)
-
-
-def _d_series(zeta, lam, L, eta, xi):
+def D_series(zeta: float, s: PoincareState):
+    """Quadratic truncation (D0, D1, D2) of D[zeta] in powers of (eta, xi)."""
+    lam, L, eta, xi = s.lam, s.L, s.eta, s.xi
     el = cmath.exp(1j * lam)
     eml = 1.0 / el
     cl = (el + eml) / 2.0
@@ -357,13 +355,9 @@ def _d_series(zeta, lam, L, eta, xi):
     return d0, d1, d2
 
 
-def D_series(zeta: float, s: PoincareState):
-    """Quadratic truncation (D0, D1, D2) of D[zeta] in powers of (eta, xi)."""
-    return _d_series(zeta, s.lam, s.L, s.eta, s.xi)
-
-
 def _mu_h1_poincare(lam, L, eta, xi, mu):
-    # the three D factors of _d_exact on one Kepler solve
+    # the three factors D_exact(zeta) for zeta = 0, mu, mu - 1 on one Kepler
+    # solve
     wp, wm, _ = re_itheta_pair(lam, L, eta, xi)
     d0, dmu, dP = ((wp - zeta) * (wm - zeta) for zeta in (0.0, mu, mu - 1.0))
     return (1.0 / cmath.sqrt(d0)

@@ -12,7 +12,8 @@ origin and a homoclinic loop at energy -1/2.  This module provides
 * the location of the singularities of the continuation reachable through
   integrals of the multivalued function fhat over paths in the q-plane,
   q = cos(lambda/2), with explicit branch bookkeeping (:func:`t_star`,
-  whose paths pass a+ or q = 1 on an arc of radius 1e-3),
+  whose paths pass a+ or q = 1 on an arc of radius 1e-3; it integrates the
+  upper paths and conjugates them for the lower ones),
 * local structure fits at the strip-boundary singularity (:func:`fit_branch`)
   and a zero scan of Lambda from the boundary (:func:`check_zero_of_Lambda`):
   one walk around the upper halves of a rectangle in the strip and a circle
@@ -261,17 +262,6 @@ def residue_pole_numeric(radius: float = 1e-3) -> complex:
 # singularities of the continued separatrix
 # ---------------------------------------------------------------------------
 
-def _conj_path(path):
-    segs = []
-    for seg in path:
-        if isinstance(seg, Line):
-            segs.append(Line(seg.a.conjugate(), seg.b.conjugate()))
-        else:
-            segs.append(Arc(seg.center.conjugate(), seg.radius,
-                            -seg.phi_start, -seg.phi_end))
-    return tuple(segs)
-
-
 def _zero_path(detour: float):
     return (
         Line(A_PLUS, A_PLUS + detour),
@@ -309,20 +299,18 @@ def t_star(path_kind: str) -> complex:
     to infinity; the integral is truncated at q = R = 1e4 and finished with
     the analytic tail 1/(sqrt(3) R) of fhat = 1/(sqrt(3) q^2) + O(q^-3).
     The detour is an arc of radius 1e-3 around a+ (paths to zero) or q = 1
-    (paths to infinity).
+    (paths to infinity).  Only the upper paths are integrated: fhat is real
+    on (a+, 1), so the lower path is the mirror image of the upper one and
+    a lower kind is the conjugate of its upper kind.
     """
     if path_kind not in _T_STAR_KINDS:
         raise ValueError(f"path_kind must be one of {_T_STAR_KINDS}")
     to_zero = path_kind.startswith("zero")
-    upper = path_kind.endswith("upper")
     path = _zero_path(_DETOUR) if to_zero else _infinity_path(_DETOUR)
-    if not upper:
-        path = _conj_path(path)
-    res = _integrate_fhat(path, _T_STAR_TOL)
-    value = res.value
+    value = _integrate_fhat(path, _T_STAR_TOL).value
     if not to_zero:
         value += 1.0 / (math.sqrt(3.0) * _R_MAX)
-    return value
+    return value if path_kind.endswith("upper") else value.conjugate()
 
 
 # ---------------------------------------------------------------------------

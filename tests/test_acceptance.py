@@ -13,21 +13,19 @@ import functools
 import io
 import math
 import os
-import pathlib
 import pickle
 import signal
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-import l3lab
 from l3lab import _fanout, acceptance, cli, splitting
 from l3lab._fanout import _fork_pair
 from l3lab.numerics import L3labError
 from l3lab.separatrix import FitRejected
+
+from conftest import run_python
 
 
 @pytest.fixture(scope="module")
@@ -175,17 +173,6 @@ def test_child_that_dies_without_a_result_fails_verify(monkeypatch):
     _assert_no_child_left()
 
 
-def _run_python(source, *options):
-    """Run ``source`` in a fresh interpreter on this package; the process."""
-    src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *options, "-c", source],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 _FORK_AFTER_BUFFERED_TEXT = """
 from l3lab._fanout import _fork_pair
 print("buffered before the fork")
@@ -196,7 +183,7 @@ print(_fork_pair(lambda: "here", str, "there"))
 def test_child_does_not_repeat_buffered_output():
     # stdout is a buffered pipe, so the text is still in the buffer at the
     # fork; a worker that left through sys.exit would flush its copy of it
-    proc = _run_python(_FORK_AFTER_BUFFERED_TEXT)
+    proc = run_python(["-c", _FORK_AFTER_BUFFERED_TEXT], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "buffered before the fork\n('here', 'there')\n"
 
@@ -263,9 +250,10 @@ def test_section_gap_no_crossing_as_serial(monkeypatch, t_max, short_stable):
 
 def test_import_leaves_the_fan_out_unloaded():
     # the fan-out and pickle load at the first fan-out call, not at import
-    proc = _run_python("import sys, l3lab.cli\n"
-                       "print(sorted(k for k in sys.modules"
-                       " if k in ('l3lab._fanout', 'pickle')))")
+    source = ("import sys, l3lab.cli\n"
+              "print(sorted(k for k in sys.modules"
+              " if k in ('l3lab._fanout', 'pickle')))")
+    proc = run_python(["-c", source], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -292,7 +280,8 @@ print(*pids)
 
 
 def test_worker_is_reaped_at_exit():
-    proc = _run_python(_TWO_GAPS_THEN_EXIT, "-X", "dev", "-W", "error")
+    proc = run_python(["-X", "dev", "-W", "error", "-c", _TWO_GAPS_THEN_EXIT],
+                      timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     first, second = proc.stdout.split()
@@ -347,7 +336,7 @@ print(os.waitpid(pid, 0)[1], _fork_pair(os.getpid, os.getpid)[1] == worker)
 def test_fork_without_hooks_forks_its_own_worker():
     # the worker records its owner's pid, so a child that still holds the
     # owner's worker leaves it alone and forks its own
-    proc = _run_python(_FORK_WITHOUT_HOOKS)
+    proc = run_python(["-c", _FORK_WITHOUT_HOOKS], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 True\n"
 
@@ -369,7 +358,7 @@ def test_owner_exit_does_not_wait_for_its_forked_child():
     # worker reaches its end when the owner's exit handler closes it; a
     # copy would keep the owner waiting for the worker, the worker for
     # the end of its job pipe and the child for the owner's exit
-    proc = _run_python(_FORK_A_CHILD_THEN_EXIT)
+    proc = run_python(["-c", _FORK_A_CHILD_THEN_EXIT], timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

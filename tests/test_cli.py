@@ -2,17 +2,14 @@ import contextlib
 import io
 import json
 import math
-import os
-import pathlib
 import resource
-import subprocess
-import sys
 
 import pytest
 
-import l3lab
 from l3lab import (acceptance, cli, inner, numerics, rpc3bp, separatrix,
                    splitting)
+
+from conftest import run_python
 
 
 def run_cli(argv):
@@ -243,13 +240,8 @@ def test_out_of_range_tolerance_exits_2():
 
 def run_cli_process(argv, preexec_fn=None):
     """Run ``l3lab`` in a fresh interpreter, so a traceback would reach stderr."""
-    src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "l3lab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300,
-                          preexec_fn=preexec_fn)
+    proc = run_python(["-m", "l3lab.cli", *argv], timeout=300,
+                      preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -271,20 +263,11 @@ def test_stokes_refuses_grid_before_any_work(flags, message):
     assert "Traceback" not in err
 
 
-def _run_python(code, *args):
-    """Run ``python -c code args`` with the package on the path."""
-    src = str(pathlib.Path(l3lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env, timeout=300)
-
-
 def test_cli_import_leaves_numpy_unloaded():
-    proc = _run_python("import sys, l3lab.cli\n"
-                       "print(sorted(k for k in sys.modules"
-                       " if k.split('.')[0] == 'numpy'))")
+    source = ("import sys, l3lab.cli\n"
+              "print(sorted(k for k in sys.modules"
+              " if k.split('.')[0] == 'numpy'))")
+    proc = run_python(["-c", source], timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -292,10 +275,11 @@ def test_cli_import_leaves_numpy_unloaded():
 @pytest.mark.parametrize("command", ["a", "l3", "singularities"])
 def test_commands_run_with_numpy_blocked(command):
     # an entry of None in sys.modules makes every import of numpy fail
-    proc = _run_python("import sys\n"
-                       "sys.modules['numpy'] = None\n"
-                       "from l3lab.cli import main\n"
-                       "sys.exit(main(sys.argv[1:]))", command)
+    source = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from l3lab.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))")
+    proc = run_python(["-c", source, command], timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and "Traceback" not in proc.stderr
 

@@ -224,11 +224,11 @@ def test_series_residual_order():
 
 def test_shoot_bounds_and_cancellation():
     points = [complex(x, -13.0) for x in (-900.0, -500.0, -100.0, -30.0, 0.0)]
-    for U, z in zip(points, inner.shoot("unstable", 13.0, points)):
+    for U, z in zip(points, inner.shoot(13.0, points)):
         bound = abs(U ** (4.0 / 3.0) * z.X)
         assert bound <= 1.0
-    [zu] = inner.shoot("unstable", 13.0, [-13j])
-    [zs] = inner.shoot("stable", 13.0, [-13j])
+    [zu] = inner.shoot(13.0, [-13j])
+    zs = inner.mirror(zu)
     # leading digits of Y coincide before differencing (cancellation depth
     # log10 |Y|/|dY| ~ 3.3 at rho = 13, growing with rho)
     ratio = abs(zu.Y - zs.Y) / abs(zu.Y)
@@ -239,8 +239,8 @@ def test_shoot_bounds_and_cancellation():
 
 
 def test_shoot_tail_insensitive_to_seed_location():
-    y1 = inner.shoot("unstable", 13.0, [-13j], re_start=1000.0)[0].Y
-    y2 = inner.shoot("unstable", 13.0, [-13j], re_start=2000.0)[0].Y
+    y1 = inner.shoot(13.0, [-13j], re_start=1000.0)[0].Y
+    y2 = inner.shoot(13.0, [-13j], re_start=2000.0)[0].Y
     assert abs(y1 - y2) < 1e-13
 
 
@@ -334,29 +334,86 @@ def test_theta_table_legs(monkeypatch):
     monkeypatch.setattr(numerics, "integrate_ode", record)
     # 15 is the deepest row the anchor at 8 carries; 16 starts a new anchor
     inner.theta_table([8.0, 9.0, 15.0, 16.0, 17.0])
-    down = [(-8j, -9j), (-9j, -15j)]
+    # only the unstable solution is integrated; the stable one is its mirror
     assert legs == [
-        (complex(-inner.RE_START, -8.0), -8j), *down,
-        (complex(inner.RE_START, -8.0), -8j), *down,
+        (complex(-inner.RE_START, -8.0), -8j), (-8j, -9j), (-9j, -15j),
         (complex(-inner.RE_START, -16.0), -16j), (-16j, -17j),
-        (complex(inner.RE_START, -16.0), -16j), (-16j, -17j),
     ]
 
 
 def test_shoot_validation():
     with pytest.raises(ValueError):
-        inner.shoot("unstable", 5.0, [-5j])
-    with pytest.raises(ValueError):
-        inner.shoot("sideways", 13.0, [-13j])
+        inner.shoot(5.0, [-5j])
 
 
 @pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0,
                                       10.0, 1e9])
 def test_shoot_rejects_bad_re_start(re_start):
-    # a negative start would seed each branch on the other's side
-    for branch in ("unstable", "stable"):
-        with pytest.raises(ValueError, match="re_start"):
-            inner.shoot(branch, 13.0, [-13j], re_start=re_start)
+    # a negative start would seed the solution on the side it grows toward
+    with pytest.raises(ValueError, match="re_start"):
+        inner.shoot(13.0, [-13j], re_start=re_start)
+
+
+# S: (U, W, X, Y) -> (-conj U, w^2 conj W, w conj X, w conj Y),
+# w = e^(i pi/3), written out here independently of inner.mirror
+_OMEGA = cmath.exp(1j * math.pi / 3.0)
+_S_PHASES = (_OMEGA * _OMEGA, _OMEGA, _OMEGA)
+
+
+def _S(Z):
+    return tuple(m * z.conjugate() for m, z in zip(_S_PHASES, Z))
+
+
+def _sheet_point(rng, r_min, r_max):
+    # anywhere on the sheet arg U in [-3pi/2, pi/2), 0.05 rad off the cut
+    return (math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
+            * cmath.exp(1j * rng.uniform(-1.5 * math.pi + 0.05,
+                                         0.5 * math.pi - 0.05)))
+
+
+def _max_rel(a, b):
+    return max(abs(x - y) / abs(y) for x, y in zip(a, b))
+
+
+def test_graph_rhs_is_equivariant_under_S():
+    # if Z solves dZ/dU = F(U, Z), S Z solves it at -conj U, so
+    # F(-conj U, S Z) = -S F(U, Z) (the conjugated phases times -1)
+    rng = np.random.default_rng(24)
+    checked = 0
+    while checked < 1000:
+        U = _sheet_point(rng, 1.0, 60.0)
+        Z = tuple(0.2 * complex(*rng.standard_normal(2)) for _ in range(3))
+        try:
+            f = inner.graph_rhs(U, Z)
+            f_mirror = inner.graph_rhs(-U.conjugate(), _S(Z))
+        except (inner.TimeReparamSingular, inner.SqrtDomain):
+            continue    # |1 + g| < 0.5 or |1 + J| <= 0.1
+        assert _max_rel(f_mirror, tuple(-v for v in _S(f))) <= 1e-13
+        checked += 1
+
+
+def test_series_is_equivariant_under_S():
+    rng = np.random.default_rng(25)
+    for _ in range(500):
+        U = _sheet_point(rng, 30.0, 1e4)
+        assert _max_rel(_S(inner.series_Z(U).as_tuple()),
+                        inner.series_Z(-U.conjugate()).as_tuple()) <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [13.0, 15.0, 20.0])
+def test_mirror_of_shoot_is_the_stable_solution(rho):
+    # the stable solution, integrated here leftward from its own series
+    # seed at Re U = +RE_START
+    points = [complex(x, -rho) for x in range(-5, 6)]
+    unstable = inner.shoot(rho, points)
+    U0 = complex(inner.RE_START, -rho)
+    stable = numerics.integrate_chain(inner.graph_rhs, U0, points[::-1],
+                                      inner.series_Z(U0).as_tuple(),
+                                      rtol=1e-12, atol=1e-14)
+    # the stable state at x - i rho is the mirror of the unstable one at
+    # -x - i rho, which the reversed lists pair up
+    for u, s in zip(unstable, stable):
+        assert _max_rel(inner.mirror(u).as_tuple(), s) <= 1e-11
 
 
 def test_diff_structure():

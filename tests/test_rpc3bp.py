@@ -78,7 +78,8 @@ def test_mu_h1_poincare_is_the_three_factor_form():
         L = complex(rng.uniform(0.9, 1.1), rng.uniform(-0.05, 0.05))
         eta, xi = (complex(*rng.uniform(-0.2, 0.2, 2)) for _ in range(2))
         mu = rng.uniform(1e-6, 1e-2)
-        d0, dmu, dP = (r3._d_exact(zeta, lam, L, eta, xi)
+        state = r3.PoincareState(lam, L, eta, xi)
+        d0, dmu, dP = (r3.D_exact(zeta, state)
                        for zeta in (0.0, mu, mu - 1.0))
         three = (1.0 / cmath.sqrt(d0) - (1.0 - mu) / cmath.sqrt(dmu)
                  - mu / cmath.sqrt(dP))
