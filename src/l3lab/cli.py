@@ -347,39 +347,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_config(path: str) -> dict:
+# a config file is a few lines; reading stops past this many characters, so
+# a device such as /dev/full, which reads as endless zero bytes, is refused
+# instead of filling memory
+_MAX_CONFIG_CHARS = 2 ** 16
+
+
+def _parse_config(text: str, known: set) -> dict:
+    """``key = value`` lines; ``ValueError`` names the first bad line."""
+    if len(text) > _MAX_CONFIG_CHARS:
+        raise ValueError(f"longer than {_MAX_CONFIG_CHARS} characters")
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not (eq and key):
+            raise ValueError(f"line {number}: {line!r} is not key = value")
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError(f"line {number}: no subcommand has {key!r}")
+        out[dest] = value.strip()
     return out
 
 
 def _apply_config(parser: argparse.ArgumentParser, path: str):
     """Make the file's values the defaults of every subcommand that has them.
 
-    The values stay strings: argparse converts a string default through the
-    option's ``type`` and exits 2 on a bad value, so explicit flags still win.
-    It does not check a default against the option's ``choices``, so that
-    is done here.
+    A key that no subcommand has, or a line that is not ``key = value``,
+    is refused.  The values stay strings: argparse converts a string
+    default through the option's ``type`` and exits 2 on a bad value, so
+    explicit flags still win.  It does not check a default against the
+    option's ``choices``, so that is done here.
     """
     try:
-        cfg = _load_config(path)
+        with open(path) as fh:
+            text = fh.read(_MAX_CONFIG_CHARS + 1)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read --config {path}: {exc}")
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            found = {a.dest: a for a in sp._actions if a.dest in cfg}
-            for dest, a in found.items():
-                if a.choices is not None and cfg[dest] not in a.choices:
-                    parser.error(f"--config {path}: invalid choice "
-                                 f"{dest} = {cfg[dest]!r} (choose from "
-                                 f"{', '.join(a.choices)})")
-            sp.set_defaults(**{dest: cfg[dest] for dest in found})
+    subparsers = [sp for action in parser._subparsers._group_actions
+                  for sp in action.choices.values()]
+    known = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
+    try:
+        cfg = _parse_config(text, known)
+    except ValueError as exc:
+        parser.error(f"--config {path}: {exc}")
+    for sp in subparsers:
+        found = {a.dest: a for a in sp._actions if a.dest in cfg}
+        for dest, a in found.items():
+            if a.choices is not None and cfg[dest] not in a.choices:
+                parser.error(f"--config {path}: invalid choice "
+                             f"{dest} = {cfg[dest]!r} (choose from "
+                             f"{', '.join(a.choices)})")
+        sp.set_defaults(**{dest: cfg[dest] for dest in found})
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import resource
 
 import pytest
@@ -323,6 +324,52 @@ def test_bad_config_exits_2(tmp_path, case):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# stokes\nrho-mn = 15\n", "line 2: no subcommand has 'rho-mn'"),
+    ("mu\n", "line 1: 'mu' is not key = value"),
+    ("tol = 1e-6\n= 5\n", "line 2: '= 5' is not key = value"),
+], ids=["unknown_key", "no_equals", "no_key"])
+def test_config_refuses_what_it_would_ignore(tmp_path, text, message):
+    # a typo'd key was silently dropped, as was a line "= 5"; a line with no
+    # "=" became an empty value of its key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "stokes"])
+    assert code == 2
+    assert out == ""
+    assert f"error: --config {cfg}: {message}" in err
+
+
+def _hostile_path(tmp_path, kind):
+    if kind == "non_utf8":
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"tol = 1e-6\n\xff\xfe = 3\n")
+        return str(path)
+    return {"directory": str(tmp_path),
+            "missing_directory": str(tmp_path / "absent" / "c.txt"),
+            "empty": "", "dev_full": "/dev/full"}[kind]
+
+
+# /dev/full reads as endless zero bytes: read whole, as --config files were,
+# it filled the memory; written to, it fails with ENOSPC.  A non-UTF-8 file
+# is only a --config case: --out overwrites it
+_PATHS = ("directory", "missing_directory", "empty", "dev_full")
+
+
+@pytest.mark.parametrize("option, kind", [
+    *(("--config", kind) for kind in (*_PATHS, "non_utf8")),
+    *(("--out", kind) for kind in _PATHS)])
+def test_hostile_paths_exit_2(tmp_path, option, kind):
+    path = _hostile_path(tmp_path, kind)
+    if kind == "dev_full" and not os.path.exists(path):
+        pytest.skip("no /dev/full on this system")
+    argv = ["--config", path, "l3"] if option == "--config" else \
+        ["l3", "--out", path]
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert "error:" in err
 
 
 # 5e-324 made the asymptotic distance underflow to 0 and the ratio line

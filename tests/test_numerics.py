@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3lab import _dop853, numerics, rpc3bp, separatrix
+from l3lab import _dop853, numerics, rpc3bp, separatrix, splitting
 from l3lab.numerics import (Arc, L3labError, Line, NoBracket, NoConvergence,
                             NonFinite, StepUnderflow, find_root, fit_line,
                             geomspace, integrate_chain, integrate_ode,
@@ -318,6 +318,15 @@ def test_ode_steps_do_not_depend_on_s_end():
     assert got == ref[:len(got)] and len(got) == 30
 
 
+def test_field_that_turns_complex_on_real_states_steps_on():
+    # floats at the start pick the float attempt; past t = 0.5 the field is
+    # complex, and the generic attempt takes over with the reference's bits
+    field = lambda t, y: ((0.5 - t) ** 1.5 + 0.1 * y[0],)
+    y_end, steps, _ = _same_steps(field, Line(0.0, 1.0), (1.0,),
+                                  rtol=1e-10, atol=1e-12)
+    assert steps > 10 and isinstance(y_end[0], complex)
+
+
 def test_importing_the_package_loads_no_scipy():
     code = ("import importlib, pkgutil, sys, l3lab\n"
             "for m in pkgutil.iter_modules(l3lab.__path__):\n"
@@ -423,14 +432,20 @@ def _bits(v):
 
 
 def _generated_attempt(field, seg, s, h, y, comp, f, rtol, atol):
-    attempt = numerics._attempt(len(y))
-    return list(attempt(field, seg.a, seg.b - seg.a, s, h, y, comp, f, rtol,
-                        atol))
+    # the kernel ode_steps would step with: the float variant on real
+    # states, stages and lines, the generic one otherwise
+    a, d = seg.a, seg.b - seg.a
+    attempt = numerics._pick_attempt(a, d, y, f)
+    return list(attempt(field, a, d, s, h, y, comp, f, rtol, atol))
 
 
 # a Line from 0 or from a complex point, by +1, -1 or a complex d
 _SEGMENT = st.builds(lambda a, d: Line(a, a + d), st.just(0.0) | _COMPLEX,
                      st.sampled_from([1.0, -1.0]) | _MOVE)
+# a Line on the real axis, which real states step on the float variant
+_REAL_SEGMENT = st.builds(
+    lambda a, d: Line(a, a + d), st.just(0.0) | _BOUNDED,
+    st.sampled_from([1.0, -1.0]) | _BOUNDED.filter(lambda x: abs(x) > 1e-3))
 
 
 @st.composite
@@ -441,7 +456,8 @@ def _attempt_case(draw):
     tiny = st.floats(-1e-16, 1e-16)
     carry = tiny if real else st.builds(complex, tiny, tiny)
     m = draw(st.lists(st.tuples(num, num, num), min_size=n, max_size=n))
-    return (n, m, draw(_SEGMENT), draw(st.floats(0.0, 1.0)),
+    seg = draw(_REAL_SEGMENT | _SEGMENT if real else _SEGMENT)
+    return (n, m, seg, draw(st.floats(0.0, 1.0)),
             draw(st.floats(1e-3, 0.5)),
             draw(st.lists(num, min_size=n, max_size=n)),
             draw(st.lists(carry, min_size=n, max_size=n)),
@@ -480,6 +496,29 @@ def test_generated_attempt_keeps_signed_zeros(n, zero):
         args = (field, seg, 0.0, 0.125, y, [0 * zero] * n, f, 1e-10, 1e-12)
         assert _bits(_generated_attempt(*args)) == \
             _bits(_reference_attempt(*args))
+
+
+def test_manifold_trace_steps_on_the_float_attempt(monkeypatch):
+    # a silent fallback to the generic kernel would keep every bit test
+    # green; the trace must compile the float variant for n = 4 and step
+    # on it alone
+    picked, calls = [], []
+    attempt = numerics._attempt
+
+    def spy(n, real):
+        picked.append((n, real))
+        kernel = attempt(n, real)
+
+        def counted(*args):
+            calls.append(kernel.__code__.co_filename)
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(numerics, "_attempt", spy)
+    splitting.manifold_section_point(2e-3)
+    assert picked == [(4, True)]
+    assert len(calls) > 100
+    assert set(calls) == {"<DOP853 attempt, n=4, float>"}
 
 
 def _reference_steps(field, seg, y, rtol, atol, s_end):

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from l3lab import numerics
 from l3lab import separatrix as sep
@@ -60,15 +58,11 @@ def test_t_star_zero():
     a = sep.compute_A(tol=1e-12)
     t1 = sep.t_star("zero_upper")
     assert abs(t1.real) < 1e-6 and abs(t1.imag + a) < 1e-6
-    t1m = sep.t_star("zero_lower")
-    assert abs(t1m - t1.conjugate()) < 1e-10
 
 
 def test_t_star_infinity():
     t2 = sep.t_star("infinity_upper")
     assert abs(t2 - (-0.086697 - 0.969516j)) < 1e-4
-    t2m = sep.t_star("infinity_lower")
-    assert abs(t2m - t2.conjugate()) < 1e-10
     # the imaginary part is pi times the pole residue
     assert abs(abs(t2.imag) - math.pi * sep.residue_pole()) < 1e-8
 
@@ -97,16 +91,6 @@ def test_t_star_homotopy_invariance(monkeypatch):
         monkeypatch.setattr(sep, "_DETOUR", detour)
         for kind, t_a in zip(kinds, at_default):
             assert abs(t_a - sep.t_star(kind)) <= 1e-12
-
-
-@settings(max_examples=5, deadline=None)
-@given(st.floats(1e-3, 5e-3))
-def test_t_star_upper_and_lower_are_conjugate(detour):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sep, "_DETOUR", detour)
-        upper = sep.t_star("zero_upper")
-        lower = sep.t_star("zero_lower")
-    assert abs(upper - lower.conjugate()) <= 1e-12
 
 
 @pytest.mark.parametrize("run, calls", [
