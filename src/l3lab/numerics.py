@@ -105,6 +105,11 @@ class NonFinite(L3labError):
     """The field or the state overflowed, divided by zero or became NaN."""
 
 
+class _NotFloat(L3labError):
+    """A stage or state of the float attempt is not a float; :func:`_steps`
+    retakes the step on the generic attempt, so it never reaches a caller."""
+
+
 class NoConvergence(L3labError):
     """Successive quadrature refinements disagree by more than 10x tol."""
 
@@ -246,15 +251,15 @@ def _attempt_source(n, real):
     field call, by one test of ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ...``, which
     is not finite exactly when some component is not; a field of the wrong
     length fails its unpacking with ``ValueError``.  The error sums are
-    divided by the scale ``atol + rtol * max(|y_k|, |y_new_k|)`` and reduced
-    to the mixed 5/3 error norm, real parts summed before imaginary parts.
+    divided by the scale ``atol + rtol * max(|y_k|, |y_new_k|)``, the larger
+    taken by a comparison, and reduced to the mixed 5/3 error norm, real
+    parts summed before imaginary parts.
 
     With ``real`` the attempt is the float variant, for states, stages and
     line that are all floats: the norms sum ``x * x`` without the imaginary
-    half (exactly ``+ 0.0`` on floats), the scale takes the larger of
-    ``|y_k|`` and ``|y_new_k|`` by a comparison instead of ``max`` and the
-    finiteness test is ``math.isfinite``, so it returns the generic
-    attempt's bits.
+    half (exactly ``+ 0.0`` on floats) and the finiteness test is
+    ``math.isfinite``, so it returns the generic attempt's bits.  A stage or
+    state that is complex fails that test with :class:`_NotFloat`.
     """
     comps = range(n)
 
@@ -272,9 +277,14 @@ def _attempt_source(n, real):
 
     def check(vs, what):
         test = " + ".join(f"0.0 * {v}" for v in vs)
-        return [f"    if not isfinite({test}):",
-                f"        raise NonFinite(f'{what} not finite near path point"
+        body = [f"if not isfinite({test}):",
+                f"    raise NonFinite(f'{what} not finite near path point"
                 f" {{a + s * d}}')"]
+        if real:
+            # math.isfinite raises TypeError on a complex value, and only there
+            body = ["try:", *(f"    {x}" for x in body),
+                    "except TypeError:", "    raise NotFloat from None"]
+        return [f"    {x}" for x in body]
 
     def call(node, vs, args):
         # the field at line parameter `node`, times the line's derivative
@@ -300,13 +310,10 @@ def _attempt_source(n, real):
     lines += check(names("yn"), "state")
     last = len(_STAGES) + 1
     lines += call("s + h", stage(last), ", ".join(names("yn")))
+    # |y_k| and |y_new_k| are finite floats, so the comparison picks as max()
     for k in comps:
-        if real:
-            larger = f"u{k} if u{k} >= v{k} else v{k}"
-            lines += [f"    u{k}, v{k} = abs(y{k}), abs(yn{k})",
-                      f"    sc{k} = atol + rtol * ({larger})"]
-        else:
-            lines += [f"    sc{k} = atol + rtol * max(abs(y{k}), abs(yn{k}))"]
+        lines += [f"    u{k}, v{k} = abs(y{k}), abs(yn{k})",
+                  f"    sc{k} = atol + rtol * (u{k} if u{k} >= v{k} else v{k})"]
     lines += [f"    x5_{k} = ({dot(_E5, k)}) / sc{k}" for k in comps]
     lines += [f"    x3_{k} = ({dot(_E3, k)}) / sc{k}" for k in comps]
     stages = ", ".join(f"[{', '.join(f'k{i}_{k}' for i in range(last + 1))}]"
@@ -340,7 +347,7 @@ def _attempt(n, real):
     error scale, and ``K[k][i]``, component k of stage i for i = 0..12.
     """
     scope = {"isfinite": math.isfinite if real else cmath.isfinite,
-             "sqrt": math.sqrt, "NonFinite": NonFinite}
+             "sqrt": math.sqrt, "NonFinite": NonFinite, "NotFloat": _NotFloat}
     name = f"<DOP853 attempt, n={n}{', float' if real else ''}>"
     exec(compile(_attempt_source(n, real), name, "exec"), scope)
     return scope["attempt"]
@@ -526,14 +533,10 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
             try:
                 y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
                     field, a, d, s, h, y, comp, f, rtol, atol)
-            except TypeError:
-                # a field that turns complex on real states fails the float
-                # variant's math.isfinite; the generic attempt retakes the
-                # step, as it would have from the start
-                generic = _attempt(n, False)
-                if attempt is generic:
-                    raise
-                attempt = generic
+            except _NotFloat:
+                # a field that turns complex on real states; the generic
+                # attempt retakes the step, as it would have from the start
+                attempt = _attempt(n, False)
                 continue
             if err_norm < 1.0:
                 factor = _MAX_FACTOR if err_norm == 0.0 else min(

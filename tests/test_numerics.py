@@ -327,6 +327,23 @@ def test_field_that_turns_complex_on_real_states_steps_on():
     assert steps > 10 and isinstance(y_end[0], complex)
 
 
+def test_field_type_error_on_real_states_is_raised_once():
+    # a TypeError of the field's own leaves the float attempt as it is
+    # raised, without a retake on the generic attempt.  The field is called
+    # at the start, for the starting step and then in the first attempt
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        if len(calls) > 2:
+            raise TypeError("the field's own error")
+        return (-y[0],)
+
+    with pytest.raises(TypeError, match="the field's own error"):
+        next(ode_steps(field, Line(0.0, 1.0), (1.0,)))
+    assert len(calls) == 3
+
+
 def test_importing_the_package_loads_no_scipy():
     code = ("import importlib, pkgutil, sys, l3lab\n"
             "for m in pkgutil.iter_modules(l3lab.__path__):\n"
