@@ -40,23 +40,20 @@ library: the fields here have 2 to 4 components.
 Each step attempt is straight-line code generated from the tableau for the
 length of the state, with every stage in scalar locals.  It calls the field
 at each stage with the chain rule written out (inline arithmetic on a
-:class:`Line`), and ends with the step's error norm
-and error scale, so the step loop around it only runs the step-size
-controller.  When the line, the state and the field's value at the start of
-a segment are all floats, the attempt is the float variant of the same
-code, with the same bits: its error norms drop the imaginary half, which is
-exactly 0.0 on floats, and it tests finiteness with ``math.isfinite``.
-Complex states, and real states whose field returns complex values, step
-on the generic attempt.  On a 2-component linear field stepped along
-``Line(0, 1)`` an accepted step takes about 22 us on complex states and
-9 us on real ones (10.5 us on the generic attempt), against 28 us and
-19 us with a chain-rule closure around each field call and the error norm
-computed in the step loop (best of 7 runs of 2,000 steps); one attempt on
-the 4-component :func:`l3lab.rpc3bp.cart_flow` field takes about 19 us on
-the float variant and 22 us on the generic one (best of 15 runs of 2,000
-attempts; both on a 2-vCPU Xeon host whose speed drifts by up to 2x).  A
-field should therefore return Python numbers: numpy scalars would carry
-their per-operation cost into every stage sum.
+:class:`Line`), and ends with the step's error norm and error scale, so the
+step loop around it only runs the step-size controller.  One attempt serves
+float and complex states: its finiteness test ``0.0 * x != 0.0`` holds for
+both, and its error norm is summed as ``x * x`` first, with the real and
+imaginary halves summed apart only when that sum is not a float, so real
+states skip the imaginary half, exactly ``+ 0.0`` on floats, with the same
+bits.  A field that turns complex on real states steps on in the same
+attempt.  On a 2-component linear field stepped along ``Line(0, 1)`` an
+accepted step takes about 25 us on complex states and 10 us on real ones,
+and one attempt on the 4-component :func:`l3lab.rpc3bp.cart_flow` field
+takes about 19 us (best of 90 runs of 2,000 steps or attempts, on a
+2-vCPU Xeon host whose speed drifts by up to 2x).  A field should
+therefore return Python numbers: numpy scalars would carry their
+per-operation cost into every stage sum.
 """
 from __future__ import annotations
 
@@ -103,11 +100,6 @@ class StepUnderflow(L3labError):
 
 class NonFinite(L3labError):
     """The field or the state overflowed, divided by zero or became NaN."""
-
-
-class _NotFloat(L3labError):
-    """A stage or state of the float attempt is not a float; :func:`_steps`
-    retakes the step on the generic attempt, so it never reaches a caller."""
 
 
 class NoConvergence(L3labError):
@@ -236,7 +228,7 @@ _DENSE = tuple((c, _nonzero(row))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
 
-def _attempt_source(n, real):
+def _attempt_source(n):
     """Source of one straight-line DOP853 step attempt on states of length n.
 
     The attempt steps y' = d * field(a + s*d, y) along the line ``a + s*d``.
@@ -248,18 +240,21 @@ def _attempt_source(n, real):
     its end.  Every stage sum, the B update and each E5/E3 error sum is one
     expression over the nonzero tableau entries as ``repr`` literals, in row
     order from 0.0.  Each stage is checked for finiteness before the next
-    field call, by one test of ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ...``, which
-    is not finite exactly when some component is not; a field of the wrong
-    length fails its unpacking with ``ValueError``.  The error sums are
-    divided by the scale ``atol + rtol * max(|y_k|, |y_new_k|)``, the larger
-    taken by a comparison, and reduced to the mixed 5/3 error norm, real
-    parts summed before imaginary parts.
+    field call, by one test ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ... != 0.0``:
+    ``0.0 * x`` is a zero for every finite float or complex x and NaN
+    otherwise, so the sum is nonzero exactly when some component is not
+    finite, on either scalar type.  A field of the wrong length fails its
+    unpacking with ``ValueError``.  The error sums are divided by the scale
+    ``atol + rtol * max(|y_k|, |y_new_k|)``, the larger taken by a
+    comparison, and reduced to the mixed 5/3 error norm.
 
-    With ``real`` the attempt is the float variant, for states, stages and
-    line that are all floats: the norms sum ``x * x`` without the imaginary
-    half (exactly ``+ 0.0`` on floats) and the finiteness test is
-    ``math.isfinite``, so it returns the generic attempt's bits.  A stage or
-    state that is complex fails that test with :class:`_NotFloat`.
+    The norm is first summed as ``x * x`` over the E5 terms.  When that sum
+    is a float, every E5 term is a float, and so is every E3 term, which
+    weighs the same stages (0 and 5-11): the E3 norm is summed the same way,
+    which is the generic form's bits on floats, whose imaginary half is
+    exactly ``+ 0.0``.  Otherwise (complex states, numpy scalars, or a field
+    that turns complex on real states) both norms are taken in the generic
+    form, real parts summed before imaginary parts.
     """
     comps = range(n)
 
@@ -277,25 +272,21 @@ def _attempt_source(n, real):
 
     def check(vs, what):
         test = " + ".join(f"0.0 * {v}" for v in vs)
-        body = [f"if not isfinite({test}):",
-                f"    raise NonFinite(f'{what} not finite near path point"
+        return [f"    if ({test}) != 0.0:",
+                f"        raise NonFinite(f'{what} not finite near path point"
                 f" {{a + s * d}}')"]
-        if real:
-            # math.isfinite raises TypeError on a complex value, and only there
-            body = ["try:", *(f"    {x}" for x in body),
-                    "except TypeError:", "    raise NotFloat from None"]
-        return [f"    {x}" for x in body]
 
     def call(node, vs, args):
         # the field at line parameter `node`, times the line's derivative
         return ([f"    {target(vs)} = field(a + ({node}) * d, [{args}])"]
                 + [f"    {v} = d * {v}" for v in vs] + check(vs, "field"))
 
-    def sq_norm(v):
-        # sum_k |v_k|^2 as the real parts' sum plus the imaginary parts' sum
+    def sq_norm(v, parts):
+        # sum_k |v_k|^2, one sum per part: x * x alone, or the real parts'
+        # sum plus the imaginary parts' sum
         return " + ".join(
             f"({' + '.join(['0.0', *(f'{x}{p} * {x}{p}' for x in v)])})"
-            for p in (("",) if real else (".real", ".imag")))
+            for p in parts)
 
     lines = ["def attempt(field, a, d, s, h, y, comp, f, rtol, atol):",
              f"    {target(names('y'))} = y",
@@ -318,9 +309,14 @@ def _attempt_source(n, real):
     lines += [f"    x3_{k} = ({dot(_E3, k)}) / sc{k}" for k in comps]
     stages = ", ".join(f"[{', '.join(f'k{i}_{k}' for i in range(last + 1))}]"
                        for k in comps)
+    generic = (".real", ".imag")
     lines += [
-        f"    n5 = {sq_norm(names('x5_'))}",
-        f"    n3 = {sq_norm(names('x3_'))}",
+        f"    n5 = {sq_norm(names('x5_'), ('',))}",
+        "    if n5.__class__ is float:",
+        f"        n3 = {sq_norm(names('x3_'), ('',))}",
+        "    else:",
+        f"        n5 = {sq_norm(names('x5_'), generic)}",
+        f"        n3 = {sq_norm(names('x3_'), generic)}",
         "    if n5 == 0.0 and n3 == 0.0:",
         "        err_norm = 0.0",
         "    else:",
@@ -335,9 +331,8 @@ def _attempt_source(n, real):
 
 
 @functools.cache
-def _attempt(n, real):
-    """The compiled step attempt for states of length n, made at first use;
-    with ``real``, the float variant of :func:`_attempt_source`.
+def _attempt(n):
+    """The compiled step attempt for states of length n, made at first use.
 
     ``attempt(field, a, d, s, h, y, comp, f, rtol, atol)`` steps the line
     ``a + s*d`` from s by h and returns
@@ -345,21 +340,12 @@ def _attempt(n, real):
     Kahan carry and the chain-ruled field at the end of the step,
     the mixed 5/3 error norm (accept below 1), the largest component of the
     error scale, and ``K[k][i]``, component k of stage i for i = 0..12.
+    One attempt serves float and complex states alike.
     """
-    scope = {"isfinite": math.isfinite if real else cmath.isfinite,
-             "sqrt": math.sqrt, "NonFinite": NonFinite, "NotFloat": _NotFloat}
-    name = f"<DOP853 attempt, n={n}{', float' if real else ''}>"
-    exec(compile(_attempt_source(n, real), name, "exec"), scope)
+    scope = {"sqrt": math.sqrt, "NonFinite": NonFinite}
+    exec(compile(_attempt_source(n), f"<DOP853 attempt, n={n}>", "exec"),
+         scope)
     return scope["attempt"]
-
-
-def _pick_attempt(a, d, y, f):
-    """The float attempt if the line, the state and the chain-ruled field at
-    the start of the segment are all floats, else the generic one.  A field
-    that turns complex later makes :func:`_steps` switch to the generic one.
-    """
-    real = all(isinstance(v, float) for v in (a, d, *y, *f))
-    return _attempt(len(y), real)
 
 
 def _combine(terms, K):
@@ -489,12 +475,12 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
     The state ``y``, the stage values and the Kahan carry are lists of
     Python scalars; each attempt is the straight-line code that
     :func:`_attempt` generates for the length of ``y``, and calls ``field``
-    itself.  It is the float variant when :func:`_pick_attempt` finds only
-    floats at the start, and the generic one otherwise.  The first attempt
-    takes the step ``h0``, clamped like every step to the end; Hairer's
-    starting step replaces it when ``h0`` is None or below the smallest step
-    allowed, ``_MIN_STEP`` in s whatever ``s_end`` is (a step carried from a
-    far shorter leg).
+    itself, whatever the scalar type of the state and of the field's
+    values, which may turn from float to complex along the way.  The first
+    attempt takes the step ``h0``, clamped like every step to the end;
+    Hairer's starting step replaces it when ``h0`` is None or below the
+    smallest step allowed, ``_MIN_STEP`` in s whatever ``s_end`` is (a step
+    carried from a far shorter leg).
     """
     n = len(y)
     if n == 0:
@@ -512,7 +498,7 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
         _check_length(f, n)
         if not _finite(f):
             raise NonFinite("field not finite at the start of a segment")
-        attempt = _pick_attempt(a, d, y, f)
+        attempt = _attempt(n)
         h = h0
         if h is None or h < _MIN_STEP:
             h = _initial_step(fun, y, f, rtol, atol, s_end)
@@ -530,14 +516,8 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
             final = h >= remaining
             if final:
                 h = remaining
-            try:
-                y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
-                    field, a, d, s, h, y, comp, f, rtol, atol)
-            except _NotFloat:
-                # a field that turns complex on real states; the generic
-                # attempt retakes the step, as it would have from the start
-                attempt = _attempt(n, False)
-                continue
+            y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
+                field, a, d, s, h, y, comp, f, rtol, atol)
             if err_norm < 1.0:
                 factor = _MAX_FACTOR if err_norm == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err_norm ** _ERR_EXP

@@ -23,10 +23,10 @@ times the steps (4,913 against 3,637 over the grid of
 :func:`fit_splitting_exponent`): it crosses the section first on the inner
 leg of its loop, r < 1, swings out to theta ~ 157 degrees and only then
 crosses with r > 1, where the stable branch's first crossing is already the
-kept one.  The states are floats, so both step on the float variant of the
-generated DOP853 attempt.  The fan-out is one level deep: in the worker
-that runs check 13 of ``verify`` the two are traced one after the other,
-with the same bits.
+kept one.  The states are floats, so both step on the float form of the
+generated DOP853 attempt's error norm.  The fan-out is one level deep: in
+the worker that runs check 13 of ``verify`` the two are traced one after
+the other, with the same bits.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3lab import _dop853, numerics, rpc3bp, separatrix, splitting
+from l3lab import _dop853, numerics, rpc3bp, separatrix
 from l3lab.numerics import (Arc, L3labError, Line, NoBracket, NoConvergence,
                             NonFinite, StepUnderflow, find_root, fit_line,
                             geomspace, integrate_chain, integrate_ode,
@@ -146,28 +146,39 @@ def test_ode_nan_at_interior_stage_is_nonfinite():
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("state, value", [
+    (float, float), (complex, complex), (float, complex)],
+    ids=["float", "complex", "float_turns_complex"])
 @pytest.mark.parametrize("first_bad, bad, raised_at", [
     (5, math.nan, 5), (5, math.inf, 5), (3, 1e308, 13)],
     ids=["stage_nan", "stage_inf", "state_overflow"])
-def test_one_bad_component_of_four_is_nonfinite(kind, first_bad, bad,
+def test_one_bad_component_of_four_is_nonfinite(state, value, first_bad, bad,
                                                  raised_at):
     # component 2 alone goes bad: nan or inf at stage 3 (call 5), or 1e308
     # from stage 1 (call 3) on, whose B sum overflows the new state before
-    # the field call at the end of the step (call 14); a complex state
-    # carries it in the imaginary part
+    # the field call at the end of the step (call 14); a complex value
+    # carries it in the imaginary part, also when the state is real and
+    # the field turns complex under it
     calls = []
 
     def field(t, y):
         calls.append(t)
         out = [0.5 * v for v in y]
         if len(calls) >= first_bad:
-            out[2] = bad if kind is float else complex(0.0, bad)
+            out[2] = bad if value is float else complex(0.0, bad)
         return out
 
     with pytest.raises(NonFinite):
-        next(ode_steps(field, Line(0.0, 1.0), [kind(1.0)] * 4))
+        next(ode_steps(field, Line(0.0, 1.0), [state(1.0)] * 4))
     assert len(calls) == raised_at
+
+
+@pytest.mark.parametrize("v", [
+    0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+    complex(1e308, -1e308), complex(math.inf, 0.0), complex(0.0, math.nan)])
+def test_zero_times_value_is_nonzero_exactly_when_not_finite(v):
+    # the generated attempt's finiteness test, on floats and complex numbers
+    assert ((0.0 * v) != 0.0) == (not cmath.isfinite(v))
 
 
 def test_chain_and_steps_validate_before_any_leg():
@@ -319,8 +330,8 @@ def test_ode_steps_do_not_depend_on_s_end():
 
 
 def test_field_that_turns_complex_on_real_states_steps_on():
-    # floats at the start pick the float attempt; past t = 0.5 the field is
-    # complex, and the generic attempt takes over with the reference's bits
+    # floats at the start; past t = 0.5 the field is complex, and the same
+    # attempt steps on with the reference's bits
     field = lambda t, y: ((0.5 - t) ** 1.5 + 0.1 * y[0],)
     y_end, steps, _ = _same_steps(field, Line(0.0, 1.0), (1.0,),
                                   rtol=1e-10, atol=1e-12)
@@ -328,9 +339,9 @@ def test_field_that_turns_complex_on_real_states_steps_on():
 
 
 def test_field_type_error_on_real_states_is_raised_once():
-    # a TypeError of the field's own leaves the float attempt as it is
-    # raised, without a retake on the generic attempt.  The field is called
-    # at the start, for the starting step and then in the first attempt
+    # a TypeError of the field's own leaves the attempt as it is raised,
+    # without a retake.  The field is called at the start, for the
+    # starting step and then in the first attempt
     calls = []
 
     def field(t, y):
@@ -449,17 +460,16 @@ def _bits(v):
 
 
 def _generated_attempt(field, seg, s, h, y, comp, f, rtol, atol):
-    # the kernel ode_steps would step with: the float variant on real
-    # states, stages and lines, the generic one otherwise
+    # the kernel ode_steps steps with, for every scalar type
     a, d = seg.a, seg.b - seg.a
-    attempt = numerics._pick_attempt(a, d, y, f)
+    attempt = numerics._attempt(len(y))
     return list(attempt(field, a, d, s, h, y, comp, f, rtol, atol))
 
 
 # a Line from 0 or from a complex point, by +1, -1 or a complex d
 _SEGMENT = st.builds(lambda a, d: Line(a, a + d), st.just(0.0) | _COMPLEX,
                      st.sampled_from([1.0, -1.0]) | _MOVE)
-# a Line on the real axis, which real states step on the float variant
+# a Line on the real axis, on which real states stay real
 _REAL_SEGMENT = st.builds(
     lambda a, d: Line(a, a + d), st.just(0.0) | _BOUNDED,
     st.sampled_from([1.0, -1.0]) | _BOUNDED.filter(lambda x: abs(x) > 1e-3))
@@ -515,27 +525,28 @@ def test_generated_attempt_keeps_signed_zeros(n, zero):
             _bits(_reference_attempt(*args))
 
 
-def test_manifold_trace_steps_on_the_float_attempt(monkeypatch):
-    # a silent fallback to the generic kernel would keep every bit test
-    # green; the trace must compile the float variant for n = 4 and step
-    # on it alone
-    picked, calls = [], []
-    attempt = numerics._attempt
-
-    def spy(n, real):
-        picked.append((n, real))
-        kernel = attempt(n, real)
-
-        def counted(*args):
-            calls.append(kernel.__code__.co_filename)
-            return kernel(*args)
-        return counted
-
-    monkeypatch.setattr(numerics, "_attempt", spy)
-    splitting.manifold_section_point(2e-3)
-    assert picked == [(4, True)]
-    assert len(calls) > 100
-    assert set(calls) == {"<DOP853 attempt, n=4, float>"}
+def test_attempt_sums_the_float_norm_first():
+    # on floats both forms of the norm give the same bits, so no bit test
+    # sees a silent fall to the slower generic form; the source does.  The
+    # float-form sums come first, .real and .imag only under the type check
+    # of the E5 sum, and the finiteness tests need no isfinite
+    src = numerics._attempt_source(4)
+    lines = src.splitlines()
+    norm = lines.index("    n5 = (0.0 + x5_0 * x5_0 + x5_1 * x5_1 + x5_2 * x5_2"
+                       " + x5_3 * x5_3)")
+    assert lines[norm + 1:norm + 4] == [
+        "    if n5.__class__ is float:",
+        "        n3 = (0.0 + x3_0 * x3_0 + x3_1 * x3_1 + x3_2 * x3_2"
+        " + x3_3 * x3_3)",
+        "    else:"]
+    generic = [k for k, line in enumerate(lines)
+               if ".imag" in line or ".real" in line]
+    assert generic == [norm + 4, norm + 5]
+    assert lines[norm + 4].startswith("        n5 = (0.0 + x5_0.real *")
+    assert lines[norm + 5].startswith("        n3 = (0.0 + x3_0.real *")
+    assert "isfinite" not in src
+    # one test per stage 1..12 and one on the new state
+    assert sum(line.endswith(") != 0.0:") for line in lines) == 13
 
 
 def _reference_steps(field, seg, y, rtol, atol, s_end):
