@@ -442,7 +442,7 @@ def diff_structure() -> DiffStructure:
         ex.append(fac * (u.X - s.X))
         ew.append(fac * (u.W - s.W))
     mags = [abs(z) for z in ey]
-    spread = (max(mags) - min(mags)) / (sum(mags) / len(mags))
+    spread = (max(mags) - min(mags)) / (math.fsum(mags) / len(mags))
     # the argument of e^{iU} Delta Y, unwrapped along the samples
     args = [cmath.phase(z) for z in ey]
     for k in range(1, len(args)):

@@ -762,11 +762,11 @@ def fit_line(x, y) -> tuple[float, float]:
     n = len(x)
     if n < 2 or len(y) != n:
         raise ValueError("a line fit needs two or more (x, y) pairs")
-    mx, my = sum(x) / n, sum(y) / n
-    sxx = sum((a - mx) * (a - mx) for a in x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    sxx = math.fsum((a - mx) * (a - mx) for a in x)
     if not sxx > 0.0:
         raise ValueError("a line fit needs two distinct x values")
-    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    slope = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
     return slope, my - slope * mx
 
 

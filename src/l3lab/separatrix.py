@@ -389,7 +389,7 @@ def fit_branch() -> SingularityReport:
     if resid > 1e-2:
         raise FitRejected(f"lambda regression residual {resid:.2e} > 1e-2")
     coef_mod = math.exp(
-        sum(y - (2.0 / 3.0) * x for x, y in zip(logs, y_lam)) / len(s))
+        math.fsum(y - (2.0 / 3.0) * x for x, y in zip(logs, y_lam)) / len(s))
     # phase from the closest sample: lambda - pi = c * (-i s)^(2/3)
     w = (-1j * s[0]) ** (2.0 / 3.0)
     phase = cmath.phase((states[0].lam - math.pi) / w)
