@@ -18,10 +18,10 @@ import signal
 
 from .numerics import L3labError
 
-_in_fork_child = False
 # this process's worker while it runs: (pid, owner pid, job fd, result fd)
 _worker = None
-# set while the worker runs a job, so that a call from ``here`` runs serially
+# set while the worker runs a job, so that a call from ``here`` runs
+# serially, and for good in the worker, so that a call inside a job does
 _busy = False
 
 
@@ -57,7 +57,7 @@ def _start_worker():
     always leaves by ``os._exit``, so it never returns into the caller or
     flushes the buffers it inherited.
     """
-    global _in_fork_child
+    global _busy
     job_read, job_write = os.pipe()
     result_read, result_write = os.pipe()
     try:
@@ -68,7 +68,7 @@ def _start_worker():
         raise
     if pid == 0:
         try:
-            _in_fork_child = True
+            _busy = True
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(job_write)
             os.close(result_read)
@@ -140,7 +140,7 @@ def _fork_pair(here, there, *args):
     worker; it forks its own.
     """
     global _worker, _busy
-    if _in_fork_child or _busy:
+    if _busy:
         return here(), there(*args)
     job = pickle.dumps((there, args))
     if _worker is None or _worker[1] != os.getpid():

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, acceptance, inner, rpc3bp, separatrix, splitting
-from .numerics import L3labError, linspace
+from .numerics import L3labError, _check_s_end, linspace
 
 __all__ = ["main", "ResultRecord"]
 
@@ -212,6 +212,7 @@ def _cmd_l3(args) -> int:
 
 def _cmd_manifolds(args) -> int:
     _check_samples(args)
+    _check_s_end(args.t_max, "--t-max")
     rows = []
     for branch in ("unstable_plus", "stable_plus"):
         ts, states = splitting.manifold_trajectory(
@@ -227,6 +228,7 @@ def _cmd_distance(args) -> int:
     t0 = time.perf_counter()
     theta_abs = args.theta_abs
     # checked before any tracing
+    _check_s_end(args.t_max, "--t-max")
     if theta_abs is not None and not 0.0 < theta_abs < math.inf:
         raise ValueError(
             f"theta_abs must be finite and positive, got {theta_abs}")

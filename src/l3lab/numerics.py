@@ -464,6 +464,15 @@ def _scalar_errors():
         raise NonFinite(f"overflow or division by zero: {exc}") from exc
 
 
+def _check_s_end(s_end, name="s_end"):
+    """Refuse a budget in which no step fits, ``_MIN_STEP`` being the least;
+    ``name`` is what the message calls it."""
+    # written so that a NaN fails it
+    if not _MIN_STEP <= s_end < math.inf:
+        raise ValueError(f"{name} must be finite and at least {_MIN_STEP:.0e},"
+                         f" the smallest step, got {s_end!r}")
+
+
 def _check_tolerances(rtol, atol):
     if not (1e-14 <= rtol <= 1e-2) or not (1e-14 <= atol <= 1e-2):
         raise ValueError("rtol and atol must lie in [1e-14, 1e-2]")
@@ -543,14 +552,15 @@ def ode_steps(field, seg: Line, y0, rtol: float = 1e-10,
     is time itself, so the step sequence does not depend on how far
     ``s_end`` reaches.  ``y0`` is a sequence of Python floats, which step as
     floats, or of complex numbers.  A segment that is not a :class:`Line`,
-    or whose length is zero or not finite, raises :class:`ValueError`.
+    or whose length is zero or not finite, raises :class:`ValueError`, and
+    so does an ``s_end`` that is not finite or is below the smallest step,
+    1e-14.
     """
     if not isinstance(seg, Line):
         raise ValueError(f"ode_steps steps along a Line, not {seg!r}")
     _check_segment(seg)
     _check_tolerances(rtol, atol)
-    if not (math.isfinite(s_end) and s_end > 0.0):
-        raise ValueError("s_end must be finite and positive")
+    _check_s_end(s_end)
     return _steps(field, seg.a, seg.b - seg.a, list(y0), rtol, atol, s_end)
 
 

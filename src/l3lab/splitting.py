@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (L3labError, Line, NonFinite, StepUnderflow,
-                       _sample_steps, find_root, fit_line, geomspace, linspace,
-                       ode_steps)
+                       _check_s_end, _sample_steps, find_root, fit_line,
+                       geomspace, linspace, ode_steps)
 from .rpc3bp import (CartesianState, cart_flow, hess_h_cart, locate_L3,
                      polar_from_cart, poincare_from_polar)
 from .separatrix import compute_A
@@ -169,8 +169,7 @@ def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
         raise ValueError(f"branch must be one of {_BRANCHES}")
     if not 3e-4 <= mu <= 1e-2:
         raise ValueError("manifold tracing expects mu in [3e-4, 1e-2]")
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError("t_max must be finite and positive")
+    _check_s_end(t_max, "t_max")
     z0, tdir = _seed(mu, branch, seed_eps)
 
     def event(y):

@@ -457,6 +457,20 @@ def test_bad_sample_grid_exits_2(argv):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--mu", "1e-2", "--t-max", "1e-300"],
+    ["manifolds", "--t-max", "5e-324"],
+], ids=["distance", "manifolds"])
+def test_time_budget_below_the_smallest_step_exits_2(argv):
+    # no step fits in the budget, so it is a bad argument; it used to end
+    # in StepUnderflow at s = 0 with exit 1
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert (f"error: --t-max must be finite and at least 1e-14, the smallest"
+            f" step, got {float(argv[-1])!r}") in err
+
+
 @pytest.mark.parametrize("t_max", ["7", "11", "1e9"])
 def test_separatrix_reach_beyond_6_exits_2(t_max):
     # 1e4 used to take 8.4 s, and every row past t ~ 9 was noise; at 7 the

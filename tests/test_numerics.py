@@ -187,7 +187,8 @@ def test_chain_and_steps_validate_before_any_leg():
         integrate_chain(lambda t, y: (y[0],), 0, [0, 0], (1,), rtol=5.0)
     with pytest.raises(ValueError):
         ode_steps(lambda t, y: (y[0],), Line(0.0, 1.0), (1.0,), rtol=5.0)
-    for s_end in (0.0, math.inf, math.nan):
+    # no step fits below the smallest, 1e-14
+    for s_end in (0.0, math.inf, math.nan, 5e-324, 1e-300, 9.9e-15):
         with pytest.raises(ValueError):
             ode_steps(lambda t, y: (y[0],), Line(0.0, 1.0), (1.0,),
                       s_end=s_end)

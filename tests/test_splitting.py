@@ -146,7 +146,7 @@ def test_branch_validation():
         splitting.manifold_section_point(0.1, "unstable_plus")
 
 
-@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf, 1e-300])
 def test_time_budget_validation(t_max):
     with pytest.raises(ValueError, match="t_max"):
         splitting.manifold_section_point(0.003, "unstable_plus", t_max=t_max)
