@@ -465,8 +465,8 @@ def _scalar_errors():
 
 
 def _check_s_end(s_end, name="s_end"):
-    """Refuse a budget in which no step fits, ``_MIN_STEP`` being the least;
-    ``name`` is what the message calls it."""
+    """Refuse an ``s_end`` that is not finite or is below ``_MIN_STEP``, so
+    that no step fits in it; the message calls it ``name``."""
     # written so that a NaN fails it
     if not _MIN_STEP <= s_end < math.inf:
         raise ValueError(f"{name} must be finite and at least {_MIN_STEP:.0e},"
