@@ -5,9 +5,8 @@ digits so that identical runs are byte-identical; wall-clock timings and
 other run metadata go to stderr or into the ``meta`` block of JSON records.
 
 Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
-failure, reported as ``error: <message>`` on stderr); 2 a bad argument, a
-bad or unreadable ``--config`` file, an unwritable ``--out`` path, or a
-:class:`ValueError`.
+failure, reported as ``error: <message>`` on stderr); 2 a bad argument, an
+unwritable ``--out`` path, or a :class:`ValueError`.
 """
 from __future__ import annotations
 
@@ -158,20 +157,18 @@ def _cmd_singularities(args) -> int:
 _MAX_SAMPLES = 100_000
 
 
-def _check_samples(args):
-    """Refuse a sample grid other than n >= 2 points up to a finite t_max > 0,
-    or of more than ``_MAX_SAMPLES`` points, before any list is built."""
-    # written so that a NaN fails it
-    if not (0.0 < args.t_max < math.inf and args.n >= 2):
-        raise ValueError(f"need a finite --t-max > 0 and --n >= 2, got "
-                         f"--t-max {args.t_max} and --n {args.n}")
-    if args.n > _MAX_SAMPLES:
-        raise ValueError(f"--n {args.n} asks for more than {_MAX_SAMPLES} "
-                         f"samples")
+def _check_samples(n):
+    """Refuse a sample grid of fewer than 2 or more than ``_MAX_SAMPLES``
+    points, before any list is built."""
+    if n < 2:
+        raise ValueError(f"need --n >= 2, got --n {n}")
+    if n > _MAX_SAMPLES:
+        raise ValueError(f"--n {n} asks for more than {_MAX_SAMPLES} samples")
 
 
 def _cmd_separatrix(args) -> int:
-    _check_samples(args)
+    _check_samples(args.n)
+    _check_s_end(args.t_max, "--t-max")
     if args.t_max > separatrix.RE_REACH:
         raise ValueError(f"--t-max {args.t_max} reaches beyond "
                          f"{separatrix.RE_REACH:g}, where the saddle "
@@ -179,18 +176,15 @@ def _cmd_separatrix(args) -> int:
     n = args.n
     half = linspace(-args.t_max, args.t_max, n)[(n + 1) // 2:]
     zero = [0.0] if n % 2 else []
-    # two chains out from the turning point t = 0: a chain through it would
-    # carry the error it gathered toward the saddle into the other half.
-    # The negative half is the positive one negated, so the two chains take
-    # mirrored legs and lambda(-t) = lambda(t) holds bit for bit.
-    ts = [-t for t in reversed(half)] + zero + half
-    states = (separatrix.sigma_sweep([-t for t in half])[::-1]
-              + separatrix.sigma_sweep(zero + half))
-    rows = []
-    for t, st in zip(ts, states):
-        lam = st.lam.real
-        Lam = st.Lam.real
-        rows.append([t, lam, Lam, math.cos(lam / 2.0)])
+    # one chain out from the turning point t = 0, over t >= 0 only: a chain
+    # through it would carry the error it gathered toward the saddle into
+    # the other half.  The pendulum is reversible, sigma(-t) = (lambda(t),
+    # -Lambda(t)), so the rows at t < 0 are those at t > 0 mirrored, and
+    # lambda(-t) = lambda(t) holds bit for bit.
+    pos = [(t, st.lam.real, st.Lam.real)
+           for t, st in zip(zero + half, separatrix.sigma_sweep(zero + half))]
+    neg = [(-t, lam, -Lam) for t, lam, Lam in reversed(pos[len(zero):])]
+    rows = [[t, lam, Lam, math.cos(lam / 2.0)] for t, lam, Lam in neg + pos]
     _write(_csv(["t", "lambda", "Lambda", "q"], rows), args.out)
     return 0
 
@@ -211,7 +205,7 @@ def _cmd_l3(args) -> int:
 
 
 def _cmd_manifolds(args) -> int:
-    _check_samples(args)
+    _check_samples(args.n)
     _check_s_end(args.t_max, "--t-max")
     rows = []
     for branch in ("unstable_plus", "stable_plus"):
@@ -286,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Separatrix-splitting numerics for the L3 point of the "
                     "restricted planar circular three-body problem.",
     )
-    p.add_argument("--config", default=None,
-                   help="flat key=value file with defaults (flags override)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("a", help="the analyticity-strip constant A")
@@ -349,71 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# a config file is a few lines; reading stops past this many characters, so
-# a device such as /dev/full, which reads as endless zero bytes, is refused
-# instead of filling memory
-_MAX_CONFIG_CHARS = 2 ** 16
-
-
-def _parse_config(text: str, known: set) -> dict:
-    """``key = value`` lines; ``ValueError`` names the first bad line."""
-    if len(text) > _MAX_CONFIG_CHARS:
-        raise ValueError(f"longer than {_MAX_CONFIG_CHARS} characters")
-    out = {}
-    for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not (eq and key):
-            raise ValueError(f"line {number}: {line!r} is not key = value")
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ValueError(f"line {number}: no subcommand has {key!r}")
-        out[dest] = value.strip()
-    return out
-
-
-def _apply_config(parser: argparse.ArgumentParser, path: str):
-    """Make the file's values the defaults of every subcommand that has them.
-
-    A key that no subcommand has, or a line that is not ``key = value``,
-    is refused.  The values stay strings: argparse converts a string
-    default through the option's ``type`` and exits 2 on a bad value, so
-    explicit flags still win.  It does not check a default against the
-    option's ``choices``, so that is done here.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read(_MAX_CONFIG_CHARS + 1)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot read --config {path}: {exc}")
-    subparsers = [sp for action in parser._subparsers._group_actions
-                  for sp in action.choices.values()]
-    known = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
-    try:
-        cfg = _parse_config(text, known)
-    except ValueError as exc:
-        parser.error(f"--config {path}: {exc}")
-    for sp in subparsers:
-        found = {a.dest: a for a in sp._actions if a.dest in cfg}
-        for dest, a in found.items():
-            if a.choices is not None and cfg[dest] not in a.choices:
-                parser.error(f"--config {path}: invalid choice "
-                             f"{dest} = {cfg[dest]!r} (choose from "
-                             f"{', '.join(a.choices)})")
-        sp.set_defaults(**{dest: cfg[dest] for dest in found})
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            _apply_config(parser, args.config)
-            args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

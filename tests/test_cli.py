@@ -179,8 +179,8 @@ def test_separatrix_csv():
     qs = [float(row[3]) for row in rows]
     a_plus = (-1.0 + math.sqrt(2.0)) / 2.0
     assert all(a_plus - 1e-9 <= q < 1.0 for q in qs)
-    # t = 0 is the turning point, and the two chains out from it mirror
-    # each other (bitwise on this grid, whose points are exact mirrors)
+    # t = 0 is the turning point, and the rows at t < 0 mirror those at
+    # t > 0
     assert rows[10][0] == "0" and rows[10][2] == "0"
     for k in range(10):
         t, lam, Lam = (float(v) for v in rows[k][:3])
@@ -189,19 +189,23 @@ def test_separatrix_csv():
         assert abs(lam - lam_) <= 1e-12 and abs(Lam + Lam_) <= 1e-12
 
 
-@pytest.mark.parametrize("argv", [[], ["--t-max", "3", "--n", "40"]],
-                         ids=["defaults", "even_n"])
+@pytest.mark.parametrize("argv", [[], ["--t-max", "3", "--n", "40"],
+                                  ["--t-max=1e-14", "--n=5"]],
+                         ids=["defaults", "even_n", "shortest_t_max"])
 def test_separatrix_grid_is_mirror_symmetric(argv):
     # on the default 401-point grid, linspace(-10, 10, 401) puts
     # -0.049999999999998934 opposite 0.050000000000000711; the negative
-    # half is now the positive one negated, so lambda(t) = lambda(-t) and
-    # Lambda(t) = -Lambda(-t) hold bit for bit
+    # half is the positive one mirrored, so lambda(t) = lambda(-t) and
+    # Lambda(t) = -Lambda(-t) hold bit for bit.  At --t-max 1e-14 the grid
+    # is the shortest one allowed
     code, out, _ = run_cli(["separatrix", *argv])
     assert code == 0
     rows = [[float(v) for v in line.split(",")]
             for line in out.strip().splitlines()[1:]]
     n = len(rows)
-    assert n == (401 if not argv else 40)
+    assert n == {0: 401, 4: 40, 2: 5}[len(argv)]
+    ts = [row[0] for row in rows]
+    assert all(a < b for a, b in zip(ts, ts[1:]))
     for k in range(n // 2):
         (t, lam, Lam, q), (t_, lam_, Lam_, q_) = rows[k], rows[n - 1 - k]
         assert t < 0.0 and t == -t_
@@ -217,16 +221,6 @@ def test_determinism_of_commands():
         _, out1, _ = run_cli(argv)
         _, out2, _ = run_cli(argv)
         assert out1 == out2, argv
-
-
-def test_config_file_defaults_and_override(tmp_path):
-    cfg = tmp_path / "l3lab.cfg"
-    cfg.write_text("# settings\ntol = 1e-6\n")
-    _, with_cfg, _ = run_cli(["--config", str(cfg), "a", "--format", "json"])
-    assert json.loads(with_cfg)["inputs"]["tol"] == 1e-6
-    _, flag_wins, _ = run_cli(["--config", str(cfg), "a", "--tol", "1e-9",
-                               "--format", "json"])
-    assert json.loads(flag_wins)["inputs"]["tol"] == 1e-9
 
 
 def test_unknown_command_exits_2():
@@ -294,82 +288,36 @@ def test_numerical_failure_exits_1_with_message():
     assert "Traceback" not in err
 
 
-def test_config_values_typed_by_option(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("n = 21\n")
-    code, out, err = run_cli_process(["--config", str(cfg), "separatrix"])
-    assert code == 0
-    assert "Traceback" not in err
-    lines = out.strip().splitlines()
-    assert lines[0] == "t,lambda,Lambda,q"
-    assert len(lines) == 1 + 21
-
-
-@pytest.mark.parametrize("case", ["bad_value", "bad_choice",
-                                  "no_path_after_command", "no_path",
-                                  "missing_file"])
-def test_bad_config_exits_2(tmp_path, case):
-    cfg = tmp_path / "c.cfg"
-    # argparse checks the choices of a flag, but not of a default
-    cfg.write_text("format = xml\n" if case == "bad_choice" else "n = abc\n")
-    argv = {
-        "bad_value": ["--config", str(cfg), "separatrix"],
-        "bad_choice": ["--config", str(cfg), "a"],
-        "no_path_after_command": ["separatrix", "--config"],
-        "no_path": ["--config"],
-        "missing_file": ["--config", str(tmp_path / "absent.cfg"),
-                         "separatrix"],
-    }[case]
-    code, _, err = run_cli_process(argv)
-    assert code == 2
-    assert "error:" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("text, message", [
-    ("# stokes\nrho-mn = 15\n", "line 2: no subcommand has 'rho-mn'"),
-    ("mu\n", "line 1: 'mu' is not key = value"),
-    ("tol = 1e-6\n= 5\n", "line 2: '= 5' is not key = value"),
-], ids=["unknown_key", "no_equals", "no_key"])
-def test_config_refuses_what_it_would_ignore(tmp_path, text, message):
-    # a typo'd key was silently dropped, as was a line "= 5"; a line with no
-    # "=" became an empty value of its key
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(text)
-    code, out, err = run_cli(["--config", str(cfg), "stokes"])
-    assert code == 2
-    assert out == ""
-    assert f"error: --config {cfg}: {message}" in err
-
-
 def _hostile_path(tmp_path, kind):
-    if kind == "non_utf8":
-        path = tmp_path / "c.cfg"
-        path.write_bytes(b"tol = 1e-6\n\xff\xfe = 3\n")
-        return str(path)
     return {"directory": str(tmp_path),
             "missing_directory": str(tmp_path / "absent" / "c.txt"),
             "empty": "", "dev_full": "/dev/full"}[kind]
 
 
-# /dev/full reads as endless zero bytes: read whole, as --config files were,
-# it filled the memory; written to, it fails with ENOSPC.  A non-UTF-8 file
-# is only a --config case: --out overwrites it
-_PATHS = ("directory", "missing_directory", "empty", "dev_full")
-
-
+# /dev/full fails a write with ENOSPC
 @pytest.mark.parametrize("option, kind", [
-    *(("--config", kind) for kind in (*_PATHS, "non_utf8")),
-    *(("--out", kind) for kind in _PATHS)])
+    ("--out", kind) for kind in ("directory", "missing_directory", "empty",
+                                 "dev_full")])
 def test_hostile_paths_exit_2(tmp_path, option, kind):
     path = _hostile_path(tmp_path, kind)
     if kind == "dev_full" and not os.path.exists(path):
         pytest.skip("no /dev/full on this system")
-    argv = ["--config", path, "l3"] if option == "--config" else \
-        ["l3", "--out", path]
-    code, _, err = run_cli(argv)
+    code, _, err = run_cli(["l3", option, path])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--config", "f", "a"],
+                                  ["a", "--config", "f"]],
+                         ids=["before_command", "after_command"])
+def test_leftover_config_exits_2(argv):
+    # the flag is gone; it must not be dropped and the command run with its
+    # defaults
+    code, out, err = run_cli_process(argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 # 5e-324 made the asymptotic distance underflow to 0 and the ratio line
@@ -453,17 +401,23 @@ def test_bad_sample_grid_exits_2(argv):
     code, out, err = run_cli_process(argv)
     assert code == 2
     assert out == ""
-    assert "error: need a finite --t-max > 0 and --n >= 2" in err
+    if any(arg.startswith("--t-max") for arg in argv):
+        assert "error: --t-max must be finite and at least 1e-14" in err
+    else:
+        assert f"error: need --n >= 2, got --n {argv[-1]}" in err
     assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [
     ["distance", "--mu", "1e-2", "--t-max", "1e-300"],
     ["manifolds", "--t-max", "5e-324"],
-], ids=["distance", "manifolds"])
+    ["separatrix", "--n", "5", "--t-max", "5e-324"],
+    ["separatrix", "--t-max", "1e-300"],
+], ids=["distance", "manifolds", "separatrix_5e-324", "separatrix_1e-300"])
 def test_time_budget_below_the_smallest_step_exits_2(argv):
     # no step fits in the budget, so it is a bad argument; it used to end
-    # in StepUnderflow at s = 0 with exit 1
+    # in StepUnderflow at s = 0 with exit 1.  separatrix at 5e-324 printed
+    # t = -5e-324, 5e-324, 0, -5e-324, 5e-324, its Lambda out of symmetry
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
