@@ -3,6 +3,8 @@
 Numeric payloads go to stdout (or ``--out`` files) with 17 significant
 digits so that identical runs are byte-identical; wall-clock timings and
 other run metadata go to stderr or into the ``meta`` block of JSON records.
+Options are checked before any work; ``distance`` takes |Theta| from the
+Stokes shooting at rho = 15 (:func:`l3lab.inner.theta`).
 
 Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
 failure, reported as ``error: <message>`` on stderr); 2 a bad argument, an
@@ -110,13 +112,11 @@ def _cmd_stokes(args) -> int:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi
             and 0.0 < step < math.inf):
         raise ValueError(f"empty rho range: {lo} to {hi} in steps of {step}")
-    if not (8.0 <= lo and hi <= 30.0):
-        raise ValueError(f"rho range {lo} to {hi} leaves [8, 30]")
     # rows lo, lo + step, ... up to hi, counted before any list is built
     count = (hi + step / 2 - lo) / step
     if not count <= _MAX_STOKES_ROWS:
-        raise ValueError(f"rho step {step} asks for more than "
-                         f"{_MAX_STOKES_ROWS} rows")
+        raise ValueError(f"rho {lo} to {hi} in steps of {step} asks for "
+                         f"more than {_MAX_STOKES_ROWS} rows")
     rhos = [min(lo + k * step, hi) for k in range(math.ceil(count))]
     rows = []
     failed = False
@@ -206,11 +206,10 @@ def _cmd_l3(args) -> int:
 
 def _cmd_manifolds(args) -> int:
     _check_samples(args.n)
-    _check_s_end(args.t_max, "--t-max")
     rows = []
     for branch in ("unstable_plus", "stable_plus"):
-        ts, states = splitting.manifold_trajectory(
-            args.mu, branch, t_max=args.t_max, n_points=args.n)
+        ts, states = splitting.manifold_trajectory(args.mu, branch,
+                                                   n_points=args.n)
         for t, y in zip(ts, states):
             r = math.hypot(y[0], y[1])
             rows.append([branch, t, y[0], y[1], r, math.atan2(y[1], y[0])])
@@ -220,23 +219,11 @@ def _cmd_manifolds(args) -> int:
 
 def _cmd_distance(args) -> int:
     t0 = time.perf_counter()
-    theta_abs = args.theta_abs
-    # checked before any tracing
-    _check_s_end(args.t_max, "--t-max")
-    if theta_abs is not None and not 0.0 < theta_abs < math.inf:
-        raise ValueError(
-            f"theta_abs must be finite and positive, got {theta_abs}")
+    # checked before A and the shooting
+    splitting._check_mu(args.mu)
     A = separatrix.compute_A()
-    if theta_abs is None:
-        theta_abs = inner.theta(15.0).theta
-    # the ratio below divides by it, so a subnormal or zero one is refused
-    asymptotic = splitting.asymptotic_distance(args.mu, A, theta_abs)
-    if not asymptotic >= sys.float_info.min:
-        raise ValueError(
-            f"theta_abs = {theta_abs} gives the asymptotic distance "
-            f"{asymptotic!r}, not a positive normal float")
-    sample = splitting.section_gap(args.mu, t_max=args.t_max, A=A,
-                                   theta_abs=theta_abs)
+    theta_abs = inner.theta(15.0).theta
+    sample = splitting.section_gap(args.mu, A=A, theta_abs=theta_abs)
     lines = [
         f"asymptotic = {_fmt(sample.dist_asymptotic)}",
         f"measured = {_fmt(sample.dist_measured)}",
@@ -320,17 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plot-ready manifold trajectories to the section "
                             "(CSV columns: branch, t, q1, q2, r, theta)")
     q.add_argument("--mu", type=float, default=0.003)
-    q.add_argument("--t-max", type=float, default=1000.0)
     q.add_argument("--n", type=int, default=2000)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_manifolds)
 
     q = sub.add_parser("distance",
-                       help="asymptotic vs measured splitting at one mu")
+                       help="asymptotic vs measured splitting at one mu; "
+                            "|Theta| from the rho = 15 shooting")
     q.add_argument("--mu", type=float, default=1e-3)
-    q.add_argument("--t-max", type=float, default=1000.0)
-    q.add_argument("--theta-abs", type=float, default=None,
-                   help="prefactor modulus; computed at rho = 15 if omitted")
     q.add_argument("--format", choices=["text", "json"], default="text")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_distance)

@@ -389,10 +389,12 @@ def locate_L3(mu: float) -> Equilibrium:
     + (1 - H00)(1 - H11) = 0 (Szebehely, Theory of Orbits, 1967, ch. 5): a
     large negative root in l^2 (the elliptic pair) and a small positive one
     (the hyperbolic pair), taken as the constant term over the large root
-    so that it does not cancel.  Order: (-rate, rate, -i freq, i freq).
+    so that it does not cancel.  Its factor 1 - H11 ~ -7mu/8 cancels
+    instead, costing the rate 1.2e-8 relative at mu = 1e-8 (1.7e-4 at
+    1e-12), so mu must lie in [1e-8, 0.05].
     """
-    if not 0.0 < mu <= 0.05:
-        raise ValueError("locate_L3 expects mu in (0, 0.05]")
+    if not 1e-8 <= mu <= 0.05:
+        raise ValueError(f"locate_L3 expects mu in [1e-8, 0.05], got {mu!r}")
     d = find_root(lambda x: _radial_balance(x, mu), (1.0, 1.0 + mu), tol=1e-15)
     polar = PolarState(d, 0.0, 0.0, d * d)
     cart = cart_from_polar(polar)

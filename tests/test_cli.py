@@ -145,8 +145,7 @@ def test_manifolds_csv(tmp_path):
 
 
 def test_distance_text():
-    code, out, _ = run_cli(["distance", "--mu", "1e-3",
-                            "--theta-abs", "1.63"])
+    code, out, _ = run_cli(["distance", "--mu", "1e-3"])
     assert code == 0
     vals = {line.split(" = ")[0]: float(line.split(" = ")[1])
             for line in out.strip().splitlines()}
@@ -279,13 +278,17 @@ def test_commands_run_with_numpy_blocked(command):
     assert proc.stdout and "Traceback" not in proc.stderr
 
 
-def test_numerical_failure_exits_1_with_message():
-    # the manifold leaves the section uncrossed in one time unit: NoCrossing
-    code, _, err = run_cli_process(["distance", "--mu", "1e-3", "--t-max",
-                                    "1", "--theta-abs", "1.6"])
+def test_numerical_failure_exits_1_with_message(monkeypatch):
+    # a tracing that ends without a section crossing
+    def no_crossing(mu, **kwargs):
+        raise splitting.NoCrossing(f"no crossing for mu = {mu}")
+
+    monkeypatch.setattr(splitting, "section_gap", no_crossing)
+    code, out, err = run_cli(["distance", "--mu", "1e-3"])
     assert code == 1
-    assert "error:" in err
-    assert "Traceback" not in err
+    assert out == ""
+    assert "error: no crossing for mu = 0.001" in err
+    assert "wall time" not in err
 
 
 def _hostile_path(tmp_path, kind):
@@ -320,19 +323,44 @@ def test_leftover_config_exits_2(argv):
     assert "Traceback" not in err
 
 
-# 5e-324 made the asymptotic distance underflow to 0 and the ratio line
-# divide by zero, a traceback with exit 1; 1e-320 made it subnormal and
-# printed ratio = inf
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "5e-324",
-                                   "1e-320"])
-def test_distance_bad_theta_abs_exits_2(value):
-    for fmt in ("text", "json"):
-        code, out, err = run_cli_process(
-            ["distance", f"--theta-abs={value}", "--format", fmt])
-        assert code == 2
-        assert out == ""
-        assert "error:" in err and "theta_abs" in err
-        assert "Traceback" not in err
+@pytest.mark.parametrize("argv", [["distance", "--t-max", "5"],
+                                  ["distance", "--theta-abs", "1.6"],
+                                  ["manifolds", "--t-max", "5"]],
+                         ids=["distance_t-max", "distance_theta-abs",
+                              "manifolds_t-max"])
+def test_removed_options_exit_2(argv):
+    # the flags are gone; they must not be dropped and the command run with
+    # its defaults
+    code, out, err = run_cli_process(argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: unrecognized arguments: {argv[1]}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mu", ["0.03", "1e-5"])
+def test_distance_refuses_untraceable_mu_before_any_work(monkeypatch, mu):
+    def work(*args, **kwargs):
+        pytest.fail("distance started work on a mass ratio it refuses")
+
+    monkeypatch.setattr(separatrix, "compute_A", work)
+    monkeypatch.setattr(inner, "theta", work)
+    code, out, err = run_cli(["distance", "--mu", mu])
+    assert code == 2
+    assert out == ""
+    assert "error: manifold tracing expects mu in [3e-4, 1e-2]" in err
+
+
+@pytest.mark.parametrize("mu", ["1e-300", "1e-16", "1e-12"])
+def test_l3_refuses_mu_below_1e_8(mu):
+    # the closed-form rate loses digits to cancellation as mu falls: 1e-300
+    # printed d_mu = 1 with a zero rate, and 1e-16 ended in NoBracket with
+    # exit 1
+    code, out, err = run_cli(["l3", "--mu", mu])
+    assert code == 2
+    assert out == ""
+    assert (f"error: locate_L3 expects mu in [1e-8, 0.05], "
+            f"got {float(mu)!r}") in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-100", "10", "1e9"])
@@ -379,8 +407,8 @@ def test_every_package_exception_is_an_l3lab_error():
         "StepUnderflow", "NonFinite", "NoConvergence", "NoBracket",
         "NearBranchCut", "SqrtDomain", "TimeReparamSingular", "TooClose",
         "PrecisionLoss", "Collision", "OriginSingular", "HyperbolicInput",
-        "CollisionSingularity", "FitRejected", "NoCrossing",
-        "EventDegenerate",
+        "CollisionSingularity", "FitRejected", "ZeroCountRejected",
+        "NoCrossing", "EventDegenerate",
     }
 
 
@@ -392,8 +420,6 @@ def test_every_package_exception_is_an_l3lab_error():
     ["separatrix", "--n", "0"],
     ["separatrix", "--n", "1"],
     ["manifolds", "--n", "0"],
-    ["manifolds", "--t-max", "inf"],
-    ["manifolds", "--t-max=-1"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_sample_grid_exits_2(argv):
     # --t-max -1 used to print rows from t = 1 down to -1, --n 0 only the
@@ -409,11 +435,9 @@ def test_bad_sample_grid_exits_2(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["distance", "--mu", "1e-2", "--t-max", "1e-300"],
-    ["manifolds", "--t-max", "5e-324"],
     ["separatrix", "--n", "5", "--t-max", "5e-324"],
     ["separatrix", "--t-max", "1e-300"],
-], ids=["distance", "manifolds", "separatrix_5e-324", "separatrix_1e-300"])
+], ids=["separatrix_5e-324", "separatrix_1e-300"])
 def test_time_budget_below_the_smallest_step_exits_2(argv):
     # no step fits in the budget, so it is a bad argument; it used to end
     # in StepUnderflow at s = 0 with exit 1.  separatrix at 5e-324 printed
@@ -456,7 +480,7 @@ def test_oversized_sample_grid_exits_2(command, n):
 
 
 # every numeric option, with the base flags each command runs under: one
-# stokes row, a short manifold sample, and distance without theta(15)
+# stokes row and a short manifold sample
 _NUMERIC_OPTIONS = {
     "a": ([], ["--tol"]),
     "stokes": (["--rho-min=13", "--rho-max=13"],
@@ -464,9 +488,13 @@ _NUMERIC_OPTIONS = {
                 "--re-start"]),
     "separatrix": ([], ["--t-max", "--n"]),
     "l3": ([], ["--mu"]),
-    "manifolds": (["--n=50"], ["--mu", "--t-max", "--n"]),
-    "distance": (["--theta-abs=1.6"], ["--mu", "--t-max", "--theta-abs"]),
+    "manifolds": (["--n=50"], ["--mu", "--n"]),
+    "distance": ([], ["--mu"]),
 }
+# options these commands no longer take: argparse refuses them whatever the
+# value, as test_removed_options_exit_2 checks for one value each
+_REMOVED_OPTIONS = {"manifolds": ["--t-max"],
+                    "distance": ["--t-max", "--theta-abs"]}
 _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "5e-324",
             "0.5", "3", "abc", ""]
 
@@ -474,7 +502,7 @@ _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "5e-324",
 @pytest.mark.parametrize("value", _HOSTILE, ids=lambda v: v or "empty")
 @pytest.mark.parametrize("command, option", [
     (command, option) for command, (_, options) in _NUMERIC_OPTIONS.items()
-    for option in options])
+    for option in options + _REMOVED_OPTIONS.get(command, [])])
 def test_hostile_numeric_values_exit_cleanly(command, option, value):
     # the flag after the base flags wins; a refusal or a numerical failure
     # says why on stderr, and nothing escapes as a traceback
@@ -484,3 +512,6 @@ def test_hostile_numeric_values_exit_cleanly(command, option, value):
     assert "Traceback" not in out + err
     if code != 0:
         assert "error:" in err
+    if option in _REMOVED_OPTIONS.get(command, []):
+        assert code == 2 and out == ""
+        assert f"error: unrecognized arguments: {option}=" in err
