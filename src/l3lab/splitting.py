@@ -10,16 +10,18 @@ log(gap mu^(-1/3)) against 1/sqrt(mu) over 12 mass ratios in [1e-3, 2e-3]
 estimates -A (:func:`fit_splitting_exponent`).
 
 Trajectories are integrated by stepping the package's DOP853
-(:func:`~l3lab.numerics.ode_steps`, rtol 1e-12) in time units on real
-states; each sign change of theta - section is refined by
-:func:`~l3lab.numerics.find_root` on the step's seventh-order dense output,
-and integration stops at the first crossing with r > 1.  Plot samples of a
-trajectory come from the dense output of those same steps.
+(:func:`~l3lab.numerics.ode_steps`) in time units on real states; each sign
+change of theta - section is refined by :func:`~l3lab.numerics.find_root`
+on the step's seventh-order dense output, and integration stops at the
+first crossing with r > 1.  Plot samples of a trajectory come from the dense
+output of those same steps.  A single section point is traced at rtol 1e-12;
+the two traces of :func:`section_gap` at a tolerance that follows the size
+of the gap, between 1e-13 and 1e-9 (its docstring gives the rule).
 
 :func:`section_gap` sends the stable branch to the fan-out worker of
 :func:`~l3lab._fanout._fork_pair`, an ``os.fork`` child forked once per
-process, while the caller traces the unstable one, which takes about 1.4
-times the steps (4,913 against 3,637 over the grid of
+process, while the caller traces the unstable one, which takes about 1.3
+times the steps (2,388 against 1,793 over the grid of
 :func:`fit_splitting_exponent`): it crosses the section first on the inner
 leg of its loop, r < 1, swings out to theta ~ 157 degrees and only then
 crosses with r > 1, where the stable branch's first crossing is already the
@@ -88,6 +90,8 @@ class SplittingSample:
     gap_R: float
     gap_G: float
     gap_eta: float
+    # the DOP853 rtol and atol of both traces
+    rtol: float
 
 
 @dataclass
@@ -118,6 +122,13 @@ _BRANCHES = ("unstable_plus", "stable_plus", "unstable_minus", "stable_minus")
 _SEED_EPS = 1e-7
 _RTOL = 1e-12
 _T_MAX = 1000.0
+# section_gap traces at _GAP_RTOL_FACTOR times the gap's asymptotic size
+# (at the quoted |Theta|), clamped to [_GAP_RTOL_MIN, _GAP_RTOL_MAX]
+_GAP_RTOL_FACTOR = 2e-7
+_GAP_RTOL_MIN = 1e-13
+_GAP_RTOL_MAX = 1e-9
+# the quoted Stokes constant |Theta| of the inner equation
+_THETA_ABS = 1.63
 # |theta - section| at which the root search on the dense output stops
 _EVENT_TOL = 1e-14
 
@@ -144,7 +155,8 @@ def _seed(mu, branch, seed_eps):
 
 
 def manifold_section_point(mu: float, branch: str = "unstable_plus",
-                           t_max: float = _T_MAX) -> SectionPoint:
+                           t_max: float = _T_MAX,
+                           _rtol: float = _RTOL) -> SectionPoint:
     """First crossing of the section theta = pi/2 with r > 1.
 
     The seed sits at 1e-7 along the hyperbolic eigenvector of the
@@ -153,9 +165,11 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
     and are skipped.  Integration stops at the first crossing that is kept,
     so ``t_max`` is only a time budget: :class:`NoCrossing` is raised if it
     runs out first; the default holds every first crossing for mu in
-    [3e-4, 1e-2], the slowest at |t| ~ 672 (mu = 3e-4).
+    [3e-4, 1e-2], the slowest at |t| ~ 672 (mu = 3e-4).  ``_rtol`` is
+    private: only :func:`section_gap` sets it, to its own tolerance.
     """
-    return _trace(mu, branch, _SEED_EPS, t_max, math.pi / 2, 0.0)[0]
+    return _trace(mu, branch, _SEED_EPS, t_max, math.pi / 2, 0.0,
+                  rtol=_rtol)[0]
 
 
 def _check_mu(mu):
@@ -164,14 +178,22 @@ def _check_mu(mu):
         raise ValueError("manifold tracing expects mu in [3e-4, 1e-2]")
 
 
-def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
+def _gap_rtol(mu, A):
+    """The rtol and atol of :func:`section_gap`'s traces at ``mu``."""
+    return min(max(_GAP_RTOL_FACTOR * asymptotic_distance(mu, A, _THETA_ABS),
+                   _GAP_RTOL_MIN), _GAP_RTOL_MAX)
+
+
+def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False,
+           rtol=_RTOL):
     """Step DOP853 from the seed to the first kept section crossing.
 
     The seed sits at ``seed_eps`` along the hyperbolic eigenvector, and the
     crossings of theta = ``section`` at or before |t| = ``skip_time`` are
-    skipped too.  Returns the :class:`SectionPoint` and, with
-    ``keep_steps``, the list of every :class:`~l3lab.numerics.OdeStep` up to
-    the hit, whose dense output gives the trajectory; otherwise ``None``.
+    skipped too; ``rtol`` is the DOP853 rtol and atol.  Returns the
+    :class:`SectionPoint` and, with ``keep_steps``, the list of every
+    :class:`~l3lab.numerics.OdeStep` up to the hit, whose dense output gives
+    the trajectory; otherwise ``None``.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -184,8 +206,8 @@ def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
 
     # the segment parameter is |t|, so the steps, and with them a hit, do not
     # depend on how far past it t_max reaches
-    steps = ode_steps(cart_flow(mu), Line(0.0, tdir), z0, rtol=_RTOL,
-                      atol=_RTOL, s_end=t_max)
+    steps = ode_steps(cart_flow(mu), Line(0.0, tdir), z0, rtol=rtol,
+                      atol=rtol, s_end=t_max)
     kept = []
     g_new = event(z0)
     try:
@@ -225,20 +247,39 @@ def _trace(mu, branch, seed_eps, t_max, section, skip_time, keep_steps=False):
 
 
 def section_gap(mu: float, t_max: float = _T_MAX, A: float | None = None,
-                theta_abs: float = 1.63) -> SplittingSample:
-    """Gap between the first section hits of the two plus branches."""
+                theta_abs: float = _THETA_ABS) -> SplittingSample:
+    """Gap between the first section hits of the two plus branches.
+
+    Both branches are traced at rtol = atol = 2e-7 times the gap's
+    asymptotic size, clamped to [1e-13, 1e-9] (:func:`_gap_rtol`, recorded
+    as ``rtol``): over [3e-4, 2e-3] the gap spans three decades, and so
+    does the tolerance.  Each hit lands within about 10 rtol of its place at
+    rtol 1e-13, and the measured gap is 2-3 times the asymptotic one, so the
+    gap is held to about 1e-6 relative (at most 6.2e-7 over the grid of
+    :func:`fit_splitting_exponent`, 1.5e-7 at mu = 3e-4).  The rule reads
+    mu and A only, with the quoted |Theta| = 1.63, never ``theta_abs``, so
+    ``verify`` and ``l3lab distance`` (which passes the shot |Theta|)
+    trace a given mu alike.  A single point, as
+    :func:`manifold_section_point` and :func:`manifold_trajectory` return
+    it, keeps rtol 1e-12: the rule bounds the gap relative to its size,
+    not where each hit lies, and at mu = 1.5e-3 its 6.0e-10 moves the
+    unstable hit by 2.2e-9.
+    """
     from ._fanout import _fork_pair
-    pu, ps = _fork_pair(
-        lambda: manifold_section_point(mu, "unstable_plus", t_max=t_max),
-        manifold_section_point, mu, "stable_plus", t_max)
-    gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
-    dist = math.sqrt(gr * gr + gR * gR + gG * gG)
+    _check_mu(mu)
     if A is None:
         A = compute_A()
+    rtol = _gap_rtol(mu, A)
+    pu, ps = _fork_pair(
+        lambda: manifold_section_point(mu, "unstable_plus", t_max, rtol),
+        manifold_section_point, mu, "stable_plus", t_max, rtol)
+    gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
+    dist = math.sqrt(gr * gr + gR * gR + gG * gG)
     return SplittingSample(
         mu=mu, dist_measured=dist,
         dist_asymptotic=asymptotic_distance(mu, A, theta_abs),
         gap_r=gr, gap_R=gR, gap_G=gG, gap_eta=abs(pu.eta - ps.eta),
+        rtol=rtol,
     )
 
 

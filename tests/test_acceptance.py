@@ -189,14 +189,17 @@ def test_child_does_not_repeat_buffered_output():
 
 
 def _serial_gap(mu, t_max):
-    """section_gap's sample from two manifold_section_point calls in a row."""
-    pu = splitting.manifold_section_point(mu, "unstable_plus", t_max=t_max)
-    ps = splitting.manifold_section_point(mu, "stable_plus", t_max=t_max)
+    """section_gap's sample from two manifold_section_point calls in a row,
+    at section_gap's tolerance."""
+    rtol = splitting._gap_rtol(mu, 0.1777)
+    pu = splitting.manifold_section_point(mu, "unstable_plus", t_max, rtol)
+    ps = splitting.manifold_section_point(mu, "stable_plus", t_max, rtol)
     gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
     return splitting.SplittingSample(
         mu=mu, dist_measured=math.sqrt(gr * gr + gR * gR + gG * gG),
         dist_asymptotic=splitting.asymptotic_distance(mu, 0.1777, 1.63),
-        gap_r=gr, gap_R=gR, gap_G=gG, gap_eta=abs(pu.eta - ps.eta))
+        gap_r=gr, gap_R=gR, gap_G=gG, gap_eta=abs(pu.eta - ps.eta),
+        rtol=rtol)
 
 
 def test_section_gap_matches_serial_traces():

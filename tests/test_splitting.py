@@ -134,6 +134,43 @@ def test_default_budget_covers_lowest_mu():
     assert s.dist_measured > 0.0
 
 
+def _gap_at(mu, rtol):
+    """The gap between the two plus branches' hits, both traced at rtol."""
+    pu, ps = (splitting._trace(mu, branch, splitting._SEED_EPS,
+                               splitting._T_MAX, math.pi / 2, 0.0,
+                               rtol=rtol)[0]
+              for branch in ("unstable_plus", "stable_plus"))
+    return math.sqrt((pu.r - ps.r) ** 2 + (pu.R - ps.R) ** 2
+                     + (pu.G - ps.G) ** 2)
+
+
+@pytest.mark.parametrize("mu", [3e-4, 1e-3, 2e-3, 1e-2])
+def test_gap_within_1e_6_of_tight_trace(mu):
+    # the worst case measured over check 13's grid is 6.2e-7
+    s = splitting.section_gap(mu)
+    ref = _gap_at(mu, 1e-13)
+    assert abs(s.dist_measured - ref) <= 1e-6 * ref
+
+
+def test_gap_rtol_rule():
+    A = separatrix.compute_A()
+    mus = np.geomspace(3e-4, 1e-2, 40)
+    rtols = [splitting._gap_rtol(m, A) for m in mus]
+    assert all(1e-13 <= r <= 1e-9 for r in rtols)
+    assert all(b >= a for a, b in zip(rtols, rtols[1:]))
+    # clamped at the top of the splitting range, about 1e-12 at its bottom,
+    # and at the 1e-13 floor far under it
+    assert splitting._gap_rtol(2e-3, A) == 1e-9
+    assert splitting._gap_rtol(1e-2, A) == 1e-9
+    assert 1e-12 < splitting._gap_rtol(3e-4, A) < 1.5e-12
+    assert splitting._gap_rtol(1e-5, A) == 1e-13
+    # section_gap records the rule's value, whatever theta_abs it is given;
+    # at 1e-3 the rule is not clamped
+    for theta_abs in (1.0, 1.63, 3.0):
+        s = splitting.section_gap(1e-3, A=A, theta_abs=theta_abs)
+        assert s.rtol == splitting._gap_rtol(1e-3, A)
+
+
 def test_no_crossing_reported():
     with pytest.raises(splitting.NoCrossing):
         splitting.manifold_section_point(0.003, "unstable_plus", t_max=5.0)
