@@ -514,21 +514,19 @@ def _random_limit_samples(seed):
             for _ in range(len(_LIMIT_SAMPLES))]
 
 
-def _compose_inner_hamiltonian(U, Z, delta, A, l3_offsets):
+def _compose_inner_hamiltonian(state, Z, delta, l3_offsets):
     """Value of the full scaled Hamiltonian at the inner point (U, Z).
 
     The chain is: inner scaling (U,W,X,Y) -> (u,w,x,y), the separatrix graph
     change Lambda = Lambda_h(u) - w/(3 Lambda_h(u)), the equilibrium offset,
-    and the scaled Poincare Hamiltonian.  Lambda_h is continued from the real
-    axis along a path that approaches iA from below; along that path family
-    the square root of the near-collision factor D[mu-1] stays on its
-    principal sheet (verified by winding tracking), the sheet
-    :func:`~l3lab.rpc3bp.h_scaled` evaluates.
+    and the scaled Poincare Hamiltonian.  ``state`` is (lambda_h, Lambda_h)
+    at u = iA + delta^2 U, continued up the imaginary axis and down the ray
+    into iA (:func:`verify_inner_limit`); below iA sigma is single-valued,
+    so the path does not matter.  Along such paths the square root of the
+    near-collision factor D[mu-1] stays on its principal sheet (verified by
+    winding tracking), the sheet :func:`~l3lab.rpc3bp.h_scaled` evaluates.
     """
     ap = separatrix.ALPHA_PLUS
-    u = 1j * A + delta * delta * U
-    via = 1j * 0.85 * u.imag
-    state = separatrix.sigma_sweep([via, u])[-1]
     lam_h, Lam_h = state.lam, state.Lam
     W, X, Y = Z
     d13 = delta ** (1.0 / 3.0)
@@ -570,17 +568,28 @@ def verify_inner_limit(seed: int | None = None) -> InnerLimitFit:
     decay order should be >= 1.2 (the asymptotic claim is delta^(4/3)).
     Without a ``seed`` the six fixed samples ``_LIMIT_SAMPLES`` are used;
     with one, six drawn from ``random.Random(seed)``.
+
+    One chain per sample continues sigma up the imaginary axis, then down
+    the ray u = iA + delta^2 U through the deltas, largest first.  As
+    Im U < 0 it stays in the strip |Im t| < A, where sigma is single-valued,
+    so the states do not depend on the path.
     """
     deltas = _LIMIT_DELTAS
     samples = (_LIMIT_SAMPLES if seed is None
                else _random_limit_samples(seed))
     A = separatrix.compute_A()
+    down = sorted(deltas, reverse=True)
+    states = []
+    for U, _ in samples:
+        ray = [1j * A + d * d * U for d in down]
+        chain = separatrix.sigma_sweep([1j * 0.85 * ray[0].imag, *ray])
+        states.append(dict(zip(down, chain[1:])))
     residuals = []
     for d in deltas:
         offsets = rpc3bp.L3_scaled(d)
         vals = []
-        for U, Z in samples:
-            composed = _compose_inner_hamiltonian(U, Z, d, A, offsets)
+        for (U, Z), at in zip(samples, states):
+            composed = _compose_inner_hamiltonian(at[d], Z, d, offsets)
             vals.append(composed - _cal_h_limit(U, Z))
         residuals.append(max(abs(v - vals[0]) for v in vals))
     expo = fit_line([math.log(d) for d in deltas],

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from l3lab import inner, numerics, rpc3bp
+from l3lab import inner, numerics, rpc3bp, separatrix
 
 
 def test_J_at_origin_of_Z():
@@ -461,3 +461,77 @@ def test_verify_inner_limit_z_monotonicity(monkeypatch):
     monkeypatch.setattr(inner, "_LIMIT_SAMPLES", halved)
     half = inner.verify_inner_limit()
     assert half.residuals[0] <= full.residuals[0] * 1.05
+
+
+def _per_point_inner_limit(seed):
+    # check 12 with its own two-leg sweep 0 -> i 0.85 Im u -> u for each
+    # point u = iA + delta^2 U
+    samples = (inner._LIMIT_SAMPLES if seed is None
+               else inner._random_limit_samples(seed))
+    A = separatrix.compute_A()
+    residuals = []
+    for d in inner._LIMIT_DELTAS:
+        offsets = rpc3bp.L3_scaled(d)
+        vals = []
+        for U, Z in samples:
+            u = 1j * A + d * d * U
+            state = separatrix.sigma_sweep([1j * 0.85 * u.imag, u])[-1]
+            vals.append(inner._compose_inner_hamiltonian(state, Z, d, offsets)
+                        - inner._cal_h_limit(U, Z))
+        residuals.append(max(abs(v - vals[0]) for v in vals))
+    expo = numerics.fit_line([math.log(d) for d in inner._LIMIT_DELTAS],
+                             [math.log(r) for r in residuals])[0]
+    return residuals, expo
+
+
+# seed 8 reads the order nearest the gate of 1.2 (1.2288)
+@pytest.mark.parametrize("seed", [None, *range(1, 11)])
+def test_verify_inner_limit_matches_per_point_sweeps(seed):
+    fit = inner.verify_inner_limit(seed)
+    residuals, expo = _per_point_inner_limit(seed)
+    assert _max_rel(fit.residuals, residuals) <= 1e-9
+    assert abs(fit.exponent - expo) <= 1e-9 * expo
+
+
+def test_verify_inner_limit_one_ray_chain_per_sample(monkeypatch):
+    sweeps, steps = [], []
+    sweep, solve = separatrix.sigma_sweep, numerics.integrate_ode
+
+    def recording(points):
+        sweeps.append(list(points))
+        return sweep(points)
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        steps.append(res.steps)
+        return res
+
+    monkeypatch.setattr(separatrix, "sigma_sweep", recording)
+    monkeypatch.setattr(numerics, "integrate_ode", counting)
+    inner.verify_inner_limit()
+    A = separatrix.compute_A()
+    assert len(sweeps) == len(inner._LIMIT_SAMPLES) == 6
+    for points, (U, _) in zip(sweeps, inner._LIMIT_SAMPLES):
+        # up the imaginary axis, then down the ray to iA, largest delta first
+        assert points[0].real == 0.0 and 0.0 < points[0].imag < A
+        assert points[1:] == [1j * A + d * d * U
+                              for d in (0.2, 0.12, 0.08, 0.05)]
+    assert sum(steps) == 266
+
+
+@pytest.mark.parametrize("k, delta", [(0, 0.05), (2, 0.08), (4, 0.12)])
+def test_sigma_below_iA_does_not_depend_on_the_path(k, delta):
+    # sigma is single-valued in the strip |Im t| < A, so the straight leg
+    # from 0, the two-leg sweep up the imaginary axis and the ray chain
+    # through the larger deltas reach the same state
+    A = separatrix.compute_A()
+    U = inner._LIMIT_SAMPLES[k][0]
+    u = 1j * A + delta * delta * U
+    ray = [1j * A + d * d * U for d in (0.2, 0.12, 0.08, 0.05)]
+    straight = separatrix.sigma_sweep([u])[-1]
+    two_leg = separatrix.sigma_sweep([1j * 0.85 * u.imag, u])[-1]
+    chained = separatrix.sigma_sweep([1j * 0.85 * ray[0].imag, *ray])
+    chained = chained[1 + ray.index(u)]
+    for state in (straight, chained):
+        assert _max_rel((state.lam, state.Lam),
+                        (two_leg.lam, two_leg.Lam)) <= 1e-10
