@@ -3,8 +3,10 @@
 Numeric payloads go to stdout (or ``--out`` files) with 17 significant
 digits so that identical runs are byte-identical; wall-clock timings and
 other run metadata go to stderr or into the ``meta`` block of JSON records.
-Options are checked before any work; ``distance`` takes |Theta| from the
-Stokes shooting at rho = 15 (:func:`l3lab.inner.theta`).
+Options are checked before any work; ``a`` runs the quadrature at tol
+1e-10, ``stokes`` shoots at rtol 1e-12 from Re U = -100, and ``distance``
+takes |Theta| from the Stokes shooting at rho = 15
+(:func:`l3lab.inner.theta`).
 
 Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
 failure, reported as ``error: <message>`` on stderr); 2 a bad argument, an
@@ -39,10 +41,6 @@ class ResultRecord:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultRecord":
-        return cls(**json.loads(text))
 
 
 def _record(command, inputs, outputs, diagnostics, t0) -> ResultRecord:
@@ -89,9 +87,9 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 def _cmd_a(args) -> int:
     t0 = time.perf_counter()
-    res = separatrix.compute_A_quad(tol=args.tol)
+    res = separatrix.compute_A_quad(tol=1e-10)
     if args.format == "json":
-        rec = _record("a", {"tol": args.tol},
+        rec = _record("a", {"tol": 1e-10},
                       {"value": res.value, "err": res.err, "evals": res.evals},
                       {"quadrature_evals": res.evals}, t0)
         _write_record(rec, args.out)
@@ -120,8 +118,7 @@ def _cmd_stokes(args) -> int:
     rhos = [min(lo + k * step, hi) for k in range(math.ceil(count))]
     rows = []
     failed = False
-    for rho, rec in zip(rhos, inner.theta_table(rhos, re_start=args.re_start,
-                                                rtol=args.tol)):
+    for rho, rec in zip(rhos, inner.theta_table(rhos)):
         if isinstance(rec, inner.PrecisionLoss):
             failed = True
             rows.append([rho, math.nan, math.exp(rho), math.nan, math.inf])
@@ -270,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("a", help="the analyticity-strip constant A")
-    q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--format", choices=["text", "json"], default="text")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_a)
@@ -279,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rho-min", type=float, default=13.0)
     q.add_argument("--rho-max", type=float, default=20.0)
     q.add_argument("--rho-step", type=float, default=1.0)
-    q.add_argument("--tol", type=float, default=1e-12)
-    q.add_argument("--re-start", type=float, default=inner.RE_START)
     q.add_argument("--out", default=None,
                    help="CSV output path (default stdout)")
     q.set_defaults(fn=_cmd_stokes)

@@ -243,8 +243,8 @@ _Y_SERIES = {m: c.conjugate() for m, c in _X_SERIES.items()}
 # -Re U at which the shooting line is seeded from the series
 RE_START = 100.0
 # the bounds shoot puts on re_start: below 30 the seed leaves the |U| >= 30
-# domain of series_Z; above 1e4 the horizontal leg grows without bound, a
-# one-row table costing 1.0 s at 1e4 against 0.31 s at 1e3 (2-vCPU Xeon)
+# domain of series_Z; above 1e4 the horizontal leg grows without bound for
+# no gain, the series residual being at the round-off floor from |U| = 100
 _RE_START_MIN = 30.0
 _RE_START_MAX = 1e4
 # the depths rho that shoot and theta_table accept
@@ -358,12 +358,12 @@ def theta(rho: float) -> StokesRecord:
 _MAX_DESCENT = 7.0
 
 
-def theta_table(rho_list, re_start: float = RE_START,
+def theta_table(rho_list,
                 rtol: float = 1e-12) -> list[StokesRecord | PrecisionLoss]:
     """Stokes records for a grid of rho values, in input order.
 
     The unstable solution is shot once along Im U = -rho_0 from
-    Re U = -re_start to the anchor -i rho_0, rho_0 the smallest rho, and
+    Re U = -RE_START to the anchor -i rho_0, rho_0 the smallest rho, and
     then carried down the imaginary axis through the larger rho, one
     vertical leg per row.  A row more than ``_MAX_DESCENT`` below its anchor
     starts a fresh anchor shooting.  Y^s at -i rho, its own mirror point, is
@@ -386,7 +386,7 @@ def theta_table(rho_list, re_start: float = RE_START,
         chain = [r for r in grid if r - grid[0] <= _MAX_DESCENT]
         grid = grid[len(chain):]
         points = [complex(0.0, -r) for r in chain]
-        zu = shoot(chain[0], points, re_start=re_start, rtol=rtol)
+        zu = shoot(chain[0], points, rtol=rtol)
         for r, u in zip(chain, zu):
             rows[r] = _stokes_row(r, u.Y, mirror(u).Y, rtol)
     return [rows[r] for r in rhos]

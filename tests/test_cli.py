@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -38,23 +39,15 @@ def test_a_json_fields_and_agreement_with_text():
     assert text_value == rec["outputs"]["value"]
 
 
-def test_a_tolerance_consistency():
-    _, tight, _ = run_cli(["a"])
-    _, coarse, _ = run_cli(["a", "--tol", "1e-6"])
-    v1 = float(tight.splitlines()[0].split("=")[1])
-    v2 = float(coarse.splitlines()[0].split("=")[1])
-    assert abs(v1 - v2) < 1e-5
-
-
 def test_a_record_roundtrip(tmp_path):
     path = tmp_path / "a.json"
     code, _, _ = run_cli(["a", "--format", "json", "--out", str(path)])
     assert code == 0
-    rec = cli.ResultRecord.from_json(path.read_text())
+    rec = cli.ResultRecord(**json.loads(path.read_text()))
     assert rec.command == "a"
     assert "wall_time_s" in rec.meta
     # bit-exact numeric round trip through serialization
-    again = cli.ResultRecord.from_json(rec.to_json())
+    again = cli.ResultRecord(**json.loads(rec.to_json()))
     assert again.outputs["value"] == rec.outputs["value"]
     assert again.meta["wall_time_s"] == rec.meta["wall_time_s"]
 
@@ -99,11 +92,12 @@ def test_stokes_bad_rho_range_exits_2(flags):
 
 
 def test_stokes_flags_precision_starved_rows():
-    code, out, _ = run_cli(["stokes", "--rho-min", "13", "--rho-max", "13",
-                            "--rho-step", "1", "--tol", "1e-6"])
+    # at rtol 1e-12 the cancellation in Delta Y leaves too few digits at
+    # rho = 25: the row is printed with NaNs and the command exits 1
+    code, out, _ = run_cli(["stokes", "--rho-min", "25", "--rho-max", "25"])
     assert code == 1
     row = out.strip().splitlines()[1].split(",")
-    assert row[3] == "nan"
+    assert row[0] == "25" and row[3] == "nan" and row[4] == "inf"
 
 
 def test_stokes_defaults_match_check_10():
@@ -227,11 +221,6 @@ def test_unknown_command_exits_2():
     assert code == 2
 
 
-def test_out_of_range_tolerance_exits_2():
-    code, _, _ = run_cli(["a", "--tol", "1e-15"])
-    assert code == 2
-
-
 def run_cli_process(argv, preexec_fn=None):
     """Run ``l3lab`` in a fresh interpreter, so a traceback would reach stderr."""
     proc = run_python(["-m", "l3lab.cli", *argv], timeout=300,
@@ -325,9 +314,13 @@ def test_leftover_config_exits_2(argv):
 
 @pytest.mark.parametrize("argv", [["distance", "--t-max", "5"],
                                   ["distance", "--theta-abs", "1.6"],
-                                  ["manifolds", "--t-max", "5"]],
+                                  ["manifolds", "--t-max", "5"],
+                                  ["a", "--tol", "1e-6"],
+                                  ["stokes", "--tol", "1e-6"],
+                                  ["stokes", "--re-start", "1000"]],
                          ids=["distance_t-max", "distance_theta-abs",
-                              "manifolds_t-max"])
+                              "manifolds_t-max", "a_tol", "stokes_tol",
+                              "stokes_re-start"])
 def test_removed_options_exit_2(argv):
     # the flags are gone; they must not be dropped and the command run with
     # its defaults
@@ -361,25 +354,6 @@ def test_l3_refuses_mu_below_1e_8(mu):
     assert out == ""
     assert (f"error: locate_L3 expects mu in [1e-8, 0.05], "
             f"got {float(mu)!r}") in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-100", "10", "1e9"])
-def test_stokes_bad_re_start_exits_2(value):
-    code, out, err = run_cli_process(
-        ["stokes", "--rho-min", "13", "--rho-max", "13",
-         f"--re-start={value}"])
-    assert code == 2
-    assert out == ""
-    assert "error: re_start" in err
-    assert "Traceback" not in err
-
-
-def test_nan_tolerance_exits_2():
-    code, out, err = run_cli_process(["a", "--tol", "nan"])
-    assert code == 2
-    assert out == ""
-    assert "error:" in err
-    assert "Traceback" not in err
 
 
 def test_unwritable_out_path_exits_2(tmp_path):
@@ -482,10 +456,9 @@ def test_oversized_sample_grid_exits_2(command, n):
 # every numeric option, with the base flags each command runs under: one
 # stokes row and a short manifold sample
 _NUMERIC_OPTIONS = {
-    "a": ([], ["--tol"]),
+    "a": ([], []),
     "stokes": (["--rho-min=13", "--rho-max=13"],
-               ["--rho-min", "--rho-max", "--rho-step", "--tol",
-                "--re-start"]),
+               ["--rho-min", "--rho-max", "--rho-step"]),
     "separatrix": ([], ["--t-max", "--n"]),
     "l3": ([], ["--mu"]),
     "manifolds": (["--n=50"], ["--mu", "--n"]),
@@ -493,7 +466,9 @@ _NUMERIC_OPTIONS = {
 }
 # options these commands no longer take: argparse refuses them whatever the
 # value, as test_removed_options_exit_2 checks for one value each
-_REMOVED_OPTIONS = {"manifolds": ["--t-max"],
+_REMOVED_OPTIONS = {"a": ["--tol"],
+                    "stokes": ["--tol", "--re-start"],
+                    "manifolds": ["--t-max"],
                     "distance": ["--t-max", "--theta-abs"]}
 _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "5e-324",
             "0.5", "3", "abc", ""]
@@ -515,3 +490,27 @@ def test_hostile_numeric_values_exit_cleanly(command, option, value):
     if option in _REMOVED_OPTIONS.get(command, []):
         assert code == 2 and out == ""
         assert f"error: unrecognized arguments: {option}=" in err
+
+
+# the whole option surface, 19 options command by command (-h aside): an
+# option added or removed must be added or removed here too
+_CLI_OPTIONS = {
+    "a": ["--format", "--out"],
+    "stokes": ["--rho-min", "--rho-max", "--rho-step", "--out"],
+    "singularities": ["--out"],
+    "separatrix": ["--t-max", "--n", "--out"],
+    "l3": ["--mu", "--out"],
+    "manifolds": ["--mu", "--n", "--out"],
+    "distance": ["--mu", "--format", "--out"],
+    "verify": ["--out"],
+}
+
+
+def test_cli_option_surface_is_pinned():
+    [sub] = [action for action in cli._build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    surface = {command: [option for action in parser._actions
+                         for option in action.option_strings
+                         if option not in ("-h", "--help")]
+               for command, parser in sub.choices.items()}
+    assert surface == _CLI_OPTIONS

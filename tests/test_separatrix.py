@@ -42,8 +42,10 @@ def test_compute_A():
     assert abs(a - A_REF) < 1e-5
     assert 3.0 / 50.0 <= a <= 3.0 / 10.0
     assert abs(a - sep.compute_A_rescaled(tol=1e-12)) < 1e-9
-    with pytest.raises(ValueError):
-        sep.compute_A(tol=1e-14)
+    # below the 1e-13 floor, and NaN, which fails the same comparison
+    for tol in (1e-14, math.nan):
+        with pytest.raises(ValueError, match="tol must be >= 1e-13"):
+            sep.compute_A(tol=tol)
 
 
 def test_residue():
