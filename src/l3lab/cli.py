@@ -1,8 +1,12 @@
 """Command-line surface: reproduction commands and result persistence.
 
-Numeric payloads go to stdout (or ``--out`` files) with 17 significant
-digits so that identical runs are byte-identical; wall-clock timings and
-other run metadata go to stderr or into the ``meta`` block of JSON records.
+Each command returns its payload, the text it prints or a JSON record as a
+dict, and :func:`main` writes it to stdout or to the ``--out`` file.
+Numbers carry 17 significant digits so that identical runs are
+byte-identical; the wall time goes to stderr, and only a JSON record
+written to an ``--out`` file carries a ``meta`` block (wall time and
+library version).
+
 Options are checked before any work; ``a`` runs the quadrature at tol
 1e-10, ``stokes`` shoots at rtol 1e-12 from Re U = -100, and ``distance``
 takes |Theta| from the Stokes shooting at rho = 15
@@ -24,52 +28,11 @@ import time
 from . import __version__, acceptance, inner, rpc3bp, separatrix, splitting
 from .numerics import L3labError, _check_s_end, linspace
 
-__all__ = ["main", "ResultRecord"]
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-@dataclasses.dataclass
-class ResultRecord:
-    command: str
-    inputs: dict
-    outputs: dict
-    diagnostics: dict
-    meta: dict
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-
-def _record(command, inputs, outputs, diagnostics, t0) -> ResultRecord:
-    return ResultRecord(
-        command=command, inputs=inputs, outputs=outputs,
-        diagnostics=diagnostics,
-        meta={"wall_time_s": time.perf_counter() - t0,
-              "library_version": __version__},
-    )
-
-
-def _write(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _write_record(rec: ResultRecord, out: str | None):
-    """Full record (with run metadata) to files; metadata-free copy to stdout
-    so identical runs print identical bytes."""
-    if out is None:
-        payload = dataclasses.asdict(rec)
-        payload.pop("meta")
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(rec.to_json() + "\n")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -85,18 +48,14 @@ def _csv(header: list[str], rows: list[list]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_a(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_a(args):
     res = separatrix.compute_A_quad(tol=1e-10)
     if args.format == "json":
-        rec = _record("a", {"tol": 1e-10},
-                      {"value": res.value, "err": res.err, "evals": res.evals},
-                      {"quadrature_evals": res.evals}, t0)
-        _write_record(rec, args.out)
-    else:
-        _write(f"A = {_fmt(res.value)}\nerr_estimate = {_fmt(res.err)}\n",
-               args.out)
-    return 0
+        return {"command": "a", "inputs": {"tol": 1e-10},
+                "outputs": {"value": res.value, "err": res.err,
+                            "evals": res.evals},
+                "diagnostics": {"quadrature_evals": res.evals}}, 0
+    return f"A = {_fmt(res.value)}\nerr_estimate = {_fmt(res.err)}\n", 0
 
 
 # the most rows one stokes table may ask for; each row is one vertical
@@ -104,7 +63,7 @@ def _cmd_a(args) -> int:
 _MAX_STOKES_ROWS = 1000
 
 
-def _cmd_stokes(args) -> int:
+def _cmd_stokes(args):
     lo, hi, step = args.rho_min, args.rho_max, args.rho_step
     # written so that a NaN fails it
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi
@@ -126,11 +85,10 @@ def _cmd_stokes(args) -> int:
             rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho),
                          rec.theta, rec.digits_lost])
     text = _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"], rows)
-    _write(text, args.out)
-    return 1 if failed else 0
+    return text, 1 if failed else 0
 
 
-def _cmd_singularities(args) -> int:
+def _cmd_singularities(args):
     A = separatrix.compute_A(tol=1e-12)
     t_up = separatrix.t_star("zero_upper")
     t_dn = separatrix.t_star("zero_lower")
@@ -146,8 +104,7 @@ def _cmd_singularities(args) -> int:
         f"t*_2,- = {_fmt(t2_dn.real)} {_fmt(t2_dn.imag)}i"
         f"  [reference {ref2.real} {-ref2.imag}i]",
     ]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 # the most samples --n may ask for, 50 times the largest default
@@ -163,7 +120,7 @@ def _check_samples(n):
         raise ValueError(f"--n {n} asks for more than {_MAX_SAMPLES} samples")
 
 
-def _cmd_separatrix(args) -> int:
+def _cmd_separatrix(args):
     _check_samples(args.n)
     _check_s_end(args.t_max, "--t-max")
     if args.t_max > separatrix.RE_REACH:
@@ -182,11 +139,10 @@ def _cmd_separatrix(args) -> int:
            for t, st in zip(zero + half, separatrix.sigma_sweep(zero + half))]
     neg = [(-t, lam, -Lam) for t, lam, Lam in reversed(pos[len(zero):])]
     rows = [[t, lam, Lam, math.cos(lam / 2.0)] for t, lam, Lam in neg + pos]
-    _write(_csv(["t", "lambda", "Lambda", "q"], rows), args.out)
-    return 0
+    return _csv(["t", "lambda", "Lambda", "q"], rows), 0
 
 
-def _cmd_l3(args) -> int:
+def _cmd_l3(args):
     eq = rpc3bp.locate_L3(args.mu)
     ev = sorted(eq.eigenvalues, key=lambda z: (-abs(z.real), z.imag))
     lines = [f"d_mu = {_fmt(eq.d_mu)}"]
@@ -197,11 +153,10 @@ def _cmd_l3(args) -> int:
         f"  [sqrt(21/8) = {_fmt(math.sqrt(21.0 / 8.0))}]"
     )
     lines.append(f"elliptic_frequency = {_fmt(eq.elliptic_frequency)}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_manifolds(args) -> int:
+def _cmd_manifolds(args):
     _check_samples(args.n)
     rows = []
     for branch in ("unstable_plus", "stable_plus"):
@@ -210,17 +165,19 @@ def _cmd_manifolds(args) -> int:
         for t, y in zip(ts, states):
             r = math.hypot(y[0], y[1])
             rows.append([branch, t, y[0], y[1], r, math.atan2(y[1], y[0])])
-    _write(_csv(["branch", "t", "q1", "q2", "r", "theta"], rows), args.out)
-    return 0
+    return _csv(["branch", "t", "q1", "q2", "r", "theta"], rows), 0
 
 
-def _cmd_distance(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_distance(args):
     # checked before A and the shooting
     splitting._check_mu(args.mu)
     A = separatrix.compute_A()
     theta_abs = inner.theta(15.0).theta
     sample = splitting.section_gap(args.mu, A=A, theta_abs=theta_abs)
+    if args.format == "json":
+        return {"command": "distance",
+                "inputs": {"mu": args.mu, "theta_abs": theta_abs},
+                "outputs": dataclasses.asdict(sample), "diagnostics": {}}, 0
     lines = [
         f"asymptotic = {_fmt(sample.dist_asymptotic)}",
         f"measured = {_fmt(sample.dist_measured)}",
@@ -230,16 +187,10 @@ def _cmd_distance(args) -> int:
         f"gap_G = {_fmt(sample.gap_G)}",
         f"gap_eta = {_fmt(sample.gap_eta)}",
     ]
-    if args.format == "json":
-        rec = _record("distance", {"mu": args.mu, "theta_abs": theta_abs},
-                      dataclasses.asdict(sample), {}, t0)
-        _write_record(rec, args.out)
-    else:
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = acceptance.run_all()
     all_ok = True
     out = []
@@ -250,8 +201,7 @@ def _cmd_verify(args) -> int:
         for line in res.lines:
             out.append(f"    {line}")
     out.append("verify: ALL PASS" if all_ok else "verify: FAILURES PRESENT")
-    _write("\n".join(out) + "\n", args.out)
-    return 0 if all_ok else 1
+    return "\n".join(out) + "\n", 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +276,19 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        code = args.fn(args)
+        payload, code = args.fn(args)
+        if isinstance(payload, dict):
+            # run metadata only in files, so identical runs print
+            # identical bytes
+            if args.out is not None:
+                payload["meta"] = {"wall_time_s": time.perf_counter() - t0,
+                                   "library_version": __version__}
+            payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out is None:
+            sys.stdout.write(payload)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,7 +100,6 @@ class PoincareState:
 @dataclass
 class Equilibrium:
     d_mu: float
-    polar: PolarState
     cartesian: CartesianState
     eigenvalues: tuple[complex, ...]
     poincare: PoincareState
@@ -406,8 +405,8 @@ def locate_L3(mu: float) -> Equilibrium:
     ev = (complex(-rate, 0.0), complex(rate, 0.0),
           complex(0.0, -freq), complex(0.0, freq))
     poi = poincare_from_polar(polar)
-    return Equilibrium(d_mu=d, polar=polar, cartesian=cart,
-                       eigenvalues=ev, poincare=poi)
+    return Equilibrium(d_mu=d, cartesian=cart, eigenvalues=ev,
+                       poincare=poi)
 
 
 def F_pend(z):

@@ -8,6 +8,7 @@ import resource
 
 import pytest
 
+import l3lab
 from l3lab import (acceptance, cli, inner, numerics, rpc3bp, separatrix,
                    splitting)
 
@@ -40,16 +41,56 @@ def test_a_json_fields_and_agreement_with_text():
 
 
 def test_a_record_roundtrip(tmp_path):
-    path = tmp_path / "a.json"
-    code, _, _ = run_cli(["a", "--format", "json", "--out", str(path)])
-    assert code == 0
-    rec = cli.ResultRecord(**json.loads(path.read_text()))
-    assert rec.command == "a"
-    assert "wall_time_s" in rec.meta
-    # bit-exact numeric round trip through serialization
-    again = cli.ResultRecord(**json.loads(rec.to_json()))
-    assert again.outputs["value"] == rec.outputs["value"]
-    assert again.meta["wall_time_s"] == rec.meta["wall_time_s"]
+    # the --out record of a and distance is the stdout record plus a meta
+    # block, and its outputs survive serialization bit for bit
+    for command in ("a", "distance"):
+        path = tmp_path / f"{command}.json"
+        code, out, _ = run_cli([command, "--format", "json",
+                                "--out", str(path)])
+        assert code == 0 and out == ""
+        rec = json.loads(path.read_text())
+        meta = rec.pop("meta")
+        assert set(meta) == {"wall_time_s", "library_version"}
+        assert isinstance(meta["wall_time_s"], float)
+        assert meta["wall_time_s"] >= 0.0
+        assert meta["library_version"] == l3lab.__version__
+        _, printed, _ = run_cli([command, "--format", "json"])
+        assert rec == json.loads(printed)
+        assert rec["command"] == command
+        # repr is the shortest string that reads back as the same float
+        again = json.loads(json.dumps(rec["outputs"]))
+        assert ({k: repr(v) for k, v in again.items()}
+                == {k: repr(v) for k, v in rec["outputs"].items()})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["a"], 0),
+    (["singularities"], 0),
+    (["l3", "--mu", "0.003"], 0),
+    (["separatrix", "--n", "21"], 0),
+    (["stokes", "--rho-min", "13", "--rho-max", "14"], 0),
+    (["stokes", "--rho-min", "25", "--rho-max", "25"], 1),
+    (["manifolds", "--n", "25"], 0),
+    (["distance"], 0),
+    (["verify"], 0),
+], ids=lambda v: "_".join(v).replace("--", "") if isinstance(v, list)
+   else None)
+def test_out_file_holds_the_stdout_bytes(tmp_path, argv, expected):
+    # the refused stokes row exits 1 and still writes its table
+    code, out, _ = run_cli(argv)
+    assert code == expected
+    path = tmp_path / "out.txt"
+    code, printed, _ = run_cli([*argv, "--out", str(path)])
+    assert (code, printed) == (expected, "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_refused_command_writes_no_out_file(tmp_path):
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli(["distance", "--mu", "0.5", "--out", str(path)])
+    assert code == 2 and out == ""
+    assert "error: manifold tracing expects mu" in err
+    assert not path.exists()
 
 
 def test_stokes_csv_shape():
