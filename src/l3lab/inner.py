@@ -113,35 +113,50 @@ def inner_powers(U: complex):
     return u13, u23, u23 * u23
 
 
-def _J_raw(U, W, X, Y, u23, u43):
-    return (4.0 * W * W / (9.0 * u23)
-            - 16.0 * W / (27.0 * u43)
-            + 16.0 / (81.0 * U * U)
-            + (4.0 * (X + Y) / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
-            - 4j * (X - Y) / (3.0 * u23)
-            - (X * X + Y * Y) / (3.0 * u43)
-            + 10.0 * X * Y / (9.0 * u43))
+def _J_parts(U, W, X, Y, u23, u43):
+    """J, then the subexpressions of it that grad_K reuses, each formed once."""
+    u23_3, u23_9 = 3.0 * u23, 9.0 * u23
+    u43_3, u43_9, u43_27 = 3.0 * u43, 9.0 * u43, 27.0 * u43
+    U_9, xy_sum, xy_diff = 9.0 * U, X + Y, X - Y
+    xy_sq = X * X + Y * Y
+    w_shift = W - 2.0 / u23_3
+    xy_lin = 4.0 * xy_sum / U_9
+    Jv = (4.0 * W * W / u23_9
+          - 16.0 * W / u43_27
+          + 16.0 / (81.0 * U * U)
+          + xy_lin * w_shift
+          - 4j * xy_diff / u23_3
+          - xy_sq / u43_3
+          + 10.0 * X * Y / u43_9)
+    return (Jv, u23_3, u23_9, u43_3, u43_9, u43_27, U_9, xy_sum, xy_diff,
+            xy_sq, w_shift, xy_lin)
 
 
 def J(U, Z) -> complex:
     """The algebraic function under the square root of K."""
     W, X, Y = Z
     _, u23, u43 = inner_powers(U)
-    return _J_raw(U, W, X, Y, u23, u43)
+    return _J_parts(U, W, X, Y, u23, u43)[0]
 
 
 def K(U, Z) -> complex:
     """Nonquadratic part of the inner Hamiltonian."""
     W, X, Y = Z
     _, u23, u43 = inner_powers(U)
-    Jv = _J_raw(U, W, X, Y, u23, u43)
+    Jv = _J_parts(U, W, X, Y, u23, u43)[0]
     if abs(1.0 + Jv) <= 0.1:
         raise SqrtDomain(f"|1 + J| = {abs(1.0 + Jv):.3f} <= 0.1 at U = {U}")
     return -0.75 * u23 * W * W - (1.0 / (3.0 * u23)) * ((1.0 + Jv) ** -0.5 - 1.0)
 
 
 def grad_K(U, Z):
-    """Closed-form partials (dK/dU, dK/dW, dK/dX, dK/dY)."""
+    """Closed-form partials (dK/dU, dK/dW, dK/dX, dK/dY), in one pass.
+
+    One cube root gives every power of U, and each subexpression shared by
+    J and the partials is formed once, but only where the term-by-term form
+    has the same parentheses (10 X Y stays (10 X) Y): every value and raise
+    keeps the bits of that form.
+    """
     W, X, Y = Z
     u13 = cbrt_inner(U)
     u23 = u13 * u13
@@ -150,27 +165,27 @@ def grad_K(U, Z):
     u73 = u43 * U
     u83 = u43 * u43
     U2 = U * U
-    Jv = _J_raw(U, W, X, Y, u23, u43)
-    if abs(1.0 + Jv) <= 0.1:
-        raise SqrtDomain(f"|1 + J| = {abs(1.0 + Jv):.3f} <= 0.1 at U = {U}")
-    s = (1.0 + Jv) ** -0.5
-    s3 = s / (1.0 + Jv)
-    pref = s3 / (6.0 * u23)
-    dJ_dW = 8.0 * W / (9.0 * u23) - 16.0 / (27.0 * u43) + 4.0 * (X + Y) / (9.0 * U)
-    dJ_dX = ((4.0 / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
-             - 4j / (3.0 * u23) - 2.0 * X / (3.0 * u43) + 10.0 * Y / (9.0 * u43))
-    dJ_dY = ((4.0 / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
-             + 4j / (3.0 * u23) - 2.0 * Y / (3.0 * u43) + 10.0 * X / (9.0 * u43))
+    (Jv, u23_3, u23_9, u43_3, u43_9, u43_27, U_9, xy_sum, xy_diff, xy_sq,
+     w_shift, xy_lin) = _J_parts(U, W, X, Y, u23, u43)
+    Jv1 = 1.0 + Jv
+    if abs(Jv1) <= 0.1:
+        raise SqrtDomain(f"|1 + J| = {abs(Jv1):.3f} <= 0.1 at U = {U}")
+    s = Jv1 ** -0.5
+    pref = s / Jv1 / (6.0 * u23)
+    u53_9 = 9.0 * u53
+    dJ_dW = 8.0 * W / u23_9 - 16.0 / u43_27 + xy_lin
+    dJ_even = (4.0 / U_9) * w_shift
+    dJ_odd = 4j / u23_3
+    dJ_dX = dJ_even - dJ_odd - 2.0 * X / u43_3 + 10.0 * Y / u43_9
+    dJ_dY = dJ_even + dJ_odd - 2.0 * Y / u43_3 + 10.0 * X / u43_9
     dJ_dU = (-8.0 * W * W / (27.0 * u53)
              + 64.0 * W / (81.0 * u73)
              - 32.0 / (81.0 * U2 * U)
-             + (4.0 * (X + Y) / 9.0) * (-W / U2 + 10.0 / (9.0 * u83))
-             + 8j * (X - Y) / (9.0 * u53)
-             + 4.0 * (X * X + Y * Y) / (9.0 * u73)
+             + (4.0 * xy_sum / 9.0) * (-W / U2 + 10.0 / (9.0 * u83))
+             + 8j * xy_diff / u53_9
+             + 4.0 * xy_sq / (9.0 * u73)
              - 40.0 * X * Y / (27.0 * u73))
-    dK_dU = (-0.5 * W * W / u13
-             + (2.0 / (9.0 * u53)) * (s - 1.0)
-             + pref * dJ_dU)
+    dK_dU = -0.5 * W * W / u13 + (2.0 / u53_9) * (s - 1.0) + pref * dJ_dU
     dK_dW = -1.5 * u23 * W + pref * dJ_dW
     return dK_dU, dK_dW, pref * dJ_dX, pref * dJ_dY
 
@@ -194,16 +209,21 @@ def grad_K_fd(U, Z):
 
 
 def graph_rhs(U, Z):
-    """dZ/dU of the graph-form equation A Z + (f - g A Z)/(1 + g)."""
-    W, X, Y = Z
-    dU, dW, dX, dY = grad_K(U, Z)
-    g = dW
+    """dZ/dU of the graph-form equation A Z + (f - g A Z)/(1 + g).
+
+    One :func:`grad_K` pass, A Z = (0, iX, -iY), f = (-dK/dU, i dK/dY,
+    -i dK/dX) and g = dK/dW; the zero in A Z stays in, for signed zeros.
+    """
+    _, X, Y = Z
+    dU, g, dX, dY = grad_K(U, Z)
     den = 1.0 + g
     if abs(den) < 0.5:
         raise TimeReparamSingular(f"|1 + g| = {abs(den):.3f} < 0.5 at U = {U}")
-    az = (0.0, 1j * X, -1j * Y)
-    f = (-dU, 1j * dY, -1j * dX)
-    return tuple(az[k] + (f[k] - g * az[k]) / den for k in range(3))
+    aX = 1j * X
+    aY = -1j * Y
+    return (0.0 + (-dU - g * 0.0) / den,
+            aX + (1j * dY - g * aX) / den,
+            aY + (-1j * dX - g * aY) / den)
 
 
 # Decaying-solution asymptotics: power of v = U^(-1/3) -> coefficient.  They
@@ -549,7 +569,7 @@ def _cal_h_limit(U, Z):
     # point that sits between the real axis and the singularity.
     W, X, Y = Z
     _, u23, u43 = inner_powers(U)
-    Jv = _J_raw(U, W, X, Y, u23, u43)
+    Jv = _J_parts(U, W, X, Y, u23, u43)[0]
     Kc = -0.75 * u23 * W * W + (1.0 / (3.0 * u23)) * ((1.0 + Jv) ** -0.5 - 1.0)
     return W + X * Y + Kc
 

@@ -310,6 +310,8 @@ def _attempt_source(n):
     stages = ", ".join(f"[{', '.join(f'k{i}_{k}' for i in range(last + 1))}]"
                        for k in comps)
     generic = (".real", ".imag")
+    # n5 = 0 makes the norm exactly 0, whatever n3 is: on a leg of ~1e-161
+    # n5 underflows to 0 while n3 is subnormal, and 0.01 * n3 rounds to 0
     lines += [
         f"    n5 = {sq_norm(names('x5_'), ('',))}",
         "    if n5.__class__ is float:",
@@ -317,7 +319,7 @@ def _attempt_source(n):
         "    else:",
         f"        n5 = {sq_norm(names('x5_'), generic)}",
         f"        n3 = {sq_norm(names('x3_'), generic)}",
-        "    if n5 == 0.0 and n3 == 0.0:",
+        "    if n5 == 0.0:",
         "        err_norm = 0.0",
         "    else:",
         f"        err_norm = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",

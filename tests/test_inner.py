@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -540,3 +541,144 @@ def test_sigma_below_iA_does_not_depend_on_the_path(k, delta):
     for state in (straight, chained):
         assert _max_rel((state.lam, state.Lam),
                         (two_leg.lam, two_leg.Lam)) <= 1e-10
+
+
+# The inner field as first written, term by term, copied verbatim: the
+# reference that test_field_keeps_the_bits_of_the_term_by_term_form holds
+# inner.grad_K, inner.graph_rhs and inner.J to, value for value and raise
+# for raise.
+_HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
+NearBranchCut = inner.NearBranchCut
+SqrtDomain = inner.SqrtDomain
+TimeReparamSingular = inner.TimeReparamSingular
+
+
+def cbrt_inner(U: complex) -> complex:
+    """Cube root on the sheet arg U in [-3pi/2, pi/2)."""
+    th = cmath.phase(U)
+    if abs(th - _HALF_PI) < 1e-6:
+        raise NearBranchCut(f"U = {U} within 1e-6 rad of the cut")
+    if th >= _HALF_PI:
+        th -= _TWO_PI
+    return abs(U) ** (1.0 / 3.0) * cmath.exp(1j * th / 3.0)
+
+
+def _J_raw(U, W, X, Y, u23, u43):
+    return (4.0 * W * W / (9.0 * u23)
+            - 16.0 * W / (27.0 * u43)
+            + 16.0 / (81.0 * U * U)
+            + (4.0 * (X + Y) / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
+            - 4j * (X - Y) / (3.0 * u23)
+            - (X * X + Y * Y) / (3.0 * u43)
+            + 10.0 * X * Y / (9.0 * u43))
+
+
+def grad_K(U, Z):
+    """Closed-form partials (dK/dU, dK/dW, dK/dX, dK/dY)."""
+    W, X, Y = Z
+    u13 = cbrt_inner(U)
+    u23 = u13 * u13
+    u43 = u23 * u23
+    u53 = u43 * u13
+    u73 = u43 * U
+    u83 = u43 * u43
+    U2 = U * U
+    Jv = _J_raw(U, W, X, Y, u23, u43)
+    if abs(1.0 + Jv) <= 0.1:
+        raise SqrtDomain(f"|1 + J| = {abs(1.0 + Jv):.3f} <= 0.1 at U = {U}")
+    s = (1.0 + Jv) ** -0.5
+    s3 = s / (1.0 + Jv)
+    pref = s3 / (6.0 * u23)
+    dJ_dW = 8.0 * W / (9.0 * u23) - 16.0 / (27.0 * u43) + 4.0 * (X + Y) / (9.0 * U)
+    dJ_dX = ((4.0 / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
+             - 4j / (3.0 * u23) - 2.0 * X / (3.0 * u43) + 10.0 * Y / (9.0 * u43))
+    dJ_dY = ((4.0 / (9.0 * U)) * (W - 2.0 / (3.0 * u23))
+             + 4j / (3.0 * u23) - 2.0 * Y / (3.0 * u43) + 10.0 * X / (9.0 * u43))
+    dJ_dU = (-8.0 * W * W / (27.0 * u53)
+             + 64.0 * W / (81.0 * u73)
+             - 32.0 / (81.0 * U2 * U)
+             + (4.0 * (X + Y) / 9.0) * (-W / U2 + 10.0 / (9.0 * u83))
+             + 8j * (X - Y) / (9.0 * u53)
+             + 4.0 * (X * X + Y * Y) / (9.0 * u73)
+             - 40.0 * X * Y / (27.0 * u73))
+    dK_dU = (-0.5 * W * W / u13
+             + (2.0 / (9.0 * u53)) * (s - 1.0)
+             + pref * dJ_dU)
+    dK_dW = -1.5 * u23 * W + pref * dJ_dW
+    return dK_dU, dK_dW, pref * dJ_dX, pref * dJ_dY
+
+
+def graph_rhs(U, Z):
+    """dZ/dU of the graph-form equation A Z + (f - g A Z)/(1 + g)."""
+    W, X, Y = Z
+    dU, dW, dX, dY = grad_K(U, Z)
+    g = dW
+    den = 1.0 + g
+    if abs(den) < 0.5:
+        raise TimeReparamSingular(f"|1 + g| = {abs(den):.3f} < 0.5 at U = {U}")
+    az = (0.0, 1j * X, -1j * Y)
+    f = (-dU, 1j * dY, -1j * dX)
+    return tuple(az[k] + (f[k] - g * az[k]) / den for k in range(3))
+
+
+def _J_reference(U, Z):
+    u13 = cbrt_inner(U)
+    return _J_raw(U, *Z, u13 * u13, (u13 * u13) * (u13 * u13))
+
+
+def _outcome(f, U, Z):
+    # repr tells the bits apart, the signs of zeros included
+    try:
+        return repr(f(U, Z))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_points():
+    rng = random.Random(33)
+    points = []
+    # |U| log-uniform in [3, 100], arg U in [-1.4 pi, 0.45 pi], on the sheet
+    def draw_U():
+        return (math.exp(rng.uniform(math.log(3.0), math.log(100.0)))
+                * cmath.exp(1j * rng.uniform(-1.4 * math.pi, 0.45 * math.pi)))
+
+    for scale in (0.05, 0.3, 1.0):
+        for _ in range(3400):
+            points.append((draw_U(), tuple(
+                scale * complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                for _ in range(3))))
+    # W with J = -1 + e at X = Y = 0, a root of a quadratic, so |1 + J|
+    # falls on both sides of the square root's bound of 0.1
+    for _ in range(100):
+        U = draw_U()
+        u13 = cbrt_inner(U)
+        a, b = 4.0 / (9.0 * u13 ** 2), -16.0 / (27.0 * u13 ** 4)
+        for e in (0.05, 0.0999, 0.1001, 0.2):
+            c = 16.0 / (81.0 * U * U) + 1.0 - e * cmath.exp(
+                1j * rng.uniform(-math.pi, math.pi))
+            W = (-b + cmath.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+            points.append((U, (W, 0j, 0j)))
+    # real and signed-zero inputs, on and beside the cut, and U = 0
+    zs = [(0.0, 0.0, 0.0), (0.0, -0.0, 0j), (complex(-0.0, -0.0), 0j, -0.0),
+          (0.1, -0.2, 0.3), (0.02j, 0.01 - 0.01j, 0.01 + 0.01j)]
+    edge = [5.0, -5.0, 30.0, complex(-5.0, -0.0), complex(-5.0, 0.0), -5j,
+            5j, -5j * _OMEGA, 5.0 * cmath.exp(1j * (_HALF_PI - 5e-7)),
+            5.0 * cmath.exp(1j * (_HALF_PI - 2e-6)), 0j, 0.0]
+    points += [(U, Z) for U in edge for Z in zs]
+    return points
+
+
+def test_field_keeps_the_bits_of_the_term_by_term_form():
+    seen = {}
+    for U, Z in _oracle_points():
+        for new, ref in ((inner.graph_rhs, graph_rhs), (inner.grad_K, grad_K),
+                         (inner.J, _J_reference)):
+            expected = _outcome(ref, U, Z)
+            assert _outcome(new, U, Z) == expected, (new.__name__, U, Z)
+            if isinstance(expected, tuple):
+                seen[expected[0]] = seen.get(expected[0], 0) + 1
+    # every raise of the field is among the compared outcomes
+    for exc in (NearBranchCut, SqrtDomain, TimeReparamSingular,
+                ZeroDivisionError):
+        assert seen.get(exc, 0) >= 10, exc

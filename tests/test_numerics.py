@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l3lab import _dop853, numerics, rpc3bp, separatrix
@@ -874,6 +874,7 @@ def _repeat_gaps(raw):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.one_of(st.none(), _STRIP_POINT), min_size=1, max_size=6)
        .map(_repeat_gaps))
+@example(points=[9.86592983421027e-162j])
 def test_integrate_chain_property_on_separatrix_strip(points):
     field = separatrix._pend_field
     y0 = (separatrix.lambda0(), 0.0)
@@ -892,3 +893,18 @@ def test_integrate_chain_property_on_separatrix_strip(points):
             distinct.append(p)
     end = _per_leg(field, 0.0, distinct, y0, **tols)[-1] if distinct else y0
     assert np.array_equal(chain[-1], end)
+
+
+@pytest.mark.parametrize("axis", [1.0, 1j])
+def test_integrate_chain_on_very_short_legs(axis):
+    # on a leg of 5e-162 to 1.3e-160 the E5 error norm underflows to 0
+    # while the E3 one is subnormal; the step is exact to first order
+    field = separatrix._pend_field
+    y0 = (separatrix.lambda0(), 0.0)
+    slope = field(0.0, y0)[1]
+    for k in range(-660, -619):
+        t = 10.0 ** (k / 4) * axis
+        lam, Lam = integrate_chain(field, 0.0, [t], y0, rtol=1e-10,
+                                   atol=1e-14)[-1]
+        assert lam == y0[0]
+        assert abs(Lam / (t * slope) - 1.0) < 1e-14, t
