@@ -2,7 +2,7 @@
 
 Two solutions of the parameter-free inner equation decay as Re U -> -+infty.
 The unstable one is seeded from its asymptotic series, kept through
-U^(-40/3), at Re U = -100 (-inner.RE_START) on the line Im U = -rho and
+U^(-88/3), at Re U = -40 (-inner.RE_START) on the line Im U = -rho and
 integrated to the imaginary axis.  The stable one is its mirror image under
 the symmetry S: (U, W, X, Y) -> (-conj U, w^2 conj W, w conj X, w conj Y),
 w = e^(i pi/3), of the inner equation (inner.mirror).  Their Y-difference

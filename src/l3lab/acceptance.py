@@ -5,11 +5,14 @@ deterministic (no timings, no environment data), so two identical runs print
 identical bytes.  The checks are shared between the ``l3lab verify`` command
 and the test suite.
 
-:func:`run_all` runs check 13 (manifold tracing, about half of a serial pass)
-in the fan-out worker, an ``os.fork`` child forked once per process, beside
-checks 1-12.  The split is fixed, with no option, and the printed results do
-not depend on it.  The fan-out is one level deep, so check 13's
-``section_gap`` calls trace both branches in that worker, one by one.
+:func:`run_all` runs check 13 (manifold tracing, about as long as checks
+1-12 together) beside checks 1-12: the fan-out worker, an ``os.fork`` child
+forked once per process, traces all but the first ``_CALLER_MUS`` mass
+ratios of its grid, and the caller traces those after checks 1-12, so that
+neither process waits long for the other.  The split is fixed, with no
+option, and the printed results do not depend on it.  The fan-out is one
+level deep, so check 13's ``section_gap`` calls trace both branches in the
+process that makes them, one by one.
 """
 from __future__ import annotations
 
@@ -210,8 +213,11 @@ def check_12_inner_limit() -> AcceptanceResult:
 
 
 def check_13_splitting_cross_validation() -> AcceptanceResult:
+    return _check_13(splitting.fit_splitting_exponent())
+
+
+def _check_13(fit) -> AcceptanceResult:
     A = separatrix.compute_A()
-    fit = splitting.fit_splitting_exponent()
     rel = abs(fit.slope + A) / A
     positive = all(s.dist_measured > 0.0 for s in fit.samples)
     ok = rel <= 0.10 and positive
@@ -240,15 +246,32 @@ CHECKS = (
 )
 
 
+# how many of check 13's mass ratios, the first of its grid, run_all's caller
+# traces after checks 1-12 while the worker traces the rest, so that the two
+# sides take about as long
+_CALLER_MUS = 2
+
+
 def run_all() -> list[AcceptanceResult]:
     """Run every check; the results come back in check order.
 
-    The last entry of ``CHECKS`` (read at call time, so a replaced tuple is
-    honoured) runs in the worker of :func:`~l3lab._fanout._fork_pair`, so
-    it must be picklable by reference; the others run here in order.
-    Exceptions come in check order.
+    The entries of ``CHECKS`` are read at call time, so a replaced tuple is
+    honoured.  All but the last run here in order, while the last runs in
+    the worker of :func:`~l3lab._fanout._fork_pair`, so it must be
+    picklable by reference.  Check 13, when it is the last, is split
+    instead: the worker traces its grid past the first ``_CALLER_MUS`` mass
+    ratios, which are traced here after the other checks, and the fit is
+    made here from all the samples in grid order.  Each sample has the same
+    bits in either process.  Exceptions come in check order.
     """
     from ._fanout import _fork_pair
-    *here, forked = CHECKS
-    results, last = _fork_pair(lambda: [fn() for fn in here], forked)
-    return results + [last]
+    *here, last = CHECKS
+    if last is not check_13_splitting_cross_validation:
+        results, result = _fork_pair(lambda: [fn() for fn in here], last)
+        return results + [result]
+    grid = splitting._MU_GRID
+    (results, mine), theirs = _fork_pair(
+        lambda: ([fn() for fn in here],
+                 splitting._gap_samples(grid[:_CALLER_MUS])),
+        splitting._gap_samples, grid[_CALLER_MUS:])
+    return results + [_check_13(splitting._fit_samples(mine + theirs))]

@@ -8,7 +8,7 @@ written to an ``--out`` file carries a ``meta`` block (wall time and
 library version).
 
 Options are checked before any work; ``a`` runs the quadrature at tol
-1e-10, ``stokes`` shoots at rtol 1e-12 from Re U = -100, and ``distance``
+1e-10, ``stokes`` shoots at rtol 1e-12 from Re U = -40, and ``distance``
 takes |Theta| from the Stokes shooting at rho = 15
 (:func:`l3lab.inner.theta`).
 

@@ -10,8 +10,8 @@ Z = (W, X, Y).  Two distinguished solutions of the associated graph-form
 equation dZ/dU = A Z + R[Z] decay as Re U -> -infinity (unstable-like) and
 Re U -> +infinity (stable-like).  The map S (:func:`mirror`) takes the first
 at U to the second at -conj U, so only the unstable one is integrated:
-seeded from its asymptotic series (kept through U^(-40/3)) at
-Re U = -RE_START = -100 and shot along Im U = -rho to the imaginary axis,
+seeded from its asymptotic series (kept through U^(-88/3)) at
+Re U = -RE_START = -40 and shot along Im U = -rho to the imaginary axis,
 where -i rho is its own mirror point.  The difference Delta Y(-i rho)
 determines the Stokes constant estimate theta_rho = |Delta Y| e^rho, which
 plateaus near 1.63.  A table of rho shoots once to its smallest rho and
@@ -231,81 +231,115 @@ def graph_rhs(U, Z):
 # (1 + K_W) W' = -K_U, (1 + K_W) X' = i (X + K_Y), (1 + K_W) Y' = -i (Y + K_X)
 # with d/dU = -(v^4/3) d/dv, iterated in exact Gaussian-rational arithmetic
 # (sympy's QQ_I) until no coefficient changed; truncating the iteration at
-# v^44 or at v^52 gives the same table, and tests/test_inner.py re-derives it
-# in floating point.  X and Y carry the powers 4 + 3k, Y
-# mirrors X (same real, negated imaginary parts), and W carries 8 + 6k.  The
-# series diverges, but at |U| = 100 its terms still shrink by a factor of
-# about 8 per power of U where it is cut.
+# v^92 or at v^100 gives the same table, and tests/test_inner.py re-derives it
+# in floating point.  X and Y carry the powers 4 + 3k, Y mirrors X (same
+# real, negated imaginary parts), and W carries 8 + 6k; every denominator is
+# a power of 3.  The series diverges, each X coefficient being about m/3
+# times the one three powers below, so it is cut at a fixed top: through
+# v^88 its residual in the equation is at most 2.1e-18 at Re U = -40 on the
+# depths rho in [8, 30].
 _W_SERIES = {
-    8: 4 / 243,
-    14: -172 / 2187,
-    20: 1333976 / 1594323,
-    26: -970248164 / 43046721,
-    32: 3973610086792 / 3486784401,
-    38: -79202986668276536 / 847288609443,
+    8: 4 / 3**5,
+    14: -172 / 3**7,
+    20: 1333976 / 3**13,
+    26: -970248164 / 3**16,
+    32: 3973610086792 / 3**20,
+    38: -79202986668276536 / 3**25,
+    44: 779149160292994584944 / 3**29,
+    50: -3552274627284507269625412 / 3**32,
+    56: 21508896760990274341863902296 / 3**35,
+    62: -4510334580224728599126661576757864 / 3**41,
+    68: 14574216105026700481631085255981959120 / 3**43,
+    74: -4657926530915330191022228899929338969229304 / 3**49,
+    80: 198372835366791843242110208630962795389203073904 / 3**53,
+    86: -3326904665133361532426109318753178441829225194320976 / 3**56,
 }
 _X_SERIES = {
-    4: -2 / 9 * 1j,
-    7: 28 / 81,
-    10: 20 / 27 * 1j,
-    13: -16424 / 6561,
-    16: -69392 / 6561 * 1j,
-    19: 10061752 / 177147,
-    22: 1700387296 / 4782969 * 1j,
-    25: -37549850000 / 14348907,
-    28: -2796825005824 / 129140163 * 1j,
-    31: 706432764111208 / 3486784401,
-    34: 7266824339775232 / 3486784401 * 1j,
-    37: -2227114191216813776 / 94143178827,
-    40: -739272671402772352000 / 2541865828329 * 1j,
+    4: -2 / 3**2 * 1j,
+    7: 28 / 3**4,
+    10: 20 / 3**3 * 1j,
+    13: -16424 / 3**8,
+    16: -69392 / 3**8 * 1j,
+    19: 10061752 / 3**11,
+    22: 1700387296 / 3**14 * 1j,
+    25: -37549850000 / 3**15,
+    28: -2796825005824 / 3**17 * 1j,
+    31: 706432764111208 / 3**20,
+    34: 7266824339775232 / 3**20 * 1j,
+    37: -2227114191216813776 / 3**23,
+    40: -739272671402772352000 / 3**26 * 1j,
+    43: 88812120838692255465488 / 3**28,
+    46: 3809943949913089815044096 / 3**29 * 1j,
+    49: -1578649343855152681769090528 / 3**32,
+    52: -8579334619271808327666909184 / 3**31 * 1j,
+    55: 446419852738017828718854037160 / 3**32,
+    58: 5957857845057109520471640437620736 / 3**38 * 1j,
+    61: -1037216695994344903534132785317643248 / 3**40,
+    64: -21065565096306587798808246666139664384 / 3**40 * 1j,
+    67: 36417130970759415204795313733849962746032 / 3**44,
+    70: 30093843325541242269555571773190137315328 / 3**41 * 1j,
+    73: -512082328752785812589587259748154232651380448 / 3**47,
+    76: -336165938176630447884241005371633942306244001792 / 3**50 * 1j,
+    79: 76669459022646676877559353600237324805519692407696 / 3**52,
+    82: 6052709130725688775689705593955394799979187608223744 / 3**53 * 1j,
+    85: -4468081798710621731695764969118197669790986172111433056 / 3**56,
+    88: -14057811613556192295424044919751077322966348788171538432 / 3**54 * 1j,
 }
 _Y_SERIES = {m: c.conjugate() for m, c in _X_SERIES.items()}
+# the seed of shoot keeps every term; series_Z keeps those through v^40, the
+# truncation whose residual order check 9 fits
+_SEED_SERIES = (_W_SERIES, _X_SERIES, _Y_SERIES)
+_SERIES = tuple({m: c for m, c in s.items() if m <= 40} for s in _SEED_SERIES)
 # -Re U at which the shooting line is seeded from the series
-RE_START = 100.0
-# the bounds shoot puts on re_start: below 30 the seed leaves the |U| >= 30
-# domain of series_Z; above 1e4 the horizontal leg grows without bound for
-# no gain, the series residual being at the round-off floor from |U| = 100
-_RE_START_MIN = 30.0
+RE_START = 40.0
+# the bounds shoot puts on re_start: at rho = 8 the seed's residual is
+# 5.2e-18 at 38, 9.8e-18 at 37, 4.9e-17 at 35 and 3.9e-15 at 30, the
+# TooClose edge of the series; above 1e4 the horizontal leg grows without
+# bound for no gain, the seed being at the round-off floor
+_RE_START_MIN = 38.0
 _RE_START_MAX = 1e4
 # the depths rho that shoot and theta_table accept
 _RHO_MIN, _RHO_MAX = 8.0, 30.0
 
 
-def series_Z(U) -> InnerState:
-    """Truncated asymptotic series of the decaying solutions, |U| >= 30."""
+def _series_state(U, series, derivative=False) -> InnerState:
+    """The sum of ``series``, or of its term-by-term dZ/dU, at U."""
     if abs(U) < 30.0:
         raise TooClose(f"series only trusted for |U| >= 30, got {abs(U)}")
     v = 1.0 / cbrt_inner(U)
+    if derivative:
+        # d/dU of v^m with v = U^(-1/3) is -(m/3) v^(m+3)
+        return InnerState(*(sum(c * (-m / 3.0) * v ** (m + 3)
+                                for m, c in s.items()) for s in series))
+    return InnerState(*(sum(c * v ** m for m, c in s.items())
+                        for s in series))
 
-    def term(series):
-        return sum(c * v ** m for m, c in series.items())
 
-    return InnerState(W=term(_W_SERIES), X=term(_X_SERIES), Y=term(_Y_SERIES))
+def series_Z(U) -> InnerState:
+    """Asymptotic series of the decaying solutions through v^40, |U| >= 30."""
+    return _series_state(U, _SERIES)
 
 
 def series_Z_derivative(U) -> InnerState:
-    """Term-by-term dZ/dU of the truncated series."""
-    if abs(U) < 30.0:
-        raise TooClose(f"series only trusted for |U| >= 30, got {abs(U)}")
-    v = 1.0 / cbrt_inner(U)
+    """Term-by-term dZ/dU of :func:`series_Z`."""
+    return _series_state(U, _SERIES, derivative=True)
 
-    def term(series):
-        # d/dU of v^m with v = U^(-1/3) is -(m/3) v^(m+3)
-        return sum(c * (-m / 3.0) * v ** (m + 3) for m, c in series.items())
 
-    return InnerState(W=term(_W_SERIES), X=term(_X_SERIES), Y=term(_Y_SERIES))
+def _residual(U, series) -> float:
+    # sup-norm defect of the summed series in the graph-form equation
+    z = _series_state(U, series).as_tuple()
+    dz = _series_state(U, series, derivative=True).as_tuple()
+    rhs = graph_rhs(U, z)
+    return max(abs(a - b) for a, b in zip(dz, rhs))
 
 
 def series_residual(U) -> float:
-    """Sup-norm defect of the truncated series in the graph-form equation.
+    """Sup-norm defect of :func:`series_Z` in the graph-form equation.
 
     Decays like |U|^(-43/3); the coefficient is set by the first dropped
     series term, X and Y at v^43.
     """
-    z = series_Z(U).as_tuple()
-    dz = series_Z_derivative(U).as_tuple()
-    rhs = graph_rhs(U, z)
-    return max(abs(a - b) for a, b in zip(dz, rhs))
+    return _residual(U, _SERIES)
 
 
 def shoot(rho: float, points, re_start: float = RE_START,
@@ -314,7 +348,8 @@ def shoot(rho: float, points, re_start: float = RE_START,
 
     It is seeded from its series at U = -re_start - i rho and carried through
     the points, given in the order of travel, as one chain of straight legs;
-    its :func:`mirror` is the stable one.  ``re_start`` must lie in [30, 1e4].
+    its :func:`mirror` is the stable one.  The seed keeps the series through
+    v^88.  ``re_start`` must lie in [38, 1e4].
     """
     if not _RHO_MIN <= rho <= _RHO_MAX:
         raise ValueError(f"rho {rho} leaves [{_RHO_MIN:g}, {_RHO_MAX:g}]")
@@ -323,7 +358,8 @@ def shoot(rho: float, points, re_start: float = RE_START,
         raise ValueError(f"re_start must lie in [{_RE_START_MIN:g}, "
                          f"{_RE_START_MAX:g}], got {re_start}")
     U0 = complex(-re_start, -rho)
-    ys = integrate_chain(graph_rhs, U0, points, series_Z(U0).as_tuple(),
+    ys = integrate_chain(graph_rhs, U0, points,
+                         _series_state(U0, _SEED_SERIES).as_tuple(),
                          rtol=rtol, atol=1e-14)
     return [InnerState(*map(complex, y)) for y in ys]
 
@@ -371,10 +407,11 @@ def theta(rho: float) -> StokesRecord:
 # as Delta Y does, so Y errors carried from the anchor keep their relative
 # size; X-mode errors grow like e^(rho - rho_anchor), and their leak into
 # Delta Y like e^(2 (rho - rho_anchor)) relative to Delta Y.  Measured on
-# theta_rho against per-row shootings at rtol 1e-14: rows chained at rtol
-# 1e-12 from anchors at rho = 10, 13, 15 and 16 over descents of up to 7
-# had at most 1.8x the error of a per-row shooting at rtol 1e-12, and mostly
-# less; from one anchor at rho = 8, rows 18-22 had 4x to 145x its error.
+# theta_rho against per-row shootings at rtol 1e-14, with the seed at
+# Re U = -40: rows chained at rtol 1e-12 from anchors at rho = 10, 13, 15
+# and 16 over descents of up to 7 had at most 1.1x the largest error of
+# per-row shootings at rtol 1e-12 over the same rows; from one anchor at
+# rho = 8, rows 18-22 had 100x to 1,700x the per-row error.
 _MAX_DESCENT = 7.0
 
 
@@ -413,9 +450,10 @@ def theta_table(rho_list,
 
 
 # The refusal rule is pessimistic: against rtol 1e-14, the rtol-1e-12 rows
-# of the rho = 8..30 table differ by 2.3e-9 relative at rho = 20, 4.8e-8 at
-# 22 (3.07 digits left by the rule), 2.8e-7 to 1.5e-6 at 23-27 (refused)
-# and up to 7.5e-5 at 28-30, near the 3.1e-5 between two rtol-1e-14 tables.
+# of the rho = 8..30 table differ by 1.4e-9 relative at rho = 20, 1.2e-8 at
+# 22 (3.07 digits left by the rule), 4.4e-8 to 9.6e-7 at 23-27 (refused)
+# and 4.3e-6 to 3.7e-5 at 28-30, where the rtol-1e-14 table itself is up to
+# 3.5e-4 from per-row shootings at rtol 1e-14 (seed at Re U = -40).
 def _stokes_row(rho, y_u, y_s, rtol):
     """The record for one row, or the PrecisionLoss that refuses it."""
     dy = y_u - y_s

@@ -26,9 +26,10 @@ times the steps (2,388 against 1,793 over the grid of
 leg of its loop, r < 1, swings out to theta ~ 157 degrees and only then
 crosses with r > 1, where the stable branch's first crossing is already the
 kept one.  The states are floats, so both step on the float form of the
-generated DOP853 attempt's error norm.  The fan-out is one level deep: in
-the worker that runs check 13 of ``verify`` the two are traced one after
-the other, with the same bits.
+generated DOP853 attempt's error norm.  The fan-out is one level deep:
+where ``verify`` traces check 13's samples, in the worker and, for the
+first mass ratios of the grid, in the caller while the worker is busy, the
+two are traced one after the other, with the same bits.
 """
 from __future__ import annotations
 
@@ -311,11 +312,18 @@ def fit_splitting_exponent() -> SplittingFit:
     slingshot past the light primary, so the first section hit leaves the
     single-round regime.
     """
-    mu_grid = _MU_GRID
+    return _fit_samples(_gap_samples(_MU_GRID))
+
+
+def _gap_samples(mus) -> list[SplittingSample]:
+    # the section_gap sample at each mu, in order
     A = compute_A()
-    samples = [section_gap(m, A=A) for m in mu_grid]
+    return [section_gap(m, A=A) for m in mus]
+
+
+def _fit_samples(samples) -> SplittingFit:
+    # the fit of fit_splitting_exponent over the given samples
     slope, intercept = fit_line(
-        [1.0 / math.sqrt(m) for m in mu_grid],
-        [math.log(s.dist_measured * m ** (-1.0 / 3.0))
-         for s, m in zip(samples, mu_grid)])
+        [1.0 / math.sqrt(s.mu) for s in samples],
+        [math.log(s.dist_measured * s.mu ** (-1.0 / 3.0)) for s in samples])
     return SplittingFit(slope=slope, intercept=intercept, samples=samples)

@@ -59,8 +59,15 @@ def test_criterion_14_verify_determinism():
     assert payload1 == payload2
 
 
-def test_forked_check_13_matches_a_direct_call(results):
+def test_forked_check_13_matches_a_direct_call(results, monkeypatch):
     assert results[13] == acceptance.check_13_splitting_cross_validation()
+    # run_all traces the first _CALLER_MUS mass ratios in this process and
+    # the rest in the worker; a serial fit, every trace made here, gives
+    # the same bits
+    assert 0 < acceptance._CALLER_MUS < len(splitting._MU_GRID)
+    monkeypatch.setattr(_fanout, "_busy", True)
+    serial = acceptance._check_13(splitting.fit_splitting_exponent())
+    assert results[13] == serial
 
 
 # ---------------------------------------------------------------------------

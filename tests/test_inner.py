@@ -185,10 +185,10 @@ def _series_fixed_point(n):
 
 
 def test_series_coefficients_rederived():
-    W, X, Y = _series_fixed_point(44)
-    for series, derived, top in ((inner._W_SERIES, W, 38),
-                                 (inner._X_SERIES, X, 40),
-                                 (inner._Y_SERIES, Y, 40)):
+    W, X, Y = _series_fixed_point(92)
+    for series, derived, top in ((inner._W_SERIES, W, 86),
+                                 (inner._X_SERIES, X, 88),
+                                 (inner._Y_SERIES, Y, 88)):
         assert max(series) == top
         stored = np.zeros(top + 1, complex)
         for power, c in series.items():
@@ -200,10 +200,34 @@ def test_series_coefficients_rederived():
         assert np.all(np.abs(derived[:top + 1] - stored) <= 1e-12 * scale)
 
 
+def test_series_structure():
+    # exact zeros off the powers W^(8+6k) and X^(4+3k), Y^(4+3k): the float
+    # fixed point above leaves noise there (about 1e-16 relative at W^29,
+    # W^35, ...), so the table's keys are checked exactly here
+    assert list(inner._W_SERIES) == list(range(8, 87, 6))
+    assert list(inner._X_SERIES) == list(range(4, 89, 3))
+    assert inner._Y_SERIES == {m: c.conjugate()
+                               for m, c in inner._X_SERIES.items()}
+    # W is real; X is imaginary at v^(4+6k) and real at v^(7+6k)
+    assert all(type(c) is float for c in inner._W_SERIES.values())
+    for m, c in inner._X_SERIES.items():
+        assert (c.real if m % 6 == 4 else c.imag) == 0.0
+    # series_Z keeps the terms through v^40, the seed all of them
+    assert inner._SEED_SERIES == (inner._W_SERIES, inner._X_SERIES,
+                                  inner._Y_SERIES)
+    for kept, full in zip(inner._SERIES, inner._SEED_SERIES):
+        assert kept == {m: c for m, c in full.items() if m <= 40}
+
+
+def _seed_Z(U):
+    return inner._series_state(U, inner._SEED_SERIES).as_tuple()
+
+
 def test_series_residual_at_seed_point():
     for rho in (8.0, 13.0, 20.0, 30.0):
         for re in (-inner.RE_START, inner.RE_START):
-            assert inner.series_residual(complex(re, -rho)) < 1e-17
+            U = complex(re, -rho)
+            assert inner._residual(U, inner._SEED_SERIES) < 1e-17
 
 
 def _theta_seeded_at(rho, re_start):
@@ -353,7 +377,7 @@ def test_shoot_validation():
 
 
 @pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0,
-                                      10.0, 1e9])
+                                      10.0, 30.0, 35.0, 1e9])
 def test_shoot_rejects_bad_re_start(re_start):
     # a negative start would seed the solution on the side it grows toward
     with pytest.raises(ValueError, match="re_start"):
@@ -404,6 +428,11 @@ def test_series_is_equivariant_under_S():
         U = _sheet_point(rng, 30.0, 1e4)
         assert _max_rel(_S(inner.series_Z(U).as_tuple()),
                         inner.series_Z(-U.conjugate()).as_tuple()) <= 1e-14
+        assert _max_rel(_S(_seed_Z(U)), _seed_Z(-U.conjugate())) <= 1e-14
+    # the seed series at -RE_START and at +RE_START, on every depth
+    for rho in (8.0, 13.0, 20.0, 30.0):
+        U = complex(-inner.RE_START, -rho)
+        assert _max_rel(_S(_seed_Z(U)), _seed_Z(-U.conjugate())) <= 1e-14
 
 
 @pytest.mark.parametrize("rho", [13.0, 15.0, 20.0])
@@ -414,7 +443,7 @@ def test_mirror_of_shoot_is_the_stable_solution(rho):
     unstable = inner.shoot(rho, points)
     U0 = complex(inner.RE_START, -rho)
     stable = numerics.integrate_chain(inner.graph_rhs, U0, points[::-1],
-                                      inner.series_Z(U0).as_tuple(),
+                                      _seed_Z(U0),
                                       rtol=1e-12, atol=1e-14)
     # the stable state at x - i rho is the mirror of the unstable one at
     # -x - i rho, which the reversed lists pair up
