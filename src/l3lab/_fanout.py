@@ -5,8 +5,10 @@ process's worker, an ``os.fork`` child forked at the first call and kept for
 the calls after it, runs ``there(*args)``.  The worker is reaped at
 interpreter exit.  Its two users, ``splitting.section_gap`` and
 ``acceptance.run_all``, import this module when they are called, so
-``import l3lab`` neither loads it nor imports ``pickle``: without bytecode
-caches every module loaded at import costs setup time and its compilation
+``import l3lab`` neither loads it nor imports ``pickle``, as it loads
+neither ``dataclasses`` nor ``inspect`` (the package's records are plain
+slotted classes): without bytecode caches every module loaded at import
+costs setup time, about 26 ms for the whole import, and its compilation
 raises the peak memory.
 """
 from __future__ import annotations

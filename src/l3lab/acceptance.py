@@ -20,10 +20,9 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import inner, rpc3bp, separatrix, splitting
-from .numerics import fit_line, geomspace
+from .numerics import _Record, fit_line, geomspace
 
 __all__ = ["AcceptanceResult", "CHECKS", "run_all"]
 
@@ -36,12 +35,13 @@ _REF_THETA_TABLE = {
 }
 
 
-@dataclass
-class AcceptanceResult:
-    number: int
-    name: str
-    ok: bool
-    lines: list[str] = field(default_factory=list)
+class AcceptanceResult(_Record):
+    __slots__ = ("number", "name", "ok", "lines")
+
+    def __init__(self, number: int, name: str, ok: bool,
+                 lines: list[str] | None = None):
+        self.number, self.name, self.ok = number, name, ok
+        self.lines = [] if lines is None else lines
 
 
 def _fmt(x) -> str:

@@ -19,7 +19,6 @@ unwritable ``--out`` path, or a :class:`ValueError`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -177,7 +176,8 @@ def _cmd_distance(args):
     if args.format == "json":
         return {"command": "distance",
                 "inputs": {"mu": args.mu, "theta_abs": theta_abs},
-                "outputs": dataclasses.asdict(sample), "diagnostics": {}}, 0
+                "outputs": {k: getattr(sample, k) for k in sample.__slots__},
+                "diagnostics": {}}, 0
     lines = [
         f"asymptotic = {_fmt(sample.dist_asymptotic)}",
         f"measured = {_fmt(sample.dist_measured)}",

@@ -28,10 +28,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from . import rpc3bp, separatrix
-from .numerics import L3labError, fit_line, integrate_chain
+from .numerics import (L3labError, _Record, _Value, fit_line,
+                       integrate_chain)
 
 __all__ = [
     "InnerState",
@@ -86,11 +86,13 @@ class PrecisionLoss(L3labError):
     """Fewer than 3 significant digits survive the Delta Y cancellation."""
 
 
-@dataclass(frozen=True)
-class InnerState:
-    W: complex
-    X: complex
-    Y: complex
+class InnerState(_Value):
+    __slots__ = ("W", "X", "Y")
+
+    def __init__(self, W: complex, X: complex, Y: complex):
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
 
     def as_tuple(self):
         return self.W, self.X, self.Y
@@ -379,14 +381,16 @@ def mirror(z: InnerState) -> InnerState:
                       w * z.Y.conjugate())
 
 
-@dataclass
-class StokesRecord:
-    rho: float
-    delta_y: complex
-    theta: float
-    digits_lost: float
-    y_unstable: complex
-    y_stable: complex          # mirror of the unstable state at -i rho
+class StokesRecord(_Record):
+    __slots__ = ("rho", "delta_y", "theta", "digits_lost", "y_unstable",
+                 "y_stable")
+
+    def __init__(self, rho: float, delta_y: complex, theta: float,
+                 digits_lost: float, y_unstable: complex, y_stable: complex):
+        self.rho, self.delta_y, self.theta = rho, delta_y, theta
+        self.digits_lost, self.y_unstable = digits_lost, y_unstable
+        # mirror of the unstable state at -i rho
+        self.y_stable = y_stable
 
 
 def theta(rho: float) -> StokesRecord:
@@ -470,16 +474,20 @@ def _stokes_row(rho, y_u, y_s, rtol):
                         digits_lost=digits_lost, y_unstable=y_u, y_stable=y_s)
 
 
-@dataclass
-class DiffStructure:
-    rho: float
-    x_samples: list[float]
-    ey_values: list[complex]   # e^{iU} Delta Y per sample
-    ex_values: list[complex]   # e^{iU} Delta X per sample
-    ew_values: list[complex]   # e^{iU} Delta W per sample
-    rel_spread_y: float
-    xy_suppression: float
-    arg_spread_y: float
+class DiffStructure(_Record):
+    __slots__ = ("rho", "x_samples", "ey_values", "ex_values", "ew_values",
+                 "rel_spread_y", "xy_suppression", "arg_spread_y")
+
+    def __init__(self, rho: float, x_samples: list[float],
+                 ey_values: list[complex], ex_values: list[complex],
+                 ew_values: list[complex], rel_spread_y: float,
+                 xy_suppression: float, arg_spread_y: float):
+        self.rho, self.x_samples = rho, x_samples
+        # e^{iU} Delta Y, Delta X and Delta W per sample
+        self.ey_values, self.ex_values = ey_values, ex_values
+        self.ew_values = ew_values
+        self.rel_spread_y, self.xy_suppression = rel_spread_y, xy_suppression
+        self.arg_spread_y = arg_spread_y
 
 
 # the depth Im U = -rho of diff_structure's samples
@@ -523,11 +531,13 @@ def diff_structure() -> DiffStructure:
 # consistency with the full model near the singularity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InnerLimitFit:
-    deltas: tuple[float, ...]
-    residuals: tuple[float, ...]
-    exponent: float
+class InnerLimitFit(_Record):
+    __slots__ = ("deltas", "residuals", "exponent")
+
+    def __init__(self, deltas: tuple[float, ...], residuals: tuple[float, ...],
+                 exponent: float):
+        self.deltas, self.residuals = deltas, residuals
+        self.exponent = exponent
 
 
 # The default inner samples (U, (W, X, Y)), the points check 12 has always

@@ -61,7 +61,6 @@ import cmath
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
 
 from . import _dop853 as _tab
 
@@ -110,12 +109,56 @@ class NoBracket(L3labError):
     """Root bracket endpoints do not straddle a sign change."""
 
 
-@dataclass(frozen=True)
-class Line:
+class _Record:
+    """Base of the package's records, whose ``__slots__`` are their fields.
+
+    Gives field-wise ``==`` within one class, the repr
+    ``Name(field=value, ...)`` and pickling through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Value(_Record):
+    """A :class:`_Record` that refuses assignment and hashes by its fields;
+    its ``__init__`` sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Line(_Value):
     """Straight segment from ``a`` to ``b``."""
 
-    a: complex
-    b: complex
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: complex, b: complex):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def point(self, s: float) -> complex:
         return self.a + s * (self.b - self.a)
@@ -135,17 +178,20 @@ class Line:
         return abs(self.b - self.a)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Value):
     """Circular arc ``center + radius*exp(i*phi)``, ``phi`` from start to end.
 
     ``phi_end < phi_start`` traverses clockwise; a full turn is allowed.
     """
 
-    center: complex
-    radius: float
-    phi_start: float
-    phi_end: float
+    __slots__ = ("center", "radius", "phi_start", "phi_end")
+
+    def __init__(self, center: complex, radius: float, phi_start: float,
+                 phi_end: float):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "phi_start", phi_start)
+        object.__setattr__(self, "phi_end", phi_end)
 
     def point(self, s: float) -> complex:
         phi = self.phi_start + s * (self.phi_end - self.phi_start)
@@ -176,26 +222,26 @@ def _check_segment(seg: Segment):
         raise ValueError("segment length must be finite and positive")
 
 
-@dataclass
-class OdeResult:
+class OdeResult(_Record):
     """End state and work of one leg.
 
     ``next_step`` is the step the controller proposed after the last
     accepted step, in units of the independent variable: |h| * |b - a|.
     """
 
-    y_end: list[complex]
-    steps: int
-    rejected: int
-    max_err_est: float
-    next_step: float
+    __slots__ = ("y_end", "steps", "rejected", "max_err_est", "next_step")
+
+    def __init__(self, y_end: list[complex], steps: int, rejected: int,
+                 max_err_est: float, next_step: float):
+        self.y_end, self.steps, self.rejected = y_end, steps, rejected
+        self.max_err_est, self.next_step = max_err_est, next_step
 
 
-@dataclass
-class QuadResult:
-    value: complex
-    err: float
-    evals: int
+class QuadResult(_Record):
+    __slots__ = ("value", "err", "evals")
+
+    def __init__(self, value: complex, err: float, evals: int):
+        self.value, self.err, self.evals = value, err, evals
 
 
 # ---------------------------------------------------------------------------

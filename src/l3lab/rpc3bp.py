@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .numerics import L3labError, find_root
+from .numerics import L3labError, _Record, _Value, find_root
 
 __all__ = [
     "CartesianState",
@@ -66,12 +65,14 @@ class HyperbolicInput(L3labError):
     """Osculating eccentricity >= 1; elliptic formulas do not apply."""
 
 
-@dataclass(frozen=True)
-class CartesianState:
-    q1: float
-    q2: float
-    p1: float
-    p2: float
+class CartesianState(_Value):
+    __slots__ = ("q1", "q2", "p1", "p2")
+
+    def __init__(self, q1: float, q2: float, p1: float, p2: float):
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return self.q1, self.q2, self.p1, self.p2
@@ -81,28 +82,33 @@ class CartesianState:
         return cls(*map(float, z))
 
 
-@dataclass(frozen=True)
-class PolarState:
-    r: float
-    theta: float
-    R: float
-    G: float
+class PolarState(_Value):
+    __slots__ = ("r", "theta", "R", "G")
+
+    def __init__(self, r: float, theta: float, R: float, G: float):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "G", G)
 
 
-@dataclass(frozen=True)
-class PoincareState:
-    lam: float
-    L: float
-    eta: complex
-    xi: complex
+class PoincareState(_Value):
+    __slots__ = ("lam", "L", "eta", "xi")
+
+    def __init__(self, lam: float, L: float, eta: complex, xi: complex):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "xi", xi)
 
 
-@dataclass
-class Equilibrium:
-    d_mu: float
-    cartesian: CartesianState
-    eigenvalues: tuple[complex, ...]
-    poincare: PoincareState
+class Equilibrium(_Record):
+    __slots__ = ("d_mu", "cartesian", "eigenvalues", "poincare")
+
+    def __init__(self, d_mu: float, cartesian: CartesianState,
+                 eigenvalues: tuple[complex, ...], poincare: PoincareState):
+        self.d_mu, self.cartesian = d_mu, cartesian
+        self.eigenvalues, self.poincare = eigenvalues, poincare
 
     @property
     def hyperbolic_rate(self) -> float:

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .numerics import (Arc, L3labError, Line, QuadResult, fit_line,
-                       geomspace, integrate_chain, quad_path)
+from .numerics import (Arc, L3labError, Line, QuadResult, _Record, _Value,
+                       fit_line, geomspace, integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -89,10 +88,12 @@ class ZeroCountRejected(L3labError):
     """A zero-scan contour did not count exactly one zero of Lambda."""
 
 
-@dataclass(frozen=True)
-class PendulumState:
-    lam: complex
-    Lam: complex
+class PendulumState(_Value):
+    __slots__ = ("lam", "Lam")
+
+    def __init__(self, lam: complex, Lam: complex):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "Lam", Lam)
 
 
 def V(lam):
@@ -353,14 +354,17 @@ def sigma_sweep(points) -> list[PendulumState]:
     return [_state(y) for y in ys]
 
 
-@dataclass
-class SingularityReport:
-    t_star: complex
-    kind: str
-    fitted_exponent: float
-    fitted_coefficient: complex
-    momentum_exponent: float
-    residual: float
+class SingularityReport(_Record):
+    __slots__ = ("t_star", "kind", "fitted_exponent", "fitted_coefficient",
+                 "momentum_exponent", "residual")
+
+    def __init__(self, t_star: complex, kind: str, fitted_exponent: float,
+                 fitted_coefficient: complex, momentum_exponent: float,
+                 residual: float):
+        self.t_star, self.kind = t_star, kind
+        self.fitted_exponent = fitted_exponent
+        self.fitted_coefficient = fitted_coefficient
+        self.momentum_exponent, self.residual = momentum_exponent, residual
 
 
 # the offsets s of fit_branch's samples at t = i(A - s), ascending

@@ -34,9 +34,8 @@ two are traced one after the other, with the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .numerics import (L3labError, Line, NonFinite, StepUnderflow,
+from .numerics import (L3labError, Line, NonFinite, StepUnderflow, _Record,
                        _check_s_end, _sample_steps, find_root, fit_line,
                        geomspace, linspace, ode_steps)
 from .rpc3bp import (CartesianState, cart_flow, hess_h_cart, locate_L3,
@@ -65,16 +64,14 @@ class EventDegenerate(L3labError):
     """theta' vanished at the located crossing; the section is tangent."""
 
 
-@dataclass
-class SectionPoint:
-    r: float
-    R: float
-    G: float
-    theta: float
-    t_hit: float
-    state: tuple[float, float, float, float]
-    mu: float
-    branch: str
+class SectionPoint(_Record):
+    __slots__ = ("r", "R", "G", "theta", "t_hit", "state", "mu", "branch")
+
+    def __init__(self, r: float, R: float, G: float, theta: float,
+                 t_hit: float, state: tuple[float, float, float, float],
+                 mu: float, branch: str):
+        self.r, self.R, self.G, self.theta = r, R, G, theta
+        self.t_hit, self.state, self.mu, self.branch = t_hit, state, mu, branch
 
     @property
     def eta(self) -> complex:
@@ -82,24 +79,27 @@ class SectionPoint:
             CartesianState.from_array(self.state))).eta
 
 
-@dataclass
-class SplittingSample:
-    mu: float
-    dist_measured: float
-    dist_asymptotic: float
-    gap_r: float
-    gap_R: float
-    gap_G: float
-    gap_eta: float
-    # the DOP853 rtol and atol of both traces
-    rtol: float
+class SplittingSample(_Record):
+    __slots__ = ("mu", "dist_measured", "dist_asymptotic", "gap_r", "gap_R",
+                 "gap_G", "gap_eta", "rtol")
+
+    def __init__(self, mu: float, dist_measured: float,
+                 dist_asymptotic: float, gap_r: float, gap_R: float,
+                 gap_G: float, gap_eta: float, rtol: float):
+        self.mu, self.dist_measured = mu, dist_measured
+        self.dist_asymptotic = dist_asymptotic
+        self.gap_r, self.gap_R, self.gap_G = gap_r, gap_R, gap_G
+        self.gap_eta = gap_eta
+        # the DOP853 rtol and atol of both traces
+        self.rtol = rtol
 
 
-@dataclass
-class SplittingFit:
-    slope: float
-    intercept: float
-    samples: list[SplittingSample]
+class SplittingFit(_Record):
+    __slots__ = ("slope", "intercept", "samples")
+
+    def __init__(self, slope: float, intercept: float,
+                 samples: list[SplittingSample]):
+        self.slope, self.intercept, self.samples = slope, intercept, samples
 
     @property
     def theta_effective(self) -> float:
@@ -267,9 +267,13 @@ def section_gap(mu: float, t_max: float = _T_MAX, A: float | None = None,
     unstable hit by 2.2e-9.
     """
     from ._fanout import _fork_pair
+    # every argument is checked before the traces, so that a bad one
+    # neither costs a trace nor kills the fan-out worker
     _check_mu(mu)
+    _check_s_end(t_max, "t_max")
     if A is None:
         A = compute_A()
+    dist_asymptotic = asymptotic_distance(mu, A, theta_abs)
     rtol = _gap_rtol(mu, A)
     pu, ps = _fork_pair(
         lambda: manifold_section_point(mu, "unstable_plus", t_max, rtol),
@@ -277,8 +281,7 @@ def section_gap(mu: float, t_max: float = _T_MAX, A: float | None = None,
     gr, gR, gG = pu.r - ps.r, pu.R - ps.R, pu.G - ps.G
     dist = math.sqrt(gr * gr + gR * gR + gG * gG)
     return SplittingSample(
-        mu=mu, dist_measured=dist,
-        dist_asymptotic=asymptotic_distance(mu, A, theta_abs),
+        mu=mu, dist_measured=dist, dist_asymptotic=dist_asymptotic,
         gap_r=gr, gap_R=gR, gap_G=gG, gap_eta=abs(pu.eta - ps.eta),
         rtol=rtol,
     )
@@ -293,6 +296,8 @@ def manifold_trajectory(mu: float, branch: str = "unstable_plus",
     each.  The samples come from the dense output of the steps that found
     the hit, so the trajectory is integrated once.
     """
+    if not (isinstance(n_points, int) and n_points >= 2):
+        raise ValueError(f"n_points must be an int >= 2, got {n_points!r}")
     hit, steps = _trace(mu, branch, _SEED_EPS, _T_MAX, math.pi / 2, 0.0,
                         keep_steps=True)
     ts = linspace(0.0, hit.t_hit, n_points)

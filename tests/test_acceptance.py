@@ -213,8 +213,27 @@ def test_section_gap_matches_serial_traces():
     forked = splitting.section_gap(2e-3, A=0.1777)
     _assert_only_the_worker_left()
     serial = _serial_gap(2e-3, 1000.0)
-    for name, value in vars(serial).items():
+    for name in serial.__slots__:
+        value = getattr(serial, name)
         assert getattr(forked, name).hex() == value.hex(), name
+
+
+@pytest.mark.parametrize("kwargs", [{"theta_abs": -1.0},
+                                    {"theta_abs": math.nan},
+                                    {"t_max": math.nan},
+                                    {"t_max": -1.0}],
+                         ids=["theta_abs_negative", "theta_abs_nan",
+                              "t_max_nan", "t_max_negative"])
+def test_section_gap_checks_before_any_trace(monkeypatch, kwargs):
+    # a bad argument costs no trace and leaves the worker as it was
+    calls = []
+    monkeypatch.setattr(splitting, "manifold_section_point",
+                        lambda *args: calls.append(args))
+    worker = _fanout._worker
+    with pytest.raises(ValueError):
+        splitting.section_gap(1e-3, **kwargs)
+    assert calls == []
+    assert _fanout._worker == worker
 
 
 _TRACE = splitting.manifold_section_point

@@ -213,6 +213,17 @@ def test_manifold_trajectory_shape():
     assert r_end > 1.0
 
 
+@pytest.mark.parametrize("n_points", [1, 2.5])
+def test_manifold_trajectory_checks_n_points_before_tracing(monkeypatch,
+                                                           n_points):
+    steps = []
+    monkeypatch.setattr(splitting, "ode_steps",
+                        lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(ValueError, match="n_points"):
+        splitting.manifold_trajectory(0.003, n_points=n_points)
+    assert steps == []
+
+
 def test_manifold_trajectory_traces_once(monkeypatch):
     calls = [0]
 
