@@ -255,20 +255,15 @@ _CALLER_MUS = 2
 def run_all() -> list[AcceptanceResult]:
     """Run every check; the results come back in check order.
 
-    The entries of ``CHECKS`` are read at call time, so a replaced tuple is
-    honoured.  All but the last run here in order, while the last runs in
-    the worker of :func:`~l3lab._fanout._fork_pair`, so it must be
-    picklable by reference.  Check 13, when it is the last, is split
-    instead: the worker traces its grid past the first ``_CALLER_MUS`` mass
-    ratios, which are traced here after the other checks, and the fit is
-    made here from all the samples in grid order.  Each sample has the same
-    bits in either process.  Exceptions come in check order.
+    Checks 1-12, the entries of ``CHECKS`` but the last, read at call time,
+    run here in order, and then check 13's first ``_CALLER_MUS`` mass
+    ratios are traced here, while the worker of
+    :func:`~l3lab._fanout._fork_pair` traces the rest of its grid.  The fit
+    is made here from all the samples in grid order; each sample has the
+    same bits in either process.  Exceptions come in check order.
     """
     from ._fanout import _fork_pair
-    *here, last = CHECKS
-    if last is not check_13_splitting_cross_validation:
-        results, result = _fork_pair(lambda: [fn() for fn in here], last)
-        return results + [result]
+    here = CHECKS[:-1]
     grid = splitting._MU_GRID
     (results, mine), theirs = _fork_pair(
         lambda: ([fn() for fn in here],

@@ -8,8 +8,9 @@ written to an ``--out`` file carries a ``meta`` block (wall time and
 library version).
 
 Options are checked before any work; ``a`` runs the quadrature at tol
-1e-10, ``stokes`` shoots at rtol 1e-12 from Re U = -40, and ``distance``
-takes |Theta| from the Stokes shooting at rho = 15
+1e-10, ``stokes`` prints the rows rho = 13..20 of check 10's Stokes table
+(:func:`l3lab.inner.theta_table`, shot at rtol 1e-12 from Re U = -40), and
+``distance`` takes |Theta| from the Stokes shooting at rho = 15
 (:func:`l3lab.inner.theta`).
 
 Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
@@ -57,34 +58,15 @@ def _cmd_a(args):
     return f"A = {_fmt(res.value)}\nerr_estimate = {_fmt(res.err)}\n", 0
 
 
-# the most rows one stokes table may ask for; each row is one vertical
-# leg, and every 7 in rho one horizontal anchor shooting
-_MAX_STOKES_ROWS = 1000
-
-
 def _cmd_stokes(args):
-    lo, hi, step = args.rho_min, args.rho_max, args.rho_step
-    # written so that a NaN fails it
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi
-            and 0.0 < step < math.inf):
-        raise ValueError(f"empty rho range: {lo} to {hi} in steps of {step}")
-    # rows lo, lo + step, ... up to hi, counted before any list is built
-    count = (hi + step / 2 - lo) / step
-    if not count <= _MAX_STOKES_ROWS:
-        raise ValueError(f"rho {lo} to {hi} in steps of {step} asks for "
-                         f"more than {_MAX_STOKES_ROWS} rows")
-    rhos = [min(lo + k * step, hi) for k in range(math.ceil(count))]
     rows = []
-    failed = False
-    for rho, rec in zip(rhos, inner.theta_table(rhos)):
+    for rec in inner.theta_table(sorted(acceptance._REF_THETA_TABLE)):
         if isinstance(rec, inner.PrecisionLoss):
-            failed = True
-            rows.append([rho, math.nan, math.exp(rho), math.nan, math.inf])
-        else:
-            rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho),
-                         rec.theta, rec.digits_lost])
-    text = _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"], rows)
-    return text, 1 if failed else 0
+            raise rec
+        rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho), rec.theta,
+                     rec.digits_lost])
+    return _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"],
+                rows), 0
 
 
 def _cmd_singularities(args):
@@ -221,10 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_a)
 
-    q = sub.add_parser("stokes", help="Stokes-constant table over a rho grid")
-    q.add_argument("--rho-min", type=float, default=13.0)
-    q.add_argument("--rho-max", type=float, default=20.0)
-    q.add_argument("--rho-step", type=float, default=1.0)
+    q = sub.add_parser("stokes", help="Stokes-constant table at rho = "
+                                      "13..20, the rows of check 10")
     q.add_argument("--out", default=None,
                    help="CSV output path (default stdout)")
     q.set_defaults(fn=_cmd_stokes)

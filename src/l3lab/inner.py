@@ -44,7 +44,6 @@ __all__ = [
     "grad_K_fd",
     "graph_rhs",
     "series_Z",
-    "series_Z_derivative",
     "series_residual",
     "RE_START",
     "shoot",
@@ -294,12 +293,9 @@ _SEED_SERIES = (_W_SERIES, _X_SERIES, _Y_SERIES)
 _SERIES = tuple({m: c for m, c in s.items() if m <= 40} for s in _SEED_SERIES)
 # -Re U at which the shooting line is seeded from the series
 RE_START = 40.0
-# the bounds shoot puts on re_start: at rho = 8 the seed's residual is
-# 5.2e-18 at 38, 9.8e-18 at 37, 4.9e-17 at 35 and 3.9e-15 at 30, the
-# TooClose edge of the series; above 1e4 the horizontal leg grows without
-# bound for no gain, the seed being at the round-off floor
-_RE_START_MIN = 38.0
-_RE_START_MAX = 1e4
+# the rtol of every shooting, and the one the Stokes rows' refusal rule
+# assumes
+_RTOL = 1e-12
 # the depths rho that shoot and theta_table accept
 _RHO_MIN, _RHO_MAX = 8.0, 30.0
 
@@ -322,11 +318,6 @@ def series_Z(U) -> InnerState:
     return _series_state(U, _SERIES)
 
 
-def series_Z_derivative(U) -> InnerState:
-    """Term-by-term dZ/dU of :func:`series_Z`."""
-    return _series_state(U, _SERIES, derivative=True)
-
-
 def _residual(U, series) -> float:
     # sup-norm defect of the summed series in the graph-form equation
     z = _series_state(U, series).as_tuple()
@@ -344,25 +335,20 @@ def series_residual(U) -> float:
     return _residual(U, _SERIES)
 
 
-def shoot(rho: float, points, re_start: float = RE_START,
-          rtol: float = 1e-12) -> list[InnerState]:
+def shoot(rho: float, points) -> list[InnerState]:
     """The unstable solution at each U in ``points``, in order.
 
-    It is seeded from its series at U = -re_start - i rho and carried through
-    the points, given in the order of travel, as one chain of straight legs;
-    its :func:`mirror` is the stable one.  The seed keeps the series through
-    v^88.  ``re_start`` must lie in [38, 1e4].
+    It is seeded from its series at U = -RE_START - i rho and carried
+    through the points, given in the order of travel, as one chain of
+    straight legs at rtol 1e-12; its :func:`mirror` is the stable one.  The
+    seed keeps the series through v^88.
     """
     if not _RHO_MIN <= rho <= _RHO_MAX:
         raise ValueError(f"rho {rho} leaves [{_RHO_MIN:g}, {_RHO_MAX:g}]")
-    # a NaN fails too
-    if not _RE_START_MIN <= re_start <= _RE_START_MAX:
-        raise ValueError(f"re_start must lie in [{_RE_START_MIN:g}, "
-                         f"{_RE_START_MAX:g}], got {re_start}")
-    U0 = complex(-re_start, -rho)
+    U0 = complex(-RE_START, -rho)
     ys = integrate_chain(graph_rhs, U0, points,
                          _series_state(U0, _SEED_SERIES).as_tuple(),
-                         rtol=rtol, atol=1e-14)
+                         rtol=_RTOL, atol=1e-14)
     return [InnerState(*map(complex, y)) for y in ys]
 
 
@@ -419,8 +405,7 @@ def theta(rho: float) -> StokesRecord:
 _MAX_DESCENT = 7.0
 
 
-def theta_table(rho_list,
-                rtol: float = 1e-12) -> list[StokesRecord | PrecisionLoss]:
+def theta_table(rho_list) -> list[StokesRecord | PrecisionLoss]:
     """Stokes records for a grid of rho values, in input order.
 
     The unstable solution is shot once along Im U = -rho_0 from
@@ -447,9 +432,9 @@ def theta_table(rho_list,
         chain = [r for r in grid if r - grid[0] <= _MAX_DESCENT]
         grid = grid[len(chain):]
         points = [complex(0.0, -r) for r in chain]
-        zu = shoot(chain[0], points, rtol=rtol)
+        zu = shoot(chain[0], points)
         for r, u in zip(chain, zu):
-            rows[r] = _stokes_row(r, u.Y, mirror(u).Y, rtol)
+            rows[r] = _stokes_row(r, u.Y, mirror(u).Y)
     return [rows[r] for r in rhos]
 
 
@@ -458,13 +443,13 @@ def theta_table(rho_list,
 # 22 (3.07 digits left by the rule), 4.4e-8 to 9.6e-7 at 23-27 (refused)
 # and 4.3e-6 to 3.7e-5 at 28-30, where the rtol-1e-14 table itself is up to
 # 3.5e-4 from per-row shootings at rtol 1e-14 (seed at Re U = -40).
-def _stokes_row(rho, y_u, y_s, rtol):
+def _stokes_row(rho, y_u, y_s):
     """The record for one row, or the PrecisionLoss that refuses it."""
     dy = y_u - y_s
     digits_lost = math.log10(abs(y_u) / abs(dy)) if dy != 0 else math.inf
     # the shooting carries a relative accuracy of roughly 100 x rtol, so
     # this is what the cancellation eats into
-    digits_available = -math.log10(100.0 * rtol)
+    digits_available = -math.log10(100.0 * _RTOL)
     if digits_available - digits_lost < 3.0:
         return PrecisionLoss(
             f"only {digits_available - digits_lost:.1f} significant digits "

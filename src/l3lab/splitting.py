@@ -110,7 +110,9 @@ def asymptotic_distance(mu: float, A: float, theta_abs: float) -> float:
     """Leading term 4^(1/3) mu^(1/3) exp(-A/sqrt(mu)) * theta_abs."""
     if not 0.0 < mu <= 0.05:
         raise ValueError("mu must lie in (0, 0.05]")
-    # written so that a NaN fails it
+    # written so that a NaN fails them
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"A must be finite and positive, got {A}")
     if not 0.0 <= theta_abs < math.inf:
         raise ValueError(
             f"theta_abs must be finite and non-negative, got {theta_abs}")

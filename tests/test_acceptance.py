@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from l3lab import _fanout, acceptance, cli, splitting
+from l3lab import _fanout, acceptance, cli, separatrix, splitting
 from l3lab._fanout import _fork_pair
 from l3lab.numerics import L3labError
 from l3lab.separatrix import FitRejected
@@ -89,6 +89,29 @@ def _fake_check(number):
                                        [f"line {number}"])
 
 
+def _fake_gap_samples(mus):
+    # a sample at each mu whose gap is the asymptotic one at A, so that the
+    # fit finds the slope -A and check 13 passes
+    _ran.extend(mus)
+    A = separatrix.compute_A()
+    dists = [splitting.asymptotic_distance(mu, A, 1.63) for mu in mus]
+    return [splitting.SplittingSample(mu, d, d, 0.0, 0.0, 0.0, 0.0, 1e-9)
+            for mu, d in zip(mus, dists)]
+
+
+def _gap_samples_dying_in_the_worker(mus):
+    # the worker gets the grid past the caller's first mass ratios
+    if mus[0] != splitting._MU_GRID[0]:
+        os._exit(3)
+    return _fake_gap_samples(mus)
+
+
+def _fake_checks():
+    # checks 1-12 faked, and check 13 as it is: run_all splits its grid
+    return (*(functools.partial(_fake_check, k) for k in range(1, 13)),
+            acceptance.check_13_splitting_cross_validation)
+
+
 def _raise(error, message):
     raise error(message)
 
@@ -108,13 +131,19 @@ def _assert_only_the_worker_left():
 
 def test_run_all_returns_results_in_check_order(monkeypatch):
     _ran.clear()
-    checks = tuple(functools.partial(_fake_check, k) for k in range(1, 14))
+    checks = _fake_checks()
     monkeypatch.setattr(acceptance, "CHECKS", checks)
+    monkeypatch.setattr(splitting, "_gap_samples", _fake_gap_samples)
     results = acceptance.run_all()
     _assert_only_the_worker_left()
-    # the last check ran in another process, so it left no trace here
-    assert _ran == list(range(1, 13))
-    assert results == [fn() for fn in checks]
+    # the worker's mass ratios were traced in another process, so they left
+    # no trace here
+    grid = splitting._MU_GRID
+    assert _ran == [*range(1, 13), *grid[:acceptance._CALLER_MUS]]
+    fit = splitting._fit_samples(_fake_gap_samples(grid))
+    assert results == [*(fn() for fn in checks[:-1]),
+                       acceptance._check_13(fit)]
+    assert results[-1].ok
 
 
 def test_fork_pair_returns_both_results_in_order():
@@ -168,9 +197,9 @@ def test_fork_pair_child_without_a_result():
 
 
 def test_child_that_dies_without_a_result_fails_verify(monkeypatch):
-    monkeypatch.setattr(acceptance, "CHECKS",
-                        (functools.partial(_fake_check, 1),
-                         functools.partial(os._exit, 3)))
+    monkeypatch.setattr(acceptance, "CHECKS", _fake_checks())
+    monkeypatch.setattr(splitting, "_gap_samples",
+                        _gap_samples_dying_in_the_worker)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
@@ -221,9 +250,14 @@ def test_section_gap_matches_serial_traces():
 @pytest.mark.parametrize("kwargs", [{"theta_abs": -1.0},
                                     {"theta_abs": math.nan},
                                     {"t_max": math.nan},
-                                    {"t_max": -1.0}],
+                                    {"t_max": -1.0},
+                                    {"A": math.nan},
+                                    {"A": -1.0},
+                                    {"A": math.inf},
+                                    {"A": 0.0}],
                          ids=["theta_abs_negative", "theta_abs_nan",
-                              "t_max_nan", "t_max_negative"])
+                              "t_max_nan", "t_max_negative", "A_nan",
+                              "A_negative", "A_inf", "A_zero"])
 def test_section_gap_checks_before_any_trace(monkeypatch, kwargs):
     # a bad argument costs no trace and leaves the worker as it was
     calls = []

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -68,20 +69,37 @@ def test_a_record_roundtrip(tmp_path):
     (["singularities"], 0),
     (["l3", "--mu", "0.003"], 0),
     (["separatrix", "--n", "21"], 0),
-    (["stokes", "--rho-min", "13", "--rho-max", "14"], 0),
-    (["stokes", "--rho-min", "25", "--rho-max", "25"], 1),
+    (["stokes"], 0),
     (["manifolds", "--n", "25"], 0),
     (["distance"], 0),
     (["verify"], 0),
 ], ids=lambda v: "_".join(v).replace("--", "") if isinstance(v, list)
    else None)
 def test_out_file_holds_the_stdout_bytes(tmp_path, argv, expected):
-    # the refused stokes row exits 1 and still writes its table
     code, out, _ = run_cli(argv)
     assert code == expected
     path = tmp_path / "out.txt"
     code, printed, _ = run_cli([*argv, "--out", str(path)])
     assert (code, printed) == (expected, "")
+    assert path.read_bytes() == out.encode()
+
+
+def _failing_check():
+    return acceptance.AcceptanceResult(1, "fails", False, ["always"])
+
+
+def test_out_file_holds_the_stdout_bytes_of_a_failing_verify(tmp_path,
+                                                             monkeypatch):
+    # verify exits 1 and still writes its report
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        (_failing_check, *acceptance.CHECKS[1:]))
+    code, out, _ = run_cli(["verify"])
+    assert code == 1
+    assert out.startswith("[FAIL] criterion 1: fails\n")
+    assert out.endswith("verify: FAILURES PRESENT\n")
+    path = tmp_path / "out.txt"
+    code, printed, _ = run_cli(["verify", "--out", str(path)])
+    assert (code, printed) == (1, "")
     assert path.read_bytes() == out.encode()
 
 
@@ -94,23 +112,30 @@ def test_refused_command_writes_no_out_file(tmp_path):
 
 
 def test_stokes_csv_shape():
-    code, out, _ = run_cli(["stokes", "--rho-min", "13", "--rho-max", "14",
-                            "--rho-step", "1"])
+    code, out, _ = run_cli(["stokes"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "rho,abs_deltaY,exp_rho,theta,digits_lost"
-    assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        str(rho) for rho in range(13, 21)]
     row = lines[1].split(",")
     assert abs(float(row[3]) - 1.6373) < 5e-3
     assert abs(float(row[2]) - math.exp(13.0)) < 1e-6
 
 
-def test_stokes_empty_range_usage_error():
-    code, out, err = run_cli(["stokes", "--rho-min", "15", "--rho-max", "13"])
+def _assert_range_flag_refused(code, out, err):
+    # the rho range is gone with its flags: stokes prints check 10's rows,
+    # and any --rho-* flag is refused before any work
     assert code == 2
     assert out == ""
-    assert "error: empty rho range" in err
+    assert "error: unrecognized arguments: --rho-" in err
     assert "wall time" not in err
+    assert "Traceback" not in err
+
+
+def test_stokes_empty_range_usage_error():
+    _assert_range_flag_refused(
+        *run_cli(["stokes", "--rho-min", "15", "--rho-max", "13"]))
 
 
 @pytest.mark.parametrize("flags", [
@@ -124,21 +149,27 @@ def test_stokes_empty_range_usage_error():
 ], ids=["nan_min", "nan_max", "nan_step", "inf_max", "inf_min",
         "inf_step", "zero_step"])
 def test_stokes_bad_rho_range_exits_2(flags):
-    code, out, err = run_cli_process(["stokes", *flags])
-    assert code == 2
-    assert out == ""
-    assert "error: empty rho range" in err
-    assert "wall time" not in err
-    assert "Traceback" not in err
+    _assert_range_flag_refused(*run_cli_process(["stokes", *flags]))
 
 
-def test_stokes_flags_precision_starved_rows():
-    # at rtol 1e-12 the cancellation in Delta Y leaves too few digits at
-    # rho = 25: the row is printed with NaNs and the command exits 1
-    code, out, _ = run_cli(["stokes", "--rho-min", "25", "--rho-max", "25"])
+def test_stokes_flags_precision_starved_rows(monkeypatch):
+    # at rtol 1e-6 the cancellation in Delta Y leaves too few digits on
+    # every row: the refused row is raised as its PrecisionLoss, so the
+    # command exits 1 with a message and prints no table
+    monkeypatch.setattr(inner, "_RTOL", 1e-6)
+    code, out, err = run_cli(["stokes"])
     assert code == 1
-    row = out.strip().splitlines()[1].split(",")
-    assert row[0] == "25" and row[3] == "nan" and row[4] == "inf"
+    assert out == ""
+    assert "significant digits left in Delta Y at rho = 13.0" in err
+    assert "wall time" not in err
+
+
+def test_stokes_refuses_the_rows_theta_refuses(monkeypatch):
+    monkeypatch.setattr(inner, "_RTOL", 1e-6)
+    with pytest.raises(inner.PrecisionLoss) as refused:
+        inner.theta(13.0)
+    _, _, err = run_cli(["stokes"])
+    assert err == f"error: {refused.value}\n"
 
 
 def test_stokes_defaults_match_check_10():
@@ -150,21 +181,6 @@ def test_stokes_defaults_match_check_10():
     printed = {float(line.split(":")[0].split("=")[1]):
                line.split("theta = ")[1].split()[0] for line in lines}
     assert csv == printed
-
-
-def test_stokes_refuses_the_rows_theta_refuses():
-    code, out, _ = run_cli(["stokes", "--rho-min", "8", "--rho-max", "30"])
-    assert code == 1
-    refused = [float(row.split(",")[0])
-               for row in out.strip().splitlines()[1:]
-               if row.split(",")[3] == "nan"]
-    per_row = []
-    for rho in map(float, range(8, 31)):
-        try:
-            inner.theta(rho)
-        except inner.PrecisionLoss:
-            per_row.append(rho)
-    assert refused == per_row == [float(r) for r in range(23, 31)]
 
 
 def test_manifolds_csv(tmp_path):
@@ -250,8 +266,7 @@ def test_separatrix_grid_is_mirror_symmetric(argv):
 
 def test_determinism_of_commands():
     for argv in (["a"], ["a", "--format", "json"],
-                 ["stokes", "--rho-min", "13", "--rho-max", "13",
-                  "--rho-step", "1"], ["singularities"]):
+                 ["stokes"], ["singularities"]):
         _, out1, _ = run_cli(argv)
         _, out2, _ = run_cli(argv)
         assert out1 == out2, argv
@@ -269,22 +284,18 @@ def run_cli_process(argv, preexec_fn=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--rho-step", "1e-10"], "rows"),
-    (["--rho-step", "1e-6"], "rows"),
-    (["--rho-step", "5e-324"], "rows"),
-    (["--rho-min", "5"], "[8, 30]"),
-    (["--rho-max", "31"], "[8, 30]"),
+@pytest.mark.parametrize("flags", [
+    ["--rho-step", "1e-10"],
+    ["--rho-step", "1e-6"],
+    ["--rho-step", "5e-324"],
+    ["--rho-min", "5"],
+    ["--rho-max", "31"],
 ], ids=["step_1e-10", "step_1e-6", "step_denormal", "min_below_8",
         "max_above_30"])
-def test_stokes_refuses_grid_before_any_work(flags, message):
+def test_stokes_refuses_grid_before_any_work(flags):
     # --rho-step 1e-10 used to end in a numpy allocation traceback, and
     # 1e-6 to start about 7 million shootings
-    code, out, err = run_cli_process(["stokes", *flags])
-    assert code == 2
-    assert out == ""
-    assert "error:" in err and message in err
-    assert "Traceback" not in err
+    _assert_range_flag_refused(*run_cli_process(["stokes", *flags]))
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -358,10 +369,14 @@ def test_leftover_config_exits_2(argv):
                                   ["manifolds", "--t-max", "5"],
                                   ["a", "--tol", "1e-6"],
                                   ["stokes", "--tol", "1e-6"],
-                                  ["stokes", "--re-start", "1000"]],
+                                  ["stokes", "--re-start", "1000"],
+                                  ["stokes", "--rho-min", "13"],
+                                  ["stokes", "--rho-max", "20"],
+                                  ["stokes", "--rho-step", "1"]],
                          ids=["distance_t-max", "distance_theta-abs",
                               "manifolds_t-max", "a_tol", "stokes_tol",
-                              "stokes_re-start"])
+                              "stokes_re-start", "stokes_rho-min",
+                              "stokes_rho-max", "stokes_rho-step"])
 def test_removed_options_exit_2(argv):
     # the flags are gone; they must not be dropped and the command run with
     # its defaults
@@ -494,12 +509,11 @@ def test_oversized_sample_grid_exits_2(command, n):
     assert "Traceback" not in err
 
 
-# every numeric option, with the base flags each command runs under: one
-# stokes row and a short manifold sample
+# every numeric option, with the base flags each command runs under: a
+# short manifold sample
 _NUMERIC_OPTIONS = {
     "a": ([], []),
-    "stokes": (["--rho-min=13", "--rho-max=13"],
-               ["--rho-min", "--rho-max", "--rho-step"]),
+    "stokes": ([], []),
     "separatrix": ([], ["--t-max", "--n"]),
     "l3": ([], ["--mu"]),
     "manifolds": (["--n=50"], ["--mu", "--n"]),
@@ -508,7 +522,8 @@ _NUMERIC_OPTIONS = {
 # options these commands no longer take: argparse refuses them whatever the
 # value, as test_removed_options_exit_2 checks for one value each
 _REMOVED_OPTIONS = {"a": ["--tol"],
-                    "stokes": ["--tol", "--re-start"],
+                    "stokes": ["--tol", "--re-start", "--rho-min",
+                               "--rho-max", "--rho-step"],
                     "manifolds": ["--t-max"],
                     "distance": ["--t-max", "--theta-abs"]}
 _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "5e-324",
@@ -533,11 +548,11 @@ def test_hostile_numeric_values_exit_cleanly(command, option, value):
         assert f"error: unrecognized arguments: {option}=" in err
 
 
-# the whole option surface, 19 options command by command (-h aside): an
+# the whole option surface, 16 options command by command (-h aside): an
 # option added or removed must be added or removed here too
 _CLI_OPTIONS = {
     "a": ["--format", "--out"],
-    "stokes": ["--rho-min", "--rho-max", "--rho-step", "--out"],
+    "stokes": ["--out"],
     "singularities": ["--out"],
     "separatrix": ["--t-max", "--n", "--out"],
     "l3": ["--mu", "--out"],
@@ -555,3 +570,40 @@ def test_cli_option_surface_is_pinned():
                          if option not in ("-h", "--help")]
                for command, parser in sub.choices.items()}
     assert surface == _CLI_OPTIONS
+
+
+# every parameter with a default of every function in a module's __all__,
+# function by function (the functions without one are left out): a keyword
+# that only tests set is a knob nobody uses, and one added or removed must
+# be added or removed here too
+_KEYWORD_PARAMETERS = {
+    "numerics.ode_steps": ["rtol", "atol", "s_end"],
+    "numerics.integrate_ode": ["rtol", "atol", "_first_step"],
+    "numerics.integrate_chain": ["rtol", "atol"],
+    "numerics.quad_path": ["tol"],
+    "numerics.find_root": ["tol"],
+    "separatrix.compute_A": ["tol"],
+    "separatrix.compute_A_rescaled": ["tol"],
+    "separatrix.residue_pole_numeric": ["radius"],
+    "separatrix.check_zero_of_Lambda": ["re_range"],
+    "inner.verify_inner_limit": ["seed"],
+    "splitting.manifold_section_point": ["branch", "t_max", "_rtol"],
+    "splitting.manifold_trajectory": ["branch", "n_points"],
+    "splitting.section_gap": ["t_max", "A", "theta_abs"],
+    "cli.main": ["argv"],
+}
+
+
+def test_keyword_parameters_are_pinned():
+    surface = {}
+    for mod in (numerics, rpc3bp, separatrix, inner, splitting, acceptance,
+                cli):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if not inspect.isfunction(obj):
+                continue
+            keywords = [p.name for p in inspect.signature(obj).parameters
+                        .values() if p.default is not p.empty]
+            if keywords:
+                surface[f"{mod.__name__.split('.')[1]}.{name}"] = keywords
+    assert surface == _KEYWORD_PARAMETERS

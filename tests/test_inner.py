@@ -230,17 +230,25 @@ def test_series_residual_at_seed_point():
             assert inner._residual(U, inner._SEED_SERIES) < 1e-17
 
 
-def _theta_seeded_at(rho, re_start):
+def _shot_from(monkeypatch, re_start, rho):
+    """The unstable state at -i rho, shot from Re U = -re_start."""
+    with monkeypatch.context() as m:
+        m.setattr(inner, "RE_START", re_start)
+        return inner.shoot(rho, [-1j * rho])[0]
+
+
+def _theta_seeded_at(monkeypatch, rho, re_start):
     """theta_rho = |Y^u - Y^s|(-i rho) e^rho, shot from Re U = -re_start."""
-    [u] = inner.shoot(rho, [-1j * rho], re_start=re_start)
+    u = _shot_from(monkeypatch, re_start, rho)
     return abs(u.Y - inner.mirror(u).Y) * math.exp(rho)
 
 
-def test_theta_near_seed_matches_far_seed():
+def test_theta_near_seed_matches_far_seed(monkeypatch):
     grid = [13.0, 20.0]
     near = inner.theta_table(grid)
     for rho, rec in zip(grid, near):
-        assert abs(rec.theta - _theta_seeded_at(rho, 1000.0)) <= 1e-6
+        far = _theta_seeded_at(monkeypatch, rho, 1000.0)
+        assert abs(rec.theta - far) <= 1e-6
 
 
 def test_series_residual_order():
@@ -268,9 +276,9 @@ def test_shoot_bounds_and_cancellation():
     assert abs(zu.W - zs.W) <= 10.0 * dw_scale
 
 
-def test_shoot_tail_insensitive_to_seed_location():
-    y1 = inner.shoot(13.0, [-13j], re_start=1000.0)[0].Y
-    y2 = inner.shoot(13.0, [-13j], re_start=2000.0)[0].Y
+def test_shoot_tail_insensitive_to_seed_location(monkeypatch):
+    y1 = _shot_from(monkeypatch, 1000.0, 13.0).Y
+    y2 = _shot_from(monkeypatch, 2000.0, 13.0).Y
     assert abs(y1 - y2) < 1e-13
 
 
@@ -280,20 +288,27 @@ def test_theta_reference_row():
     assert rec.digits_lost > 3.0
 
 
-def test_theta_invariances():
+def test_theta_invariances(monkeypatch):
     base = inner.theta(13.0).theta
-    [tight] = inner.theta_table([13.0], rtol=1e-13)
-    far = _theta_seeded_at(13.0, 2000.0)
+    with monkeypatch.context() as m:
+        m.setattr(inner, "_RTOL", 1e-13)
+        [tight] = inner.theta_table([13.0])
+    far = _theta_seeded_at(monkeypatch, 13.0, 2000.0)
     assert abs(tight.theta - base) < 5e-3
     assert abs(far - base) < 5e-3
 
 
-def test_theta_refuses_precision_loss():
-    [rec] = inner.theta_table([13.0], rtol=1e-6)
+def test_theta_refuses_precision_loss(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(inner, "_RTOL", 1e-6)
+        [rec] = inner.theta_table([13.0])
     assert isinstance(rec, inner.PrecisionLoss)
+    # at rtol 1e-12 the table refuses rows 23-30 and keeps 8-22
+    # (per_row_theta below)
+    deep = [float(r) for r in range(23, 31)]
+    assert all(isinstance(rec, inner.PrecisionLoss)
+               for rec in inner.theta_table(deep))
     # theta raises what the table returns for a refused row
-    [rec] = inner.theta_table([25.0])
-    assert isinstance(rec, inner.PrecisionLoss)
     with pytest.raises(inner.PrecisionLoss, match="rho = 25.0"):
         inner.theta(25.0)
 
@@ -379,8 +394,9 @@ def test_shoot_validation():
 @pytest.mark.parametrize("re_start", [math.nan, math.inf, -100.0, 0.0,
                                       10.0, 30.0, 35.0, 1e9])
 def test_shoot_rejects_bad_re_start(re_start):
-    # a negative start would seed the solution on the side it grows toward
-    with pytest.raises(ValueError, match="re_start"):
+    # the seed is the constant RE_START: shoot takes no re_start, whatever
+    # its value, and refuses one before any integration
+    with pytest.raises(TypeError, match="re_start"):
         inner.shoot(13.0, [-13j], re_start=re_start)
 
 
