@@ -38,8 +38,8 @@ states and finds the section crossings on the dense output.  States are
 lists of Python scalars, as everywhere in the package, which needs no array
 library: the fields here have 2 to 4 components.
 Each step attempt is straight-line code generated from the tableau for the
-length of the state, with every stage in scalar locals.  It calls the field
-at each stage with the chain rule written out (inline arithmetic on a
+length of the state, with every stage in scalar locals.  It evaluates the
+field at each stage with the chain rule written out (inline arithmetic on a
 :class:`Line`), and ends with the step's error norm and error scale, so the
 step loop around it only runs the step-size controller.  One attempt serves
 float and complex states: its finiteness test ``0.0 * x != 0.0`` holds for
@@ -47,11 +47,15 @@ both, and its error norm is summed as ``x * x`` first, with the real and
 imaginary halves summed apart only when that sum is not a float, so real
 states skip the imaginary half, exactly ``+ 0.0`` on floats, with the same
 bits.  A field that turns complex on real states steps on in the same
-attempt.  On a 2-component linear field stepped along ``Line(0, 1)`` an
-accepted step takes about 25 us on complex states and 10 us on real ones,
-and one attempt on the 4-component :func:`l3lab.rpc3bp.cart_flow` field
-takes about 19 us (best of 90 runs of 2,000 steps or attempts, on a
-2-vCPU Xeon host whose speed drifts by up to 2x).  A field should
+attempt.  An autonomous field written as straight-line statements, a
+:class:`_FieldBody` (:func:`l3lab.rpc3bp.cart_flow`'s), is not called by
+the attempt: each stage runs the statements on its components, the same
+operations with the same bits, which spares twelve calls per attempt.  On
+a 2-component linear field stepped along ``Line(0, 1)`` an accepted step
+takes about 25 us on complex states and 10 us on real ones, and one
+attempt on the 4-component ``cart_flow`` field takes about 16.5 us,
+against 19 us when it calls the field (best of 15 runs of 2,000 attempts,
+on a 2-vCPU Xeon host whose speed drifts by up to 2x).  A field should
 therefore return Python numbers: numpy scalars would carry their
 per-operation cost into every stage sum.
 """
@@ -274,23 +278,71 @@ _DENSE = tuple((c, _nonzero(row))
 _D = tuple(_nonzero(row) for row in _tab.D)
 
 
-def _attempt_source(n):
+class _FieldBody(_Value):
+    """An autonomous field written as straight-line statements, which the
+    step attempt pastes at each stage in place of a call.
+
+    ``text`` reads the state components, the locals named in ``state``, and
+    the constants named in ``params``, and binds the components of dy/dt to
+    the names in ``out``; it reads the module-level names of ``scope``, a
+    tuple of (name, value) pairs, and never the independent variable.  Its
+    names must not be the attempt's own: ``a``, ``d``, ``s``, ``h``,
+    ``y``, ``f``, ``comp``, ``rtol``, ``atol``, ``params``, ``sqrt``,
+    ``NonFinite`` and the indexed names of :func:`_attempt_source`.
+    :func:`_inline_field` binds the params to values and returns the field
+    as a callable compiled from the same text.
+    """
+
+    __slots__ = ("params", "state", "out", "text", "scope")
+
+    def __init__(self, params: tuple[str, ...], state: tuple[str, ...],
+                 out: tuple[str, ...], text: str,
+                 scope: tuple[tuple[str, object], ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "scope", scope)
+
+
+def _target(vs):
+    """An assignment target or tuple display of the names ``vs``."""
+    return ", ".join(vs) + ("," if len(vs) == 1 else "")
+
+
+def _compile(source, label, name, body):
+    """The function ``name`` that the generated ``source`` defines, run
+    with the names of ``body``'s scope among its globals."""
+    scope = {"sqrt": math.sqrt, "NonFinite": NonFinite}
+    if body is not None:
+        scope.update(body.scope)
+    exec(compile(source, f"<{label}>", "exec"), scope)
+    return scope[name]
+
+
+def _attempt_source(n, body=None):
     """Source of one straight-line DOP853 step attempt on states of length n.
 
     The attempt steps y' = d * field(a + s*d, y) along the line ``a + s*d``.
-    Each stage calls ``field`` itself and applies the chain rule inline: the
-    node is ``a + (s + c*h) * d`` and each component is multiplied by ``d``,
-    the operations of :meth:`Line.point` and :meth:`Line.derivative` with
-    ``d = b - a``.  Component k of stage i is the local ``k<i>_<k>``; stage 0
-    is ``f``, the field at the start of the step, and stage 12 the field at
-    its end.  Every stage sum, the B update and each E5/E3 error sum is one
-    expression over the nonzero tableau entries as ``repr`` literals, in row
-    order from 0.0.  Each stage is checked for finiteness before the next
-    field call, by one test ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ... != 0.0``:
-    ``0.0 * x`` is a zero for every finite float or complex x and NaN
-    otherwise, so the sum is nonzero exactly when some component is not
-    finite, on either scalar type.  A field of the wrong length fails its
-    unpacking with ``ValueError``.  The error sums are divided by the scale
+    Without a ``body``, each stage calls ``field`` itself and applies the
+    chain rule inline: the node is ``a + (s + c*h) * d`` and each component
+    is multiplied by ``d``, the operations of :meth:`Line.point` and
+    :meth:`Line.derivative` with ``d = b - a``.  With a :class:`_FieldBody`,
+    the attempt takes the body's params in place of ``field`` and each stage
+    binds the body's state names to its components, runs the body's text and
+    multiplies the body's outputs by ``d``: the same operations on the same
+    values as the call, without the call, its argument list, its tuple and
+    the node, which an autonomous field never reads.  Component k of stage i
+    is the local ``k<i>_<k>``; stage 0 is ``f``, the field at the start of
+    the step, and stage 12 the field at its end.  Every stage sum, the B
+    update and each E5/E3 error sum is one expression over the nonzero
+    tableau entries as ``repr`` literals, in row order from 0.0.  Each stage
+    is checked for finiteness before the next field evaluation, by one test
+    ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ... != 0.0``: ``0.0 * x`` is a zero for
+    every finite float or complex x and NaN otherwise, so the sum is nonzero
+    exactly when some component is not finite, on either scalar type.  A
+    called field of the wrong length fails its unpacking with
+    ``ValueError``.  The error sums are divided by the scale
     ``atol + rtol * max(|y_k|, |y_new_k|)``, the larger taken by a
     comparison, and reduced to the mixed 5/3 error norm.
 
@@ -310,9 +362,6 @@ def _attempt_source(n):
     def stage(i):
         return names(f"k{i}_")
 
-    def target(vs):
-        return ", ".join(vs) + ("," if n == 1 else "")
-
     def dot(terms, k):
         return " + ".join(["0.0", *(f"{c!r} * k{j}_{k}" for j, c in terms)])
 
@@ -324,8 +373,15 @@ def _attempt_source(n):
 
     def call(node, vs, args):
         # the field at line parameter `node`, times the line's derivative
-        return ([f"    {target(vs)} = field(a + ({node}) * d, [{args}])"]
-                + [f"    {v} = d * {v}" for v in vs] + check(vs, "field"))
+        if body is None:
+            lines = [f"    {_target(vs)} = field(a + ({node}) * d,"
+                     f" [{', '.join(args)}])"]
+            lines += [f"    {v} = d * {v}" for v in vs]
+        else:
+            lines = [f"    {z} = {x}" for z, x in zip(body.state, args)]
+            lines += [f"    {line}" for line in body.text.splitlines()]
+            lines += [f"    {v} = d * {o}" for v, o in zip(vs, body.out)]
+        return lines + check(vs, "field")
 
     def sq_norm(v, parts):
         # sum_k |v_k|^2, one sum per part: x * x alone, or the real parts'
@@ -334,19 +390,22 @@ def _attempt_source(n):
             f"({' + '.join(['0.0', *(f'{x}{p} * {x}{p}' for x in v)])})"
             for p in parts)
 
-    lines = ["def attempt(field, a, d, s, h, y, comp, f, rtol, atol):",
-             f"    {target(names('y'))} = y",
-             f"    {target(names('comp'))} = comp",
-             f"    {target(stage(0))} = f"]
+    first = "field" if body is None else "params"
+    lines = [f"def attempt({first}, a, d, s, h, y, comp, f, rtol, atol):"]
+    if body is not None:
+        lines += [f"    {_target(body.params)} = params"]
+    lines += [f"    {_target(names('y'))} = y",
+              f"    {_target(names('comp'))} = comp",
+              f"    {_target(stage(0))} = f"]
     for i, (c, row) in enumerate(_STAGES, start=1):
-        y_i = ", ".join(f"y{k} + h * ({dot(row, k)})" for k in comps)
+        y_i = [f"y{k} + h * ({dot(row, k)})" for k in comps]
         lines += call(f"s + {c!r} * h", stage(i), y_i)
     # compensated update: y_new = y + t, carrying the rounding term
     lines += [f"    t{k} = h * ({dot(_B, k)}) + comp{k}" for k in comps]
     lines += [f"    yn{k} = y{k} + t{k}" for k in comps]
     lines += check(names("yn"), "state")
     last = len(_STAGES) + 1
-    lines += call("s + h", stage(last), ", ".join(names("yn")))
+    lines += call("s + h", stage(last), names("yn"))
     # |y_k| and |y_new_k| are finite floats, so the comparison picks as max()
     for k in comps:
         lines += [f"    u{k}, v{k} = abs(y{k}), abs(yn{k})",
@@ -379,7 +438,7 @@ def _attempt_source(n):
 
 
 @functools.cache
-def _attempt(n):
+def _attempt(n, body=None):
     """The compiled step attempt for states of length n, made at first use.
 
     ``attempt(field, a, d, s, h, y, comp, f, rtol, atol)`` steps the line
@@ -388,12 +447,39 @@ def _attempt(n):
     Kahan carry and the chain-ruled field at the end of the step,
     the mixed 5/3 error norm (accept below 1), the largest component of the
     error scale, and ``K[k][i]``, component k of stage i for i = 0..12.
-    One attempt serves float and complex states alike.
+    With a :class:`_FieldBody`, the attempt pastes the body at each stage
+    and takes the tuple of the body's param values in place of ``field``;
+    it compiles once per body, whatever the values.  One attempt serves
+    float and complex states alike.
     """
-    scope = {"sqrt": math.sqrt, "NonFinite": NonFinite}
-    exec(compile(_attempt_source(n), f"<DOP853 attempt, n={n}>", "exec"),
-         scope)
-    return scope["attempt"]
+    return _compile(_attempt_source(n, body), f"DOP853 attempt, n={n}",
+                    "attempt", body)
+
+
+@functools.cache
+def _field_binder(body):
+    """``bind(*values)``, compiled from ``body``'s text at first use, which
+    returns the field ``f(t, z)`` with the body's params bound to values."""
+    state, out = _target(body.state), _target(body.out)
+    lines = [f"def bind({', '.join(body.params)}):",
+             "    def field(t, z):",
+             f"        {state} = z",
+             *(f"        {line}" for line in body.text.splitlines()),
+             f"        return ({out})",
+             "    return field"]
+    return _compile("\n".join(lines) + "\n", "field body", "bind", body)
+
+
+def _inline_field(body, values):
+    """The field ``f(t, z)`` that ``body`` computes at its param ``values``.
+
+    The callable is compiled from the body's text, and carries
+    ``_inline = (body, values)``, from which :func:`_steps` takes the
+    attempt that pastes the body at each stage.
+    """
+    field = _field_binder(body)(*values)
+    field._inline = body, values
+    return field
 
 
 def _combine(terms, K):
@@ -533,7 +619,10 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
     Python scalars; each attempt is the straight-line code that
     :func:`_attempt` generates for the length of ``y``, and calls ``field``
     itself, whatever the scalar type of the state and of the field's
-    values, which may turn from float to complex along the way.  The first
+    values, which may turn from float to complex along the way.  A field
+    made by :func:`_inline_field` carries its body, and its attempts run
+    that body at each stage instead; ``field`` itself is then called only
+    at the start, for the starting step and by the dense output.  The first
     attempt takes the step ``h0``, clamped like every step to the end;
     Hairer's starting step replaces it when ``h0`` is None or below the
     smallest step allowed, ``_MIN_STEP`` in s whatever ``s_end`` is (a step
@@ -555,7 +644,12 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
         _check_length(f, n)
         if not _finite(f):
             raise NonFinite("field not finite at the start of a segment")
-        attempt = _attempt(n)
+        inline = getattr(field, "_inline", None)
+        if inline is None:
+            attempt, first = _attempt(n), field
+        else:
+            body, first = inline
+            attempt = _attempt(n, body)
         h = h0
         if h is None or h < _MIN_STEP:
             h = _initial_step(fun, y, f, rtol, atol, s_end)
@@ -574,7 +668,7 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
             if final:
                 h = remaining
             y_new, comp_new, f_new, err_norm, max_scale, K = attempt(
-                field, a, d, s, h, y, comp, f, rtol, atol)
+                first, a, d, s, h, y, comp, f, rtol, atol)
             if err_norm < 1.0:
                 factor = _MAX_FACTOR if err_norm == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err_norm ** _ERR_EXP

@@ -21,7 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numerics import L3labError, _Record, _Value, find_root
+from .numerics import (L3labError, _FieldBody, _Record, _Value, _inline_field,
+                       find_root)
 
 __all__ = [
     "CartesianState",
@@ -163,32 +164,43 @@ def hess_h_cart(s: CartesianState,
             (0.0, 1.0, 1.0, 0.0), (-1.0, 0.0, 0.0, 1.0))
 
 
+# cart_flow's field as straight-line code, one form for both its callers:
+# the DOP853 attempt pastes it at each of its twelve stages per step, and
+# cart_flow's callable is compiled from it for the rest.  It is
+# _primary_offsets inline, with the compensated q1 + (1 - mu) of _p_offset
+# written with m_S = 1 - mu and its residual m_S_err = (1 - m_S) - mu.  The
+# mass-ratio constants are params, so each form compiles once per process
+_CART_BODY = _FieldBody(
+    params=("mu", "m_S", "m_S_err", "neg_m_S"),
+    state=("q1", "q2", "p1", "p2"),
+    out=("dq1", "dq2", "dp1", "dp2"),
+    text="""\
+dSx = q1 - mu
+dPx = (q1 + m_S) + m_S_err
+rS = hypot(dSx, q2)
+rP = hypot(dPx, q2)
+if rS < eps or rP < eps:
+    raise Collision(f"state within {eps} of a primary")
+rS3, rP3 = rS ** 3, rP ** 3
+dq1 = p1 + q2
+dq2 = p2 - q1
+dp1 = p2 + (neg_m_S * dSx / rS3 - mu * dPx / rP3)
+dp2 = -p1 + (neg_m_S * q2 / rS3 - mu * q2 / rP3)
+""",
+    scope=(("hypot", math.hypot), ("eps", _COLLISION_EPS),
+           ("Collision", Collision)))
+
+
 def cart_flow(mu: float):
     """The field ``f(t, z)`` = dz/dt at z = (q1, q2, p1, p2) for mass ratio mu.
 
-    A tuple of Python floats, the scalars the ODE stepper runs on.
+    A tuple of Python floats, the scalars the ODE stepper runs on.  The
+    field is written once, as straight-line code, and the stepper's
+    real-time attempts run that code at each stage instead of calling the
+    field; the callable serves every other caller.
     """
-    s = 1.0 - mu
-    # compensated q1 + (1 - mu), as in _p_offset: the rounding of 1 - mu
-    # matters when the result is collision-small
-    e = (1.0 - s) - mu
-    # bound once: the stepper calls the field about 13 times per step
-    m_s, hypot, eps = -s, math.hypot, _COLLISION_EPS
-
-    def field(t, z):
-        q1, q2, p1, p2 = z
-        # _primary_offsets inline, to save two calls per field evaluation
-        dSx = q1 - mu
-        dPx = (q1 + s) + e
-        rS = hypot(dSx, q2)
-        rP = hypot(dPx, q2)
-        if rS < eps or rP < eps:
-            raise Collision(f"state within {eps} of a primary")
-        rS3, rP3 = rS ** 3, rP ** 3
-        return (p1 + q2, p2 - q1, p2 + (m_s * dSx / rS3 - mu * dPx / rP3),
-                -p1 + (m_s * q2 / rS3 - mu * q2 / rP3))
-
-    return field
+    m_S = 1.0 - mu
+    return _inline_field(_CART_BODY, (mu, m_S, (1.0 - m_S) - mu, -m_S))
 
 
 # ---------------------------------------------------------------------------

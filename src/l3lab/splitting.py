@@ -26,7 +26,11 @@ times the steps (2,388 against 1,793 over the grid of
 leg of its loop, r < 1, swings out to theta ~ 157 degrees and only then
 crosses with r > 1, where the stable branch's first crossing is already the
 kept one.  The states are floats, so both step on the float form of the
-generated DOP853 attempt's error norm.  The fan-out is one level deep:
+generated DOP853 attempt's error norm, and that attempt runs the body of
+:func:`~l3lab.rpc3bp.cart_flow` at each of its stages, with the called
+field's bits: the callable is reached only at the start of a trace, for its
+starting step and by the dense output of each step that changes the sign
+of theta - section.  The fan-out is one level deep:
 where ``verify`` traces check 13's samples, in the worker and, for the
 first mass ratios of the grid, in the caller while the worker is busy, the
 two are traced one after the other, with the same bits.
@@ -178,7 +182,8 @@ def manifold_section_point(mu: float, branch: str = "unstable_plus",
 def _check_mu(mu):
     """Refuse a mass ratio outside the tracing range, NaN included."""
     if not 3e-4 <= mu <= 1e-2:
-        raise ValueError("manifold tracing expects mu in [3e-4, 1e-2]")
+        raise ValueError(
+            f"manifold tracing expects mu in [3e-4, 1e-2], got {mu!r}")
 
 
 def _gap_rtol(mu, A):

@@ -387,7 +387,7 @@ def test_removed_options_exit_2(argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("mu", ["0.03", "1e-5"])
+@pytest.mark.parametrize("mu", ["0.03", "1e-5", "nan"])
 def test_distance_refuses_untraceable_mu_before_any_work(monkeypatch, mu):
     def work(*args, **kwargs):
         pytest.fail("distance started work on a mass ratio it refuses")
@@ -398,6 +398,8 @@ def test_distance_refuses_untraceable_mu_before_any_work(monkeypatch, mu):
     assert code == 2
     assert out == ""
     assert "error: manifold tracing expects mu in [3e-4, 1e-2]" in err
+    # the message names the value it refused
+    assert err.endswith(f", got {float(mu)!r}\n")
 
 
 @pytest.mark.parametrize("mu", ["1e-300", "1e-16", "1e-12"])

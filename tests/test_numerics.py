@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from l3lab import _dop853, numerics, rpc3bp, separatrix
@@ -548,6 +548,118 @@ def test_attempt_sums_the_float_norm_first():
     assert "isfinite" not in src
     # one test per stage 1..12 and one on the new state
     assert sum(line.endswith(") != 0.0:") for line in lines) == 13
+
+
+def _cart_outcome(mu, seg, inline, s, h, y, comp, f, rtol):
+    """What one attempt on cart_flow(mu) along ``seg`` gives: its bits, or
+    the class and message of what it raises.  ``inline`` takes the attempt
+    that pastes the field's body at each stage, otherwise the one that calls
+    the field."""
+    field = rpc3bp.cart_flow(mu)
+    body, params = field._inline
+    if inline:
+        attempt, first = numerics._attempt(4, body), params
+    else:
+        attempt, first = numerics._attempt(4), field
+    try:
+        # as _steps runs it: an overflow in the field is NonFinite
+        with numerics._scalar_errors():
+            return _bits(list(attempt(first, seg.a, seg.b - seg.a, s, h, y,
+                                      comp, f, rtol, rtol)))
+    except (L3labError, TypeError) as exc:
+        return exc.__class__, str(exc)
+
+
+def _same_cart_attempt(mu, seg, s, h, y, comp, f=None, rtol=1e-12):
+    """Check that both attempts on cart_flow(mu) give the same outcome and
+    return it; ``f`` defaults to the chain-ruled field at ``y``, and a drawn
+    ``y`` on a primary is rejected: the step loop stops there before any
+    attempt."""
+    if f is None:
+        try:
+            f = _chain_rule(rpc3bp.cart_flow(mu), seg)(s, y)
+        except rpc3bp.Collision:
+            reject()
+    called = _cart_outcome(mu, seg, False, s, h, y, comp, f, rtol)
+    assert _cart_outcome(mu, seg, True, s, h, y, comp, f, rtol) == called
+    return called
+
+
+@settings(max_examples=80, deadline=None)
+@given(mu=st.floats(3e-4, 1e-2),
+       seg=st.sampled_from([Line(0.0, 1.0), Line(0.0, -1.0)]),
+       s=st.floats(0.0, 1000.0), h=st.floats(1e-4, 0.5),
+       y=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.0, 1.0),
+                   st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(list),
+       comp=st.lists(st.floats(-1e-16, 1e-16), min_size=4, max_size=4),
+       rtol=st.sampled_from([1e-13, 1e-12, 1e-9]))
+@example(mu=1e-3, seg=Line(0.0, -1.0), s=12.5, h=0.05,
+         y=[-1.0004, 0.001, 0.001, -1.0], comp=[0.0] * 4, rtol=1e-12)
+def test_inline_cart_flow_attempt_matches_call(mu, seg, s, h, y, comp, rtol):
+    # the real-time attempt that pastes cart_flow's body at each stage gives
+    # the called field's bits on real states in either direction of time
+    _same_cart_attempt(mu, seg, s, h, y, comp, rtol=rtol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(3e-4, 1e-2), h=st.floats(1e-4, 0.5),
+       y=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.0, 1.0),
+                   st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(list))
+def test_inline_cart_flow_attempt_matches_call_on_a_complex_line(mu, h, y):
+    # on a complex line the stages turn complex and math.hypot refuses
+    # them: both attempts raise the same TypeError at the first stage
+    outcome = _same_cart_attempt(mu, Line(0.25 + 0.5j, 1.0 - 0.25j), 0.0, h,
+                                 y, [0.0] * 4)
+    assert outcome[0] is TypeError
+
+
+def test_inline_cart_flow_attempt_keeps_signed_zeros():
+    # every sign pattern of a zero state and a zero carry: the stage sums,
+    # the field and the chain rule d * v leave each zero with the call's sign
+    for bits in range(16):
+        y = [-0.0 if bits >> k & 1 else 0.0 for k in range(4)]
+        for seg in (Line(0.0, 1.0), Line(0.0, -1.0)):
+            for comp in ([0.0] * 4, [-0.0] * 4):
+                outcome = _same_cart_attempt(3e-3, seg, 0.0, 0.125, y, comp)
+                assert isinstance(outcome, list)
+
+
+@pytest.mark.parametrize("mu", [3e-4, 1e-3, 1e-2])
+def test_inline_cart_flow_attempt_raises_as_the_call(mu):
+    # with a zero start field the first stage sits at the state itself:
+    # within 1e-12 of S at (mu, 0) or P at (mu - 1, 0) both attempts raise
+    # Collision, and a stage that is not finite or overflows NonFinite, each
+    # with the same message
+    zero = [0.0] * 4
+    for y in ([mu + 5e-13, 0.0, 0.0, 0.0], [mu, -9e-13, 0.3, 0.0],
+              [mu - 1.0 + 3e-13, 1e-13, 0.0, 0.5]):
+        for seg in (Line(0.0, 1.0), Line(0.0, -1.0)):
+            assert _same_cart_attempt(mu, seg, 0.0, 1e-3, y, zero, zero) == \
+                (rpc3bp.Collision, "state within 1e-12 of a primary")
+    not_finite = "field not finite near path point"
+    for y, f, message in (
+            ([1.0, 0.0, math.inf, 0.0], zero, not_finite),
+            ([1.0, 0.0, math.nan, 0.0], zero, not_finite),
+            ([1.0, 0.5, 1.79e308, 0.0], [0.0, 0.0, 1.7e308, 0.0], not_finite),
+            # rS ** 3 overflows
+            ([1e200, 0.5, 0.0, 0.0], zero, "overflow or division by zero")):
+        for seg in (Line(0.0, 1.0), Line(0.0, -1.0)):
+            outcome = _same_cart_attempt(mu, seg, 2.0, 0.5, y, zero, f)
+            assert outcome[0] is NonFinite
+            assert outcome[1].startswith(message)
+
+
+def test_inline_attempt_pastes_the_body_at_each_stage():
+    # no stage calls a field: the body runs once per stage 1..12, on names
+    # of its own, and the time node is never formed
+    body = rpc3bp.cart_flow(1e-3)._inline[0]
+    src = numerics._attempt_source(4, body)
+    assert "field(" not in src and "a + (s" not in src
+    assert src.count("    dSx = q1 - mu\n") == 12
+    called = numerics._attempt(4).__code__
+    names = set(called.co_varnames) | set(called.co_names)
+    own = compile(body.text, "<body>", "exec").co_names
+    assert not names & set(own + body.params)
 
 
 def _reference_steps(field, seg, y, rtol, atol, s_end):

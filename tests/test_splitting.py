@@ -224,6 +224,33 @@ def test_manifold_trajectory_checks_n_points_before_tracing(monkeypatch,
     assert steps == []
 
 
+@pytest.mark.parametrize("branch, crossings", [("unstable_plus", 2),
+                                               ("stable_plus", 1)])
+def test_manifold_section_point_steps_the_inline_field(monkeypatch, branch,
+                                                      crossings):
+    # the attempts run cart_flow's body in place of calls, so the callable
+    # is reached only at the start of the leg, for the starting step and by
+    # the three dense-output stages of each step with a sign change of
+    # theta - pi/2: the inner-leg crossing and the kept one on the unstable
+    # branch, the kept one on the stable branch
+    calls = [0]
+
+    def counting_flow(mu):
+        field = rpc3bp.cart_flow(mu)
+
+        def counting(t, y):
+            calls[0] += 1
+            return field(t, y)
+        # with the field's attributes, which select the inline attempt
+        vars(counting).update(vars(field))
+        return counting
+
+    monkeypatch.setattr(splitting, "cart_flow", counting_flow)
+    hit = splitting.manifold_section_point(0.003, branch)
+    assert calls[0] == 2 + 3 * crossings
+    assert hit == splitting.manifold_section_point(0.003, branch)
+
+
 def test_manifold_trajectory_traces_once(monkeypatch):
     calls = [0]
 
