@@ -32,7 +32,9 @@ integrated in w = q - a from its start a, so a factor vanishing there is
 exactly w.  Along a segment a factor's argument is its value at a plus the
 principal phase of (q - c)/(a - c), exact because no segment subtends pi or
 more at a factor point c; the half-turn around a+ on the paths to zero adds
-its own signed angle at its end.
+its own signed angle at its end.  Each segment's integrand is a closure
+over its offsets a - c and starting arguments, fhat written out factor by
+factor.
 """
 from __future__ import annotations
 
@@ -136,22 +138,36 @@ def lambda0() -> float:
 _FACTOR_POINTS = (0.0, -1.0, A_PLUS, A_MINUS)
 
 
-def _fhat(w, offsets, args) -> complex:
-    """fhat = sqrt(q/(3(q+1)(q-a+)(q-a-)))/(q-1) at q = a + w.
+def _fhat_on(offsets, args):
+    """fhat = sqrt(q/(3(q+1)(q-a+)(q-a-)))/(q-1) at q = a + w, as a
+    function of w.
 
     ``offsets`` are a - c for the factor points c = 0, -1, a+, a- and then
     a - 1 for the pole; ``args`` are the arguments of the four factors
     q - c at q = a.  Each factor is w + (a - c), exact when a = c, and its
     argument moves by the principal phase of (q - c)/(a - c): exact while the
     segment from a subtends less than pi at c.  A factor that vanishes at a
-    keeps its argument, which is right on a Line leaving c.
+    keeps its argument, which is right on a Line leaving c.  The returned
+    function holds the offsets and arguments as locals and is written out
+    factor by factor, since each quadrature node calls it.
     """
-    z = [w + d for d in offsets]
-    turns = [g + (cmath.phase(f / d) if d else 0.0)
-             for f, d, g in zip(z, offsets, args)]
-    mod = math.sqrt(abs(z[0]) / (3.0 * abs(z[1]) * abs(z[2]) * abs(z[3])))
-    phase = 0.5 * (turns[0] - turns[1] - turns[2] - turns[3])
-    return mod * cmath.exp(1j * phase) / z[4]
+    d0, d1, d2, d3, d4 = offsets
+    g0, g1, g2, g3 = args
+    phase, exp, sqrt = cmath.phase, cmath.exp, math.sqrt
+
+    def fhat(w):
+        z0 = w + d0
+        z1 = w + d1
+        z2 = w + d2
+        z3 = w + d3
+        t0 = g0 + (phase(z0 / d0) if d0 else 0.0)
+        t1 = g1 + (phase(z1 / d1) if d1 else 0.0)
+        t2 = g2 + (phase(z2 / d2) if d2 else 0.0)
+        t3 = g3 + (phase(z3 / d3) if d3 else 0.0)
+        mod = sqrt(abs(z0) / (3.0 * abs(z1) * abs(z2) * abs(z3)))
+        return mod * exp(1j * (0.5 * (t0 - t1 - t2 - t3))) / (w + d4)
+
+    return fhat
 
 
 def _shifted(seg):
@@ -194,8 +210,7 @@ def _integrate_fhat(path, tol: float) -> QuadResult:
     for seg in path:
         a = seg.start
         offsets = tuple(a - c for c in _FACTOR_POINTS) + (a - 1.0,)
-        res = quad_path(lambda w: _fhat(w, offsets, args), _shifted(seg),
-                        tol=tol)
+        res = quad_path(_fhat_on(offsets, args), _shifted(seg), tol=tol)
         total += res.value
         err += res.err
         evals += res.evals

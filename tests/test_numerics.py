@@ -282,7 +282,8 @@ def test_dense_output_on_non_real_line(a):
     for step in steps:
         for f in (0.25, 0.5, 0.9):
             s = step.s_old + f * (step.s_new - step.s_old)
-            assert abs(step(s)[0] - cmath.exp(a * seg.point(s))) <= 1e-10
+            t = seg.a + s * (seg.b - seg.a)
+            assert abs(step(s)[0] - cmath.exp(a * t)) <= 1e-10
     # a sample at a step end is read from the step that ends there, and is
     # that step's end state exactly
     ends = [step.s_new for step in steps]
@@ -393,12 +394,12 @@ def test_ode_linear_field_matches_exponential(a, b, start, moves):
 
 
 def _chain_rule(field, seg):
-    """y' = seg'(s) * field(seg(s), y) through the line's own methods."""
-    point, derivative = seg.point, seg.derivative
+    """y' = seg'(s) * field(seg(s), y) on the line a + s * (b - a)."""
+    a, b = seg.a, seg.b
 
     def fun(s, yy):
-        d = derivative(s)
-        return [d * v for v in field(point(s), yy)]
+        d = b - a
+        return [d * v for v in field(a + s * d, yy)]
 
     return fun
 
@@ -807,6 +808,36 @@ def test_quad_no_convergence():
     # a genuinely non-integrable endpoint blows the refinement budget
     with pytest.raises((NoConvergence, NonFinite, OverflowError)):
         quad_path(lambda t: 1.0 / t, Line(0.0, 1.0), tol=1e-13)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_quad_non_finite_integrand_stops_at_level_0(value):
+    # the level-0 sum is already not finite; a NaN error estimate used to
+    # pass the final convergence test and run all 11 levels
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return value
+
+    with pytest.raises(NonFinite):
+        quad_path(f, Line(0.0, 1.0))
+    # level 0 holds the midpoint and six node pairs
+    assert 0 < len(calls) <= 13
+
+
+def test_quad_non_finite_at_one_node():
+    # inf at the midpoint only, a node of level 0
+    with pytest.raises(NonFinite):
+        quad_path(lambda t: math.inf if t == 0.5 else 1.0, Line(0.0, 1.0))
+
+
+@pytest.mark.parametrize("f", [lambda t: 1.0 / (t - 0.5),
+                               lambda t: math.exp(1e3 * t)],
+                         ids=["zero_division", "overflow"])
+def test_quad_scalar_errors_are_non_finite(f):
+    with pytest.raises(NonFinite):
+        quad_path(f, Line(0.0, 1.0))
 
 
 # the box avoids the pole of exp(t)/(1+t) at t = -1, and so do the

@@ -189,11 +189,11 @@ def test_fhat_sign_flip():
     offsets = tuple(a - c for c in (0.0, -1.0, sep.A_PLUS, sep.A_MINUS, 1.0))
     w = 0.01 - 0.03j
     args = (0.1, 0.2, 0.3, 0.4)
-    base = sep._fhat(w, offsets, args)
+    base = sep._fhat_on(offsets, args)(w)
     for k in range(4):
         turned = list(args)
         turned[k] += 2.0 * math.pi
-        flipped = sep._fhat(w, offsets, tuple(turned))
+        flipped = sep._fhat_on(offsets, tuple(turned))(w)
         assert abs(flipped + base) < 1e-15 * abs(base)
 
 
