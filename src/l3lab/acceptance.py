@@ -5,14 +5,16 @@ deterministic (no timings, no environment data), so two identical runs print
 identical bytes.  The checks are shared between the ``l3lab verify`` command
 and the test suite.
 
-:func:`run_all` runs check 13 (manifold tracing, about as long as checks
-1-12 together) beside checks 1-12: the fan-out worker, an ``os.fork`` child
-forked once per process, traces all but the first ``_CALLER_MUS`` mass
-ratios of its grid, and the caller traces those after checks 1-12, so that
-neither process waits long for the other.  The split is fixed, with no
-option, and the printed results do not depend on it.  The fan-out is one
-level deep, so check 13's ``section_gap`` calls trace both branches in the
-process that makes them, one by one.
+``CHECKS`` holds checks 1-12, the functions :func:`run_all` calls; a new
+check is appended to it.  :func:`run_all` runs check 13 (manifold tracing,
+about as long as checks 1-12 together) beside them and returns it last: the
+fan-out worker, an ``os.fork`` child forked once per process, traces all
+but the first ``_CALLER_MUS`` mass ratios of its grid, and the caller
+traces those after checks 1-12, so that neither process waits long for the
+other.  The split is fixed, with no option, and the printed results do not
+depend on it.  The fan-out is one level deep, so check 13's
+``section_gap`` calls trace both branches in the process that makes them,
+one by one.
 """
 from __future__ import annotations
 
@@ -212,10 +214,6 @@ def check_12_inner_limit() -> AcceptanceResult:
     return AcceptanceResult(12, "inner-limit residual order", ok, lines)
 
 
-def check_13_splitting_cross_validation() -> AcceptanceResult:
-    return _check_13(splitting.fit_splitting_exponent())
-
-
 def _check_13(fit) -> AcceptanceResult:
     A = separatrix.compute_A()
     rel = abs(fit.slope + A) / A
@@ -242,7 +240,6 @@ CHECKS = (
     check_10_stokes_table,
     check_11_difference_structure,
     check_12_inner_limit,
-    check_13_splitting_cross_validation,
 )
 
 
@@ -253,20 +250,20 @@ _CALLER_MUS = 2
 
 
 def run_all() -> list[AcceptanceResult]:
-    """Run every check; the results come back in check order.
+    """Run every check; the results come back in check order, 1-13.
 
-    Checks 1-12, the entries of ``CHECKS`` but the last, read at call time,
-    run here in order, and then check 13's first ``_CALLER_MUS`` mass
-    ratios are traced here, while the worker of
-    :func:`~l3lab._fanout._fork_pair` traces the rest of its grid.  The fit
-    is made here from all the samples in grid order; each sample has the
-    same bits in either process.  Exceptions come in check order.
+    Checks 1-12, the entries of ``CHECKS`` read at call time, run here in
+    order, and then check 13's first ``_CALLER_MUS`` mass ratios are traced
+    here, while the worker of :func:`~l3lab._fanout._fork_pair` traces the
+    rest of its grid.  The fit is made here from all the samples in grid
+    order; each sample has the same bits in either process, so check 13
+    equals ``_check_13(splitting.fit_splitting_exponent())``, its serial
+    form.  Exceptions come in check order.
     """
     from ._fanout import _fork_pair
-    here = CHECKS[:-1]
     grid = splitting._MU_GRID
     (results, mine), theirs = _fork_pair(
-        lambda: ([fn() for fn in here],
+        lambda: ([fn() for fn in CHECKS],
                  splitting._gap_samples(grid[:_CALLER_MUS])),
         splitting._gap_samples, grid[_CALLER_MUS:])
     return results + [_check_13(splitting._fit_samples(mine + theirs))]

@@ -13,9 +13,12 @@ Options are checked before any work; ``a`` runs the quadrature at tol
 ``distance`` takes |Theta| from the Stokes shooting at rho = 15
 (:func:`l3lab.inner.theta`).
 
-Exit codes: 0 ok; 1 any :class:`~l3lab.numerics.L3labError` (a numerical
-failure, reported as ``error: <message>`` on stderr); 2 a bad argument, an
-unwritable ``--out`` path, or a :class:`ValueError`.
+Exit codes: 0 ok; 1 a failed ``verify`` criterion, or any
+:class:`~l3lab.numerics.L3labError` (a numerical failure, reported as
+``error: <message>`` on stderr with nothing on stdout: a Stokes row that
+the table refuses stops ``stokes`` and ``verify`` with its
+:class:`~l3lab.inner.PrecisionLoss`); 2 a bad argument, an unwritable
+``--out`` path, or a :class:`ValueError`.
 """
 from __future__ import annotations
 
@@ -59,12 +62,9 @@ def _cmd_a(args):
 
 
 def _cmd_stokes(args):
-    rows = []
-    for rec in inner.theta_table(sorted(acceptance._REF_THETA_TABLE)):
-        if isinstance(rec, inner.PrecisionLoss):
-            raise rec
-        rows.append([rec.rho, abs(rec.delta_y), math.exp(rec.rho), rec.theta,
-                     rec.digits_lost])
+    rows = [[rec.rho, abs(rec.delta_y), math.exp(rec.rho), rec.theta,
+             rec.digits_lost]
+            for rec in inner.theta_table(sorted(acceptance._REF_THETA_TABLE))]
     return _csv(["rho", "abs_deltaY", "exp_rho", "theta", "digits_lost"],
                 rows), 0
 

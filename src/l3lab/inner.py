@@ -16,7 +16,9 @@ where -i rho is its own mirror point.  The difference Delta Y(-i rho)
 determines the Stokes constant estimate theta_rho = |Delta Y| e^rho, which
 plateaus near 1.63.  A table of rho shoots once to its smallest rho and
 carries the solution down the imaginary axis to the others, starting a
-fresh shooting after a descent of 7.
+fresh shooting after a descent of 7.  A table returns a record for every
+rho or raises: a row whose cancellation leaves fewer than 3 digits raises
+:class:`PrecisionLoss`.
 
 All fractional powers of U live on the branch cut along the positive
 imaginary axis, arg U in [-3pi/2, pi/2), so the shooting line, the legs
@@ -383,13 +385,9 @@ def theta(rho: float) -> StokesRecord:
     """Stokes-constant estimate theta_rho = |Y^u - Y^s|(-i rho) * e^rho.
 
     The one-row case of :func:`theta_table`: the unstable solution is shot
-    along Im U = -rho.  Raises :class:`PrecisionLoss` where the table
-    refuses the row.
+    along Im U = -rho, and a refused row raises its :class:`PrecisionLoss`.
     """
-    rec = theta_table([rho])[0]
-    if isinstance(rec, PrecisionLoss):
-        raise rec
-    return rec
+    return theta_table([rho])[0]
 
 
 # A chained row may sit at most this far below its anchor.  Going down the
@@ -405,7 +403,7 @@ def theta(rho: float) -> StokesRecord:
 _MAX_DESCENT = 7.0
 
 
-def theta_table(rho_list) -> list[StokesRecord | PrecisionLoss]:
+def theta_table(rho_list) -> list[StokesRecord]:
     """Stokes records for a grid of rho values, in input order.
 
     The unstable solution is shot once along Im U = -rho_0 from
@@ -416,10 +414,10 @@ def theta_table(rho_list) -> list[StokesRecord | PrecisionLoss]:
     ``mirror(u).Y``.  Delta Y is a single subtraction of the two
     full-precision values; the base-10 digits lost to that cancellation are
     recorded, and a row with fewer than 3 significant digits left is
-    refused: its entry is the :class:`PrecisionLoss` that says so, not a
-    record (this caps usable rho near 23 in binary64 at rtol 1e-12).  A rho
-    outside [8, 30] or NaN raises :class:`ValueError` before any
-    integration.
+    refused (this caps usable rho near 23 in binary64 at rtol 1e-12): the
+    table raises the :class:`PrecisionLoss` of its smallest refused rho, and
+    returns no partial list.  A rho outside [8, 30] or NaN raises
+    :class:`ValueError` before any integration.
     """
     rhos = [float(r) for r in rho_list]
     for r in rhos:
@@ -433,6 +431,7 @@ def theta_table(rho_list) -> list[StokesRecord | PrecisionLoss]:
         grid = grid[len(chain):]
         points = [complex(0.0, -r) for r in chain]
         zu = shoot(chain[0], points)
+        # in increasing rho, so the first row refused is the smallest
         for r, u in zip(chain, zu):
             rows[r] = _stokes_row(r, u.Y, mirror(u).Y)
     return [rows[r] for r in rhos]
@@ -444,14 +443,14 @@ def theta_table(rho_list) -> list[StokesRecord | PrecisionLoss]:
 # and 4.3e-6 to 3.7e-5 at 28-30, where the rtol-1e-14 table itself is up to
 # 3.5e-4 from per-row shootings at rtol 1e-14 (seed at Re U = -40).
 def _stokes_row(rho, y_u, y_s):
-    """The record for one row, or the PrecisionLoss that refuses it."""
+    """The record for one row; raises :class:`PrecisionLoss` to refuse it."""
     dy = y_u - y_s
     digits_lost = math.log10(abs(y_u) / abs(dy)) if dy != 0 else math.inf
     # the shooting carries a relative accuracy of roughly 100 x rtol, so
     # this is what the cancellation eats into
     digits_available = -math.log10(100.0 * _RTOL)
     if digits_available - digits_lost < 3.0:
-        return PrecisionLoss(
+        raise PrecisionLoss(
             f"only {digits_available - digits_lost:.1f} significant digits "
             f"left in Delta Y at rho = {rho}"
         )

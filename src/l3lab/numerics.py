@@ -26,10 +26,8 @@ The tools used everywhere else in the package:
   :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
 
 The routines above are pure functions of their inputs and safe to call
-concurrently.  The package's one fan-out is not: ``l3lab._fanout`` runs one
-function in a worker, an ``os.fork`` child forked once per process at the
-first call, kept for the calls after it and reaped at interpreter exit.
-Jobs go to the worker pickled by reference.
+concurrently.  The package's one fan-out is not; ``l3lab._fanout``
+describes it.
 
 :class:`L3labError` is the base of every exception the package raises for a
 numerical failure; each module's concrete classes subclass it directly.

@@ -60,14 +60,28 @@ def test_criterion_14_verify_determinism():
 
 
 def test_forked_check_13_matches_a_direct_call(results, monkeypatch):
-    assert results[13] == acceptance.check_13_splitting_cross_validation()
     # run_all traces the first _CALLER_MUS mass ratios in this process and
-    # the rest in the worker; a serial fit, every trace made here, gives
-    # the same bits
+    # the rest in the worker; a direct fit gives the same bits, whether
+    # section_gap fans out its branches or, with _busy set, makes every
+    # trace here
     assert 0 < acceptance._CALLER_MUS < len(splitting._MU_GRID)
+    assert results[13] == acceptance._check_13(
+        splitting.fit_splitting_exponent())
     monkeypatch.setattr(_fanout, "_busy", True)
     serial = acceptance._check_13(splitting.fit_splitting_exponent())
     assert results[13] == serial
+
+
+def test_checks_are_the_ones_run_all_calls(results):
+    # CHECKS is every check function of the module, checks 1-12 in order,
+    # and run_all adds check 13 after them
+    names = sorted(name for name in vars(acceptance)
+                   if name.startswith("check_"))
+    assert [name[:8] for name in names] == [
+        f"check_{k:02d}" for k in range(1, 13)]
+    assert acceptance.CHECKS == tuple(getattr(acceptance, name)
+                                      for name in names)
+    assert list(results) == list(range(1, 14))
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +121,8 @@ def _gap_samples_dying_in_the_worker(mus):
 
 
 def _fake_checks():
-    # checks 1-12 faked, and check 13 as it is: run_all splits its grid
-    return (*(functools.partial(_fake_check, k) for k in range(1, 13)),
-            acceptance.check_13_splitting_cross_validation)
+    # checks 1-12 faked; run_all splits check 13's grid itself
+    return tuple(functools.partial(_fake_check, k) for k in range(1, 13))
 
 
 def _raise(error, message):
@@ -141,8 +154,7 @@ def test_run_all_returns_results_in_check_order(monkeypatch):
     grid = splitting._MU_GRID
     assert _ran == [*range(1, 13), *grid[:acceptance._CALLER_MUS]]
     fit = splitting._fit_samples(_fake_gap_samples(grid))
-    assert results == [*(fn() for fn in checks[:-1]),
-                       acceptance._check_13(fit)]
+    assert results == [*(fn() for fn in checks), acceptance._check_13(fit)]
     assert results[-1].ok
 
 

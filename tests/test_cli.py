@@ -172,6 +172,17 @@ def test_stokes_refuses_the_rows_theta_refuses(monkeypatch):
     assert err == f"error: {refused.value}\n"
 
 
+def test_verify_reports_a_refused_stokes_row(monkeypatch):
+    # check 10's table raises the PrecisionLoss of its first refused row,
+    # so verify exits 1 with its message and prints no table
+    monkeypatch.setattr(inner, "_RTOL", 1e-6)
+    code, out, err = run_cli(["verify"])
+    assert (code, out) == (1, "")
+    with pytest.raises(inner.PrecisionLoss, match=r"rho = 13\.0$") as refused:
+        inner.theta(13.0)
+    assert err == f"error: {refused.value}\n"
+
+
 def test_stokes_defaults_match_check_10():
     code, out, _ = run_cli(["stokes"])
     assert code == 0

@@ -301,14 +301,16 @@ def test_theta_invariances(monkeypatch):
 def test_theta_refuses_precision_loss(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(inner, "_RTOL", 1e-6)
-        [rec] = inner.theta_table([13.0])
-    assert isinstance(rec, inner.PrecisionLoss)
+        with pytest.raises(inner.PrecisionLoss, match="rho = 13.0"):
+            inner.theta_table([13.0])
     # at rtol 1e-12 the table refuses rows 23-30 and keeps 8-22
-    # (per_row_theta below)
+    # (per_row_theta below); it raises for the smallest refused rho,
+    # whatever the order of the grid
     deep = [float(r) for r in range(23, 31)]
-    assert all(isinstance(rec, inner.PrecisionLoss)
-               for rec in inner.theta_table(deep))
-    # theta raises what the table returns for a refused row
+    for grid in (deep, deep[::-1], [27.0, 30.0, 23.0, 25.0, 24.0, 29.0,
+                                    26.0, 28.0], [30.0, 13.0, 24.0, 23.0]):
+        with pytest.raises(inner.PrecisionLoss, match=r"rho = 23\.0$"):
+            inner.theta_table(grid)
     with pytest.raises(inner.PrecisionLoss, match="rho = 25.0"):
         inner.theta(25.0)
 

@@ -1,5 +1,5 @@
-"""Every command of the CI same-bytes job and every demo prints the bytes
-stored under tests/data/stdout/.
+"""Ten commands and every demo print the bytes stored under
+tests/data/stdout/.
 
 These outputs are deterministic: the same bytes on every run and on CPython
 3.10-3.13.  A change that moves a printed byte on purpose regenerates the
@@ -17,7 +17,7 @@ from l3lab import cli
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "stdout"
 
-# file stem -> argv, in the order of the same-bytes job
+# file stem -> argv, in the order of CI's bare-venv comparison
 COMMANDS = {
     "verify": ["verify"],
     "a": ["a"],
