@@ -13,11 +13,13 @@ from l3lab import separatrix
 
 A = separatrix.compute_A()
 print("singularities from q-plane path integrals:")
-for kind in ("zero_upper", "zero_lower", "infinity_upper", "infinity_lower"):
-    t = separatrix.t_star(kind)
-    # adding 0.0 turns a -0.0 from rounding into +0.0
-    re, im = (round(v, 9) + 0.0 for v in (t.real, t.imag))
-    print(f"  {kind:15s}: {re:+.9f} {im:+.9f} i")
+for end in ("zero", "infinity"):
+    # the lower path is the mirror image of the upper one
+    upper = separatrix.t_star(end + "_upper")
+    for kind, t in ((end + "_upper", upper), (end + "_lower", upper.conjugate())):
+        # adding 0.0 turns a -0.0 from rounding into +0.0
+        re, im = (round(v, 9) + 0.0 for v in (t.real, t.imag))
+        print(f"  {kind:15s}: {re:+.9f} {im:+.9f} i")
 print(f"  (strip half-width A = {A:.9f})")
 
 res = separatrix.residue_pole()

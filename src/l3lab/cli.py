@@ -71,10 +71,10 @@ def _cmd_stokes(args):
 
 def _cmd_singularities(args):
     A = separatrix.compute_A(tol=1e-12)
+    # a lower kind is the conjugate of its upper kind
     t_up = separatrix.t_star("zero_upper")
-    t_dn = separatrix.t_star("zero_lower")
     t2_up = separatrix.t_star("infinity_upper")
-    t2_dn = separatrix.t_star("infinity_lower")
+    t_dn, t2_dn = t_up.conjugate(), t2_up.conjugate()
     ref2 = acceptance._REF_T2
     lines = [
         f"t*_1,+ = {_fmt(t_up.real)} {_fmt(t_up.imag)}i"

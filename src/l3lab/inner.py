@@ -621,21 +621,24 @@ def verify_inner_limit(seed: int | None = None) -> InnerLimitFit:
     Without a ``seed`` the six fixed samples ``_LIMIT_SAMPLES`` are used;
     with one, six drawn from ``random.Random(seed)``.
 
-    One chain per sample continues sigma up the imaginary axis, then down
-    the ray u = iA + delta^2 U through the deltas, largest first.  As
-    Im U < 0 it stays in the strip |Im t| < A, where sigma is single-valued,
-    so the states do not depend on the path.
+    One climb continues sigma up the imaginary axis through the tops
+    i 0.85 Im u of the samples' rays u = iA + delta^2 U at the largest
+    delta, lowest first; each ray then continues from its top through the
+    deltas, largest first.  As Im U < 0 every path stays in the strip
+    |Im t| < A, where sigma is single-valued, so the states do not depend
+    on the path.
     """
     deltas = _LIMIT_DELTAS
     samples = (_LIMIT_SAMPLES if seed is None
                else _random_limit_samples(seed))
     A = separatrix.compute_A()
     down = sorted(deltas, reverse=True)
-    states = []
-    for U, _ in samples:
-        ray = [1j * A + d * d * U for d in down]
-        chain = separatrix.sigma_sweep([1j * 0.85 * ray[0].imag, *ray])
-        states.append(dict(zip(down, chain[1:])))
+    rays = [[1j * A + d * d * U for d in down] for U, _ in samples]
+    tops = [1j * 0.85 * ray[0].imag for ray in rays]
+    climb = sorted(tops, key=lambda t: t.imag)
+    at_top = dict(zip(climb, separatrix.sigma_sweep(climb)))
+    states = [dict(zip(down, separatrix._sigma_from(top, at_top[top], ray)))
+              for top, ray in zip(tops, rays)]
     residuals = []
     for d in deltas:
         offsets = rpc3bp.L3_scaled(d)

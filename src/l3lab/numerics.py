@@ -49,13 +49,15 @@ imaginary halves summed apart only when that sum is not a float, so real
 states skip the imaginary half, exactly ``+ 0.0`` on floats, with the same
 bits.  A field that turns complex on real states steps on in the same
 attempt.  An autonomous field written as straight-line statements, a
-:class:`_FieldBody` (:func:`l3lab.rpc3bp.cart_flow`'s), is not called by
-the attempt: each stage runs the statements on its components, the same
+:class:`_FieldBody` (:func:`l3lab.rpc3bp.cart_flow`'s in real time, the
+separatrix field of :mod:`l3lab.separatrix` in complex time), is not called
+by the attempt: each stage runs the statements on its components, the same
 operations with the same bits, which spares twelve calls per attempt.  On
 a 2-component linear field stepped along ``Line(0, 1)`` an accepted step
-takes about 25 us on complex states and 10 us on real ones, and one
-attempt on the 4-component ``cart_flow`` field takes about 16.5 us,
-against 19 us when it calls the field (best of 15 runs of 2,000 attempts,
+takes about 25 us on complex states and 10 us on real ones; one attempt on
+the 4-component ``cart_flow`` field takes about 16.5 us, against 19 us when
+it calls the field, and one on the 2-component separatrix field on complex
+states about 23 us, against 26-27 us (best of 15 runs of 2,000 attempts,
 on a 2-vCPU Xeon host whose speed drifts by up to 2x).  A field should
 therefore return Python numbers: numpy scalars would carry their
 per-operation cost into every stage sum.
@@ -270,12 +272,13 @@ class _FieldBody(_Value):
     step attempt pastes at each stage in place of a call.
 
     ``text`` reads the state components, the locals named in ``state``, and
-    the constants named in ``params``, and binds the components of dy/dt to
-    the names in ``out``; it reads the module-level names of ``scope``, a
-    tuple of (name, value) pairs, and never the independent variable.  Its
-    names must not be the attempt's own: ``a``, ``d``, ``s``, ``h``,
-    ``y``, ``f``, ``comp``, ``rtol``, ``atol``, ``params``, ``sqrt``,
-    ``NonFinite`` and the indexed names of :func:`_attempt_source`.
+    the constants named in ``params``, which may be empty, and binds the
+    components of dy/dt to the names in ``out``; it reads the module-level
+    names of ``scope``, a tuple of (name, value) pairs, and never the
+    independent variable.  Its names must not be the attempt's own: ``a``,
+    ``d``, ``s``, ``h``, ``y``, ``f``, ``comp``, ``rtol``, ``atol``,
+    ``params``, ``sqrt``, ``NonFinite`` and the indexed names of
+    :func:`_attempt_source`.
     :func:`_inline_field` binds the params to values and returns the field
     as a callable compiled from the same text.
     """
@@ -315,16 +318,17 @@ def _attempt_source(n, body=None):
     chain rule inline: the node is ``a + (s + c*h) * d`` and each component
     is multiplied by ``d``, the operations of :meth:`Line.point` and
     :meth:`Line.derivative` with ``d = b - a``.  With a :class:`_FieldBody`,
-    the attempt takes the body's params in place of ``field`` and each stage
-    binds the body's state names to its components, runs the body's text and
-    multiplies the body's outputs by ``d``: the same operations on the same
-    values as the call, without the call, its argument list, its tuple and
-    the node, which an autonomous field never reads.  Component k of stage i
-    is the local ``k<i>_<k>``; stage 0 is ``f``, the field at the start of
-    the step, and stage 12 the field at its end.  Every stage sum, the B
-    update and each E5/E3 error sum is one expression over the nonzero
-    tableau entries as ``repr`` literals, in row order from 0.0.  Each stage
-    is checked for finiteness before the next field evaluation, by one test
+    the attempt takes the tuple of the body's params in place of ``field``
+    (unpacked only when there are any), and each stage binds the body's
+    state names to its components, runs the body's text and multiplies the
+    body's outputs by ``d``: the same operations on the same values as the
+    call, without the call, its argument list, its tuple and the node, which
+    an autonomous field never reads.  Component k of stage i is the local
+    ``k<i>_<k>``; stage 0 is ``f``, the field at the start of the step, and
+    stage 12 the field at its end.  Every stage sum, the B update and each
+    E5/E3 error sum is one expression over the nonzero tableau entries as
+    ``repr`` literals, in row order from 0.0.  Each stage is checked for
+    finiteness before the next field evaluation, by one test
     ``0.0 * k<i>_0 + 0.0 * k<i>_1 + ... != 0.0``: ``0.0 * x`` is a zero for
     every finite float or complex x and NaN otherwise, so the sum is nonzero
     exactly when some component is not finite, on either scalar type.  A
@@ -379,7 +383,7 @@ def _attempt_source(n, body=None):
 
     first = "field" if body is None else "params"
     lines = [f"def attempt({first}, a, d, s, h, y, comp, f, rtol, atol):"]
-    if body is not None:
+    if body is not None and body.params:
         lines += [f"    {_target(body.params)} = params"]
     lines += [f"    {_target(names('y'))} = y",
               f"    {_target(names('comp'))} = comp",
@@ -607,13 +611,13 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
     :func:`_attempt` generates for the length of ``y``, and calls ``field``
     itself, whatever the scalar type of the state and of the field's
     values, which may turn from float to complex along the way.  A field
-    made by :func:`_inline_field` carries its body, and its attempts run
-    that body at each stage instead; ``field`` itself is then called only
-    at the start, for the starting step and by the dense output.  The first
-    attempt takes the step ``h0``, clamped like every step to the end;
-    Hairer's starting step replaces it when ``h0`` is None or below the
-    smallest step allowed, ``_MIN_STEP`` in s whatever ``s_end`` is (a step
-    carried from a far shorter leg).
+    that carries ``_inline = (body, values)``, as :func:`_inline_field`
+    makes them, has attempts that run that body at each stage instead;
+    ``field`` itself is then called only at the start, for the starting
+    step and by the dense output.  The first attempt takes the step ``h0``,
+    clamped like every step to the end; Hairer's starting step replaces it
+    when ``h0`` is None or below the smallest step allowed, ``_MIN_STEP`` in
+    s whatever ``s_end`` is (a step carried from a far shorter leg).
     """
     n = len(y)
     if n == 0:
@@ -623,7 +627,9 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
         # the chain-ruled field for the starting step and the dense output
         return [d * v for v in field(a + s * d, yy)]
 
-    with _scalar_errors():
+    # _scalar_errors written out: a leg is cheaper to enter without the
+    # context manager
+    try:
         # Kahan carry for the y accumulator, zero of the state's scalar type
         comp = [0j if isinstance(v, complex) else 0.0 for v in y]
         s = 0.0
@@ -670,6 +676,8 @@ def _steps(field, a, d, y, rtol, atol, s_end, h0=None):
             else:
                 rejected += 1
                 h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXP)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFinite(f"overflow or division by zero: {exc}") from exc
 
 
 def ode_steps(field, seg: Line, y0, rtol: float = 1e-10,

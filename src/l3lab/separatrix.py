@@ -6,7 +6,8 @@ origin and a homoclinic loop at energy -1/2.  This module provides
 
 * the time parametrization sigma(t) of that loop continued into complex
   time along a polyline from t = 0 (:func:`sigma_sweep`, one state per
-  corner, each leg integrated once),
+  corner, each leg integrated once, with the field ``_PEND_BODY`` pasted
+  into each step attempt of the stepper),
 * the half-width A of its maximal analyticity strip as an explicit integral
   (:func:`compute_A`) together with the equivalent rescaled form,
 * the location of the singularities of the continuation reachable through
@@ -41,8 +42,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numerics import (Arc, L3labError, Line, QuadResult, _Record, _Value,
-                       fit_line, geomspace, integrate_chain, quad_path)
+from .numerics import (Arc, L3labError, Line, QuadResult, _FieldBody, _Record,
+                       _Value, _field_binder, fit_line, geomspace,
+                       integrate_chain, quad_path)
 
 __all__ = [
     "A_PLUS",
@@ -113,13 +115,35 @@ def V(lam):
     return val
 
 
+# the reduced system's field as straight-line code, one form for both its
+# callers: the DOP853 attempt pastes it at each of its twelve stages per
+# step, and pend_rhs calls the field compiled from it
+_PEND_BODY = _FieldBody(
+    params=(),
+    state=("lam", "Lam"),
+    out=("dlam", "dLam"),
+    text="""\
+half = cos(lam / 2.0)
+if abs(half) < 1e-8:
+    raise CollisionSingularity(f"lambda = {lam} too close to collision")
+dLam = -sin(lam) + sin(lam / 2.0) / (4.0 * half * half)
+dlam = -3.0 * Lam
+""",
+    scope=(("cos", cmath.cos), ("sin", cmath.sin),
+           ("CollisionSingularity", CollisionSingularity)))
+
+_pend_body_field = _field_binder(_PEND_BODY)()
+
+
 def pend_rhs(lam, Lam):
-    """Right-hand side (dlambda/dt, dLambda/dt) of the reduced system."""
-    half = cmath.cos(lam / 2.0)
-    if abs(half) < 1e-8:
-        raise CollisionSingularity(f"lambda = {lam} too close to collision")
-    dLam = -cmath.sin(lam) + cmath.sin(lam / 2.0) / (4.0 * half * half)
-    return -3.0 * Lam, dLam
+    """Right-hand side (dlambda/dt, dLambda/dt) of the reduced system.
+
+    Evaluated by the field compiled from the text of ``_PEND_BODY``, which
+    the stepper's attempts paste at each stage in place of a call: a leg of
+    :func:`sigma_sweep` or of the zero scan calls it only for its first
+    field value, and a chain once more for its starting step.
+    """
+    return _pend_body_field(0.0, (lam, Lam))
 
 
 def pend_energy(lam, Lam):
@@ -352,8 +376,25 @@ def _pend_field(t, y):
     return pend_rhs(y[0], y[1])
 
 
+# the stepper's attempts run _PEND_BODY at each stage, and _pend_field, so
+# pend_rhs, only serves a leg's first field value, the starting step and the
+# dense output
+_pend_field._inline = _PEND_BODY, ()
+
+
 def _state(y) -> PendulumState:
     return PendulumState(lam=complex(y[0]), Lam=complex(y[1]))
+
+
+def _sigma_from(t, state, points) -> list[PendulumState]:
+    """States at a chain of time points from sigma(t) = ``state``.
+
+    The chain is a polyline t -> points[0] -> points[1] -> ..., each leg
+    integrated once at rtol 1e-12, atol 1e-14.
+    """
+    ys = integrate_chain(_pend_field, t, points, (state.lam, state.Lam),
+                         rtol=1e-12, atol=1e-14)
+    return [_state(y) for y in ys]
 
 
 def sigma_sweep(points) -> list[PendulumState]:
@@ -362,11 +403,10 @@ def sigma_sweep(points) -> list[PendulumState]:
     The separatrix starts from sigma(0) = (lambda0, 0).  The chain is a
     polyline 0 -> points[0] -> points[1] -> ..., so a path that detours
     around a singularity is given by its corners.  Each leg runs at rtol
-    1e-12.
+    1e-12, atol 1e-14, the tolerances of :func:`_sigma_from`, which also
+    continues sigma from any other point of the chain.
     """
-    ys = integrate_chain(_pend_field, 0.0, points, (lambda0(), 0.0),
-                         rtol=1e-12, atol=1e-14)
-    return [_state(y) for y in ys]
+    return _sigma_from(0.0, PendulumState(lambda0(), 0.0), points)
 
 
 class SingularityReport(_Record):

@@ -547,29 +547,40 @@ def test_verify_inner_limit_matches_per_point_sweeps(seed):
 
 
 def test_verify_inner_limit_one_ray_chain_per_sample(monkeypatch):
-    sweeps, steps = [], []
-    sweep, solve = separatrix.sigma_sweep, numerics.integrate_ode
+    # one climb up the imaginary axis through the six tops, lowest first,
+    # then one chain per sample from its top down its ray to iA
+    chains, steps = [], []
+    sigma_from, solve = separatrix._sigma_from, numerics.integrate_ode
 
-    def recording(points):
-        sweeps.append(list(points))
-        return sweep(points)
+    def recording(t, state, points):
+        out = sigma_from(t, state, points)
+        chains.append((t, state, list(points), out))
+        return out
 
     def counting(*args, **kwargs):
         res = solve(*args, **kwargs)
         steps.append(res.steps)
         return res
 
-    monkeypatch.setattr(separatrix, "sigma_sweep", recording)
+    monkeypatch.setattr(separatrix, "_sigma_from", recording)
     monkeypatch.setattr(numerics, "integrate_ode", counting)
     inner.verify_inner_limit()
     A = separatrix.compute_A()
-    assert len(sweeps) == len(inner._LIMIT_SAMPLES) == 6
-    for points, (U, _) in zip(sweeps, inner._LIMIT_SAMPLES):
-        # up the imaginary axis, then down the ray to iA, largest delta first
-        assert points[0].real == 0.0 and 0.0 < points[0].imag < A
-        assert points[1:] == [1j * A + d * d * U
-                              for d in (0.2, 0.12, 0.08, 0.05)]
-    assert sum(steps) == 266
+    assert len(chains) == 1 + len(inner._LIMIT_SAMPLES) == 7
+    t0, _, climb, at_tops = chains[0]
+    assert t0 == 0.0
+    assert [t.real for t in climb] == [0.0] * 6
+    heights = [t.imag for t in climb]
+    assert 0.0 < heights[0] and heights == sorted(heights) and heights[-1] < A
+    for (top, state, points, _), (U, _) in zip(chains[1:],
+                                               inner._LIMIT_SAMPLES):
+        # from the climb's state at the top, down the ray, largest delta
+        # first
+        assert points == [1j * A + d * d * U for d in (0.2, 0.12, 0.08, 0.05)]
+        assert top == 1j * 0.85 * points[0].imag
+        assert state is at_tops[climb.index(top)]
+    # 266 with one chain per sample from t = 0
+    assert sum(steps) == 227
 
 
 @pytest.mark.parametrize("k, delta", [(0, 0.05), (2, 0.08), (4, 0.12)])

@@ -663,6 +663,135 @@ def test_inline_attempt_pastes_the_body_at_each_stage():
     assert not names & set(own + body.params)
 
 
+def _pend_outcome(inline, seg, s, h, y, comp, f, rtol):
+    """What one attempt on the separatrix field along ``seg`` gives: its
+    bits, or the class and message of what it raises.  ``inline`` takes the
+    attempt that pastes the field's body at each stage, otherwise the one
+    that calls the field."""
+    field = separatrix._pend_field
+    body, params = field._inline
+    if inline:
+        attempt, first = numerics._attempt(2, body), params
+    else:
+        attempt, first = numerics._attempt(2), field
+    try:
+        # as _steps runs it: an overflow in the field is NonFinite
+        with numerics._scalar_errors():
+            return _bits(list(attempt(first, seg.a, seg.b - seg.a, s, h, y,
+                                      comp, f, rtol, 1e-14)))
+    except L3labError as exc:
+        return exc.__class__, str(exc)
+
+
+def _same_pend_attempt(seg, s, h, y, comp, f=None, rtol=1e-12):
+    """Check that both attempts on the separatrix field give the same
+    outcome and return it; ``f`` defaults to the chain-ruled field at ``y``,
+    and a drawn ``y`` at the collision is rejected: the step loop stops
+    there before any attempt."""
+    if f is None:
+        try:
+            f = _chain_rule(separatrix._pend_field, seg)(s, y)
+        except separatrix.CollisionSingularity:
+            reject()
+    called = _pend_outcome(False, seg, s, h, y, comp, f, rtol)
+    assert _pend_outcome(True, seg, s, h, y, comp, f, rtol) == called
+    return called
+
+
+@settings(max_examples=80, deadline=None)
+@given(seg=_SEGMENT, s=st.floats(0.0, 1.0), h=st.floats(1e-4, 0.5),
+       y=st.tuples(st.builds(complex, st.floats(-3.5, 3.5), _BOUNDED),
+                   _COMPLEX).map(list),
+       comp=st.lists(st.builds(complex, st.floats(-1e-16, 1e-16),
+                               st.floats(-1e-16, 1e-16)),
+                     min_size=2, max_size=2),
+       rtol=st.sampled_from([1e-13, 1e-12, 1e-10]))
+@example(seg=Line(0.0, 0.17j), s=0.5, h=0.05,
+         y=[2.5 + 0.1j, 0.3 - 0.2j], comp=[0j, 0j], rtol=1e-12)
+def test_inline_pend_attempt_matches_call(seg, s, h, y, comp, rtol):
+    # the complex-time attempt that pastes the separatrix field's body at
+    # each stage gives the called field's bits on complex lines and states
+    _same_pend_attempt(seg, s, h, y, comp, rtol=rtol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seg=_REAL_SEGMENT, h=st.floats(1e-4, 0.5),
+       y=st.tuples(st.floats(-3.0, 3.0), _BOUNDED).map(list))
+@example(seg=Line(0.0, 1.0), h=0.05, y=[separatrix.lambda0(), 0.0])
+def test_inline_pend_attempt_matches_call_on_real_states(seg, h, y):
+    # a sweep's first leg starts from the real state (lambda0, 0): cmath
+    # turns the stages complex, and both attempts step on with the same bits
+    y_new = _same_pend_attempt(seg, 0.0, h, y, [0.0, 0.0])[0]
+    assert [bits[0] for bits in y_new] == [complex, complex]
+
+
+def test_inline_pend_attempt_keeps_signed_zeros():
+    # every sign pattern of the parts of a zero state at the saddle, and of
+    # a zero carry: the stage sums, the field and the chain rule d * v leave
+    # each zero with the call's sign
+    for bits in range(16):
+        y = [complex(-0.0 if bits >> 2 * k & 1 else 0.0,
+                     -0.0 if bits >> 2 * k + 1 & 1 else 0.0)
+             for k in range(2)]
+        for seg in (Line(0.0, 1.0), Line(0.0, -1.0), Line(0.0, 1j)):
+            for comp in ([0j] * 2, [complex(-0.0, -0.0)] * 2):
+                outcome = _same_pend_attempt(seg, 0.0, 0.125, y, comp)
+                assert isinstance(outcome, list)
+
+
+def test_inline_pend_attempt_raises_as_the_call():
+    # with a zero start field the first stage sits at the state itself: at
+    # the collision lambda = pi both attempts raise CollisionSingularity,
+    # and a stage that is not finite or overflows NonFinite, each with the
+    # same message
+    zero = [0j] * 2
+    for lam in (complex(math.pi), complex(math.pi, 5e-9),
+                complex(-math.pi, -1e-9)):
+        for seg in (Line(0.0, 1.0), Line(0.0, 1j)):
+            outcome = _same_pend_attempt(seg, 0.0, 1e-3, [lam, 0.5j], zero,
+                                         zero)
+            assert outcome == (separatrix.CollisionSingularity,
+                               f"lambda = {lam} too close to collision")
+    not_finite = "field not finite near path point"
+    for y, f, message in (
+            ([1.0 + 0j, complex(math.inf, 0.0)], zero, not_finite),
+            ([1.0 + 0j, complex(0.0, math.nan)], zero, not_finite),
+            # dlambda = -3 Lambda overflows to inf
+            ([1.0 + 0j, 1.7e308 + 0j], [0j, 1.7e308 + 0j], not_finite),
+            # cos(lambda / 2) overflows
+            ([complex(1.0, 2000.0), 0j], zero, "overflow or division by zero")):
+        for seg in (Line(0.0, 1.0), Line(0.0, -1.0), Line(0.0, 1j)):
+            outcome = _same_pend_attempt(seg, 0.0, 0.5, y, zero, f)
+            assert outcome[0] is NonFinite
+            assert outcome[1].startswith(message)
+
+
+def test_field_body_without_params_compiles():
+    # a body with no params unpacks none: its attempt and its callable
+    # compile, and the attempt steps y' = -y with the called field's bits
+    body = numerics._FieldBody(params=(), state=("u",), out=("du",),
+                               text="du = -u\n", scope=())
+    assert "params\n" not in numerics._attempt_source(1, body)
+    field = numerics._inline_field(body, ())
+    assert field(0.0, [2.0]) == (-2.0,)
+    y0 = [1.0 + 0.5j]
+    pasted = integrate_ode(field, 0.0, 1.0 + 1j, y0, rtol=1e-12, atol=1e-14)
+    called = integrate_ode(lambda t, y: (-y[0],), 0.0, 1.0 + 1j, y0,
+                           rtol=1e-12, atol=1e-14)
+    assert _bits(pasted.y_end) == _bits(called.y_end)
+    assert pasted.steps == called.steps and pasted.steps > 1
+    # the separatrix field has no params either, no stage calls it, and the
+    # only name it shares with the attempt is the builtin both read
+    pend = separatrix._PEND_BODY
+    src = numerics._attempt_source(2, pend)
+    assert "field(" not in src and "params\n" not in src
+    assert src.count("    half = cos(lam / 2.0)\n") == 12
+    called = numerics._attempt(2).__code__
+    names = set(called.co_varnames) | set(called.co_names)
+    own = set(compile(pend.text, "<body>", "exec").co_names)
+    assert names & own == {"abs"}
+
+
 def _reference_steps(field, seg, y, rtol, atol, s_end):
     """(s, y, err_est, rejected) of each accepted step: the step-size
     controller of DOP853 around :func:`_reference_attempt`."""
