@@ -198,54 +198,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("a", help="the analyticity-strip constant A")
-    q.add_argument("--format", choices=["text", "json"], default="text")
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_a)
+    def command(name, fn, help, *options, formats=False):
+        # the command's own (flag, type, default) options, then --format
+        # where it has one, then --out: the order of every -h listing
+        q = sub.add_parser(name, help=help)
+        for flag, kind, default in options:
+            q.add_argument(flag, type=kind, default=default)
+        if formats:
+            q.add_argument("--format", choices=["text", "json"],
+                           default="text")
+        q.add_argument("--out", default=None,
+                       help="output file path (default stdout)")
+        q.set_defaults(fn=fn)
 
-    q = sub.add_parser("stokes", help="Stokes-constant table at rho = "
-                                      "13..20, the rows of check 10")
-    q.add_argument("--out", default=None,
-                   help="CSV output path (default stdout)")
-    q.set_defaults(fn=_cmd_stokes)
-
-    q = sub.add_parser("singularities",
-                       help="the four separatrix singularity positions")
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_singularities)
-
-    q = sub.add_parser("separatrix",
-                       help="plot-ready samples of the real separatrix "
-                            "(CSV columns: t, lambda, Lambda, q)")
-    q.add_argument("--t-max", type=float, default=separatrix.RE_REACH)
-    q.add_argument("--n", type=int, default=401)
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_separatrix)
-
-    q = sub.add_parser("l3", help="collinear equilibrium and spectrum")
-    q.add_argument("--mu", type=float, default=0.003)
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_l3)
-
-    q = sub.add_parser("manifolds",
-                       help="plot-ready manifold trajectories to the section "
-                            "(CSV columns: branch, t, q1, q2, r, theta)")
-    q.add_argument("--mu", type=float, default=0.003)
-    q.add_argument("--n", type=int, default=2000)
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_manifolds)
-
-    q = sub.add_parser("distance",
-                       help="asymptotic vs measured splitting at one mu; "
-                            "|Theta| from the rho = 15 shooting")
-    q.add_argument("--mu", type=float, default=1e-3)
-    q.add_argument("--format", choices=["text", "json"], default="text")
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_distance)
-
-    q = sub.add_parser("verify", help="run the acceptance/property suite")
-    q.add_argument("--out", default=None)
-    q.set_defaults(fn=_cmd_verify)
+    command("a", _cmd_a, "the analyticity-strip constant A", formats=True)
+    command("stokes", _cmd_stokes,
+            "Stokes-constant table at rho = 13..20, the rows of check 10")
+    command("singularities", _cmd_singularities,
+            "the four separatrix singularity positions")
+    command("separatrix", _cmd_separatrix,
+            "plot-ready samples of the real separatrix "
+            "(CSV columns: t, lambda, Lambda, q)",
+            ("--t-max", float, separatrix.RE_REACH), ("--n", int, 401))
+    command("l3", _cmd_l3, "collinear equilibrium and spectrum",
+            ("--mu", float, 0.003))
+    command("manifolds", _cmd_manifolds,
+            "plot-ready manifold trajectories to the section "
+            "(CSV columns: branch, t, q1, q2, r, theta)",
+            ("--mu", float, 0.003), ("--n", int, 2000))
+    command("distance", _cmd_distance,
+            "asymptotic vs measured splitting at one mu; "
+            "|Theta| from the rho = 15 shooting",
+            ("--mu", float, 1e-3), formats=True)
+    command("verify", _cmd_verify, "run the acceptance/property suite")
     return p
 
 

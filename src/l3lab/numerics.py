@@ -21,7 +21,8 @@ The tools used everywhere else in the package:
   by a closure bound to the segment before the first level: the chord of a
   Line is taken once, and one ``cmath.exp`` gives an Arc node's point and
   derivative.  An integrand that is not finite raises :class:`NonFinite`.
-* :func:`find_root` -- safeguarded Newton iteration on a bracket.
+* :func:`find_root` -- safeguarded Newton iteration on a bracket; it
+  refuses an end, a tol or a value of ``g`` that is not finite.
 * :func:`fit_line` -- the least-squares line through sample points, and
   :func:`linspace` / :func:`geomspace`, the sample grids of the fits.
 
@@ -281,9 +282,17 @@ class _FieldBody(_Value):
     :func:`_attempt_source`.
     :func:`_inline_field` binds the params to values and returns the field
     as a callable compiled from the same text.
+
+    A body is a compile unit: :func:`_attempt` and :func:`_field_binder`
+    cache on it, and it compares and hashes by identity, so a lookup does
+    not hash its text and scope on every leg; a second body with equal
+    fields compiles its own.  Like every :class:`_Value`, it refuses
+    assignment.
     """
 
     __slots__ = ("params", "state", "out", "text", "scope")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, params: tuple[str, ...], state: tuple[str, ...],
                  out: tuple[str, ...], text: str,
@@ -923,23 +932,36 @@ def _check_level(acc, level):
 def find_root(g, bracket, tol: float = 1e-12) -> float:
     """Safeguarded Newton on a bracket; bisection whenever Newton misbehaves.
 
-    Stops when |g(x)| <= tol or the bracket width drops below tol, and after
-    200 iterations at the latest.
+    The two ends may come in either order.  Stops when |g(x)| <= tol or the
+    bracket width drops below tol, and after 200 iterations at the latest.
+
+    An end or a ``tol`` that is not finite, or a ``tol`` that is not
+    positive, raises :class:`ValueError`; a ``g`` that is not finite at an
+    end, or has the same sign at both, raises :class:`NoBracket`, and one
+    that is not finite inside the bracket raises :class:`NonFinite`.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = sorted((float(bracket[0]), float(bracket[1])))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"find_root needs a finite bracket, got {bracket!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"find_root needs a finite, positive tol, got {tol!r}")
     glo, ghi = g(lo), g(hi)
+    if not (math.isfinite(glo) and math.isfinite(ghi)):
+        raise NoBracket(f"g({lo}) = {glo} and g({hi}) = {ghi}: not finite")
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
-    if glo * ghi > 0.0:
+    if (glo < 0.0) == (ghi < 0.0):
         raise NoBracket(f"g({lo}) = {glo:.3e} and g({hi}) = {ghi:.3e} agree in sign")
     x = 0.5 * (lo + hi)
     for _ in range(200):
         gx = g(x)
+        if not math.isfinite(gx):
+            raise NonFinite(f"g({x}) = {gx} inside the bracket [{lo}, {hi}]")
         if abs(gx) <= tol or (hi - lo) <= tol:
             return x
-        if glo * gx <= 0.0:
+        if (glo < 0.0) != (gx < 0.0):
             hi, ghi = x, gx
         else:
             lo, glo = x, gx

@@ -585,6 +585,27 @@ def test_cli_option_surface_is_pinned():
     assert surface == _CLI_OPTIONS
 
 
+def test_out_and_format_are_declared_once():
+    # every command's --out is the same option, and a and distance share
+    # one --format: help text, default, choices and type alike
+    [sub] = [action for action in cli._build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+
+    def option(parser, flag):
+        [action] = [action for action in parser._actions
+                    if flag in action.option_strings]
+        choices = None if action.choices is None else tuple(action.choices)
+        return action.help, action.default, choices, action.type
+
+    outs = {option(parser, "--out") for parser in sub.choices.values()}
+    assert len(outs) == 1
+    [(help_text, default, _, _)] = outs
+    assert help_text and default is None
+    formats = {option(sub.choices[command], "--format")
+               for command in ("a", "distance")}
+    assert formats == {(None, "text", ("text", "json"), None)}
+
+
 # every parameter with a default of every function in a module's __all__,
 # function by function (the functions without one are left out): a keyword
 # that only tests set is a knob nobody uses, and one added or removed must

@@ -792,6 +792,20 @@ def test_field_body_without_params_compiles():
     assert names & own == {"abs"}
 
 
+def test_field_body_attempt_is_cached_by_identity():
+    # a body is a compile unit: the same body reuses its attempt and its
+    # binder, and a second body with equal fields compiles its own
+    pend = separatrix._PEND_BODY
+    twin = numerics._FieldBody(*pend._values())
+    assert twin != pend and hash(twin) == object.__hash__(twin)
+    assert numerics._attempt(2, pend) is numerics._attempt(2, pend)
+    assert numerics._attempt(2, twin) is not numerics._attempt(2, pend)
+    assert numerics._attempt(2, twin) is numerics._attempt(2, twin)
+    assert numerics._field_binder(twin) is not numerics._field_binder(pend)
+    with pytest.raises(AttributeError):
+        twin.text = ""
+
+
 def _reference_steps(field, seg, y, rtol, atol, s_end):
     """(s, y, err_est, rejected) of each accepted step: the step-size
     controller of DOP853 around :func:`_reference_attempt`."""
@@ -996,6 +1010,8 @@ def test_quad_rejects_bad_tol(tol):
     (lambda x: x * x - 2.0, (1.0, 2.0), math.sqrt(2.0)),
     (lambda x: x - math.sin(x) - math.pi, (math.pi - 1, math.pi + 1), math.pi),
     (math.cos, (1.0, 2.0), math.pi / 2.0),
+    # a reversed bracket used to return its midpoint, 0.5
+    (lambda x: x - 0.3, (1.0, 0.0), 0.3),
 ])
 def test_find_root(g, bracket, root):
     assert abs(find_root(g, bracket, tol=1e-13) - root) < 1e-12
@@ -1004,6 +1020,42 @@ def test_find_root(g, bracket, root):
 def test_find_root_no_bracket():
     with pytest.raises(NoBracket):
         find_root(lambda x: x * x + 1.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("g", [
+    # NaN everywhere used to return 0.9999999999995453
+    lambda x: math.nan,
+    lambda x: -math.inf if x == 0.0 else 1.0,
+    # the product of two tiny values of one sign underflows to 0.0, which
+    # the old sign test took for a sign change
+    lambda x: 1e-200,
+], ids=["nan_everywhere", "minus_inf_at_lo", "tiny_of_one_sign"])
+def test_find_root_no_bracket_at_ends_it_cannot_trust(g):
+    with pytest.raises(NoBracket):
+        find_root(g, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bracket", [(math.nan, 1.0), (0.0, math.inf),
+                                     (-math.inf, 1.0)])
+def test_find_root_refuses_non_finite_ends(bracket):
+    # (nan, 1) used to return nan, and (0, inf) inf
+    with pytest.raises(ValueError, match="finite bracket"):
+        find_root(lambda x: x - 0.3, bracket)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_find_root_refuses_a_tol_not_finite_and_positive(tol):
+    # tol = -1 used to find the root after 602 evaluations of g
+    with pytest.raises(ValueError, match=f"got {tol!r}"):
+        find_root(lambda x: x - 0.3, (0.0, 1.0), tol=tol)
+
+
+def test_find_root_refuses_a_g_not_finite_inside():
+    def g(x):
+        return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+    with pytest.raises(NonFinite, match="inside the bracket"):
+        find_root(g, (0.0, 1.0))
 
 
 def test_kahan_accumulation_long_path():
